@@ -22,6 +22,7 @@ from .descriptors import (
     cutoff_value,
     radial_g2,
 )
+from .distance import euclidean_cdist, hamming_cdist
 from .embedding import (
     Embedding,
     TsneConfig,
@@ -45,7 +46,6 @@ from .fingerprint import (
     determine_bin_edges,
     difference_vector,
     hamming_distance,
-    hamming_matrix,
     mean_descriptor_vectors,
     read_fingerprints,
     select_reference,

@@ -355,11 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("screen", help="reduce redundancy or screen novelty")
     common(p)
     p.add_argument("--fingerprints", help="fingerprint file (dedup modes)")
-    p.add_argument("--mode", choices=["exact", "hamming", "novelty"],
+    p.add_argument("--mode", choices=scr_mod.SCREENING_MODES,
                    help="screening mode (overrides config)")
     p.add_argument("--radius", type=int, help="Hamming radius (mode=hamming)")
     p.add_argument("--threshold", type=float, help="novelty distance threshold")
-    p.add_argument("--aggregate", choices=["min", "mean"], help="novelty aggregate")
+    p.add_argument("--aggregate", choices=scr_mod.NOVELTY_AGGREGATES, help="novelty aggregate")
     p.add_argument("--training-manifest", help="training dataset manifest (mode=novelty)")
     p.set_defaults(func=cmd_screen)
 
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="fingerprint file or vector CSV")
     p.add_argument("--source", choices=["baseline", "mean"],
                    help="compute vectors from the configured dataset instead of --input")
-    p.add_argument("--method", choices=["tsne", "pca"], help="overrides config")
+    p.add_argument("--method", choices=emb_mod.EMBEDDING_METHODS, help="overrides config")
     p.add_argument("--perplexity", type=float, help="t-SNE perplexity (overrides config)")
     p.add_argument("--compare-baseline", action="store_true",
                    help="also embed the zero-padded baseline vectors of the same structures")

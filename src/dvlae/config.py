@@ -16,8 +16,10 @@ from .descriptors import (
     RadialParams,
     SymmetryFunctionSet,
 )
-from .embedding import TsneConfig
+from .embedding import EMBEDDING_METHODS, TsneConfig
 from .errors import ConfigError
+from .fingerprint import XOR_MODES
+from .screening import NOVELTY_AGGREGATES, SCREENING_MODES
 
 CONFIG_FORMAT = 1
 
@@ -125,6 +127,15 @@ def _number(kind, section, key: str, default):
         raise ConfigError(f"{key} must be a {kind.__name__}, got {raw!r}") from None
 
 
+def _choice(section, key: str, default: str, allowed: tuple[str, ...], what: str) -> str:
+    value = section.get(key, default).strip()
+    if value not in allowed:
+        listed = " or ".join(allowed) if len(allowed) < 3 else \
+            ", ".join(allowed[:-1]) + ", or " + allowed[-1]
+        raise ConfigError(f"{what} must be {listed}, got {value!r}")
+    return value
+
+
 _OVERRIDABLE = ("radial_eta", "radial_rs", "angular_eta", "zeta", "lambda")
 
 
@@ -216,27 +227,19 @@ def load_config(path: str | Path) -> RunConfig:
         if not ref_path.exists():
             raise ConfigError(f"reference file not found: {ref_path}")
         reference = f"path:{ref_path}"
-    xor_mode = fp.get("xor_mode", "occupancy").strip()
-    if xor_mode not in ("occupancy", "count-equality"):
-        raise ConfigError(f"xor_mode must be occupancy or count-equality, got {xor_mode!r}")
+    xor_mode = _choice(fp, "xor_mode", "occupancy", XOR_MODES, "xor_mode")
 
     sc = parser["screening"] if parser.has_section("screening") else {}
-    mode = sc.get("mode", "exact").strip()
-    if mode not in ("exact", "hamming", "novelty"):
-        raise ConfigError(f"screening mode must be exact, hamming, or novelty, got {mode!r}")
+    mode = _choice(sc, "mode", "exact", SCREENING_MODES, "screening mode")
     training_manifest = None
     if "training_manifest" in sc:
         training_manifest = resolve(sc["training_manifest"])
         if not training_manifest.exists():
             raise ConfigError(f"training manifest not found: {training_manifest}")
-    aggregate = sc.get("aggregate", "min").strip()
-    if aggregate not in ("min", "mean"):
-        raise ConfigError(f"aggregate must be min or mean, got {aggregate!r}")
+    aggregate = _choice(sc, "aggregate", "min", NOVELTY_AGGREGATES, "aggregate")
 
     emb = parser["embedding"] if parser.has_section("embedding") else {}
-    method = emb.get("method", "tsne").strip()
-    if method not in ("tsne", "pca"):
-        raise ConfigError(f"embedding method must be tsne or pca, got {method!r}")
+    method = _choice(emb, "method", "tsne", EMBEDDING_METHODS, "embedding method")
     seed = _number(int, run, "seed", 0)
     tsne = TsneConfig(
         perplexity=_number(float, emb, "perplexity", 30.0),

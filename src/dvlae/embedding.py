@@ -18,8 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .distance import euclidean_cdist, hamming_cdist
 from .errors import FormatError, UserInputError
 from .ioutil import atomic_write_text
+
+EMBEDDING_METHODS = ("tsne", "pca")
 
 _PERPLEXITY_TOL = 1e-5
 _MAX_BISECTIONS = 100
@@ -79,18 +82,13 @@ def pairwise_distances(vectors: np.ndarray, metric: str = "euclidean") -> np.nda
     x = np.asarray(vectors)
     if x.ndim != 2:
         raise UserInputError("vectors must form a 2-D array (one row per point)")
-    n = len(x)
-    out = np.zeros((n, n))
     if metric == "euclidean":
-        x = x.astype(float)
-        for i in range(n):
-            out[i] = np.sqrt(((x - x[i]) ** 2).sum(axis=1))
+        out = euclidean_cdist(x, x)
     elif metric == "hamming":
         if not np.isin(x, (0, 1)).all():
             raise UserInputError("hamming metric requires 0/1 bit vectors")
-        b = x.astype(bool)
-        for i in range(n):
-            out[i] = (b != b[i]).sum(axis=1)
+        packed = np.packbits(x.astype(bool), axis=1)
+        out = hamming_cdist(packed, packed).astype(float)
     else:
         raise UserInputError(f"unknown metric {metric!r}")
     out = (out + out.T) / 2.0

@@ -52,12 +52,19 @@ class HistogramSpec:
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "columns", tuple((e, l) for e, l in self.columns))
+        if not isinstance(self.bins, (int, np.integer)) or isinstance(self.bins, bool):
+            raise UserInputError(f"bin count must be an integer, got {self.bins!r}")
         if self.bins < 1:
             raise UserInputError(f"bin count must be >= 1, got {self.bins}")
         if len(self.columns) != len(edges):
             raise UserInputError("one (lo, hi) pair per column required")
-        if np.any(edges[:, 0] >= edges[:, 1]):
-            raise UserInputError("every column needs lo < hi")
+        if not np.all(np.isfinite(edges)) or np.any(edges[:, 0] >= edges[:, 1]):
+            raise UserInputError("every column needs finite lo < hi")
+        payload = json.dumps(
+            [self.bins, list(self.columns), [[lo.hex(), hi.hex()] for lo, hi in edges.tolist()]],
+            separators=(",", ":"),
+        )
+        object.__setattr__(self, "_checksum", hashlib.sha256(payload.encode()).hexdigest()[:16])
 
     @property
     def n_columns(self) -> int:
@@ -69,11 +76,8 @@ class HistogramSpec:
 
     @property
     def checksum(self) -> str:
-        payload = json.dumps(
-            [self.bins, list(self.columns), [[lo.hex(), hi.hex()] for lo, hi in self.edges.tolist()]],
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        """Digest of (bins, columns, exact edges), computed once per spec."""
+        return self._checksum
 
     def bin_of(self, values: np.ndarray, column: int) -> np.ndarray:
         lo, hi = self.edges[column]
@@ -183,6 +187,11 @@ class DifferenceVector:
         object.__setattr__(self, "packed", packed)
         if len(packed) != (self.n_bits + 7) // 8:
             raise UserInputError(f"{len(packed)} packed bytes for {self.n_bits} bits")
+        # Zero padding makes every byte-level comparison (dedup keys, packed
+        # Hamming distances) agree with the n_bits-long bit string.
+        spare = 8 * len(packed) - self.n_bits
+        if spare and packed[-1] & ((1 << spare) - 1):
+            raise UserInputError(f"nonzero padding bits after bit {self.n_bits}")
 
     def bits(self) -> np.ndarray:
         """Unpacked bit array of length n_bits (column-major, bin-minor)."""
@@ -229,30 +238,25 @@ def difference_vector(
     )
 
 
+def packed_rows(fps: Sequence[DifferenceVector]) -> np.ndarray:
+    """Stack fingerprints of one spec into an (n, n_bytes) uint8 array, the
+    input of ``distance.hamming_cdist``.  Mixed specs or bit lengths are
+    rejected."""
+    checksums = {fp.spec_checksum for fp in fps}
+    if len(checksums) > 1:
+        raise UserInputError(f"fingerprints mix histogram specs: {sorted(checksums)}")
+    lengths = {fp.n_bits for fp in fps}
+    if len(lengths) > 1:
+        raise UserInputError(f"bit lengths differ: {sorted(lengths)}")
+    if not fps:
+        return np.zeros((0, 0), dtype=np.uint8)
+    return np.vstack([fp.packed for fp in fps])
+
+
 def hamming_distance(a: DifferenceVector, b: DifferenceVector) -> int:
     """Number of differing bits between two fingerprints of the same spec."""
-    if a.n_bits != b.n_bits:
-        raise UserInputError(f"bit lengths differ: {a.n_bits} vs {b.n_bits}")
-    if a.spec_checksum != b.spec_checksum:
-        raise UserInputError("fingerprints come from different histogram specs")
-    return int(np.bitwise_count(np.bitwise_xor(a.packed, b.packed)).sum())
-
-
-def hamming_matrix(fps: Sequence[DifferenceVector]) -> np.ndarray:
-    """Symmetric pairwise Hamming distances over a fingerprint list."""
-    if not fps:
-        return np.zeros((0, 0))
-    n_bits = fps[0].n_bits
-    checksum = fps[0].spec_checksum
-    for fp in fps[1:]:
-        if fp.n_bits != n_bits or fp.spec_checksum != checksum:
-            raise UserInputError("fingerprints come from different histogram specs")
-    packed = np.vstack([fp.packed for fp in fps])
-    n = len(fps)
-    out = np.zeros((n, n))
-    for i in range(n):
-        out[i] = np.bitwise_count(np.bitwise_xor(packed, packed[i])).sum(axis=1)
-    return out
+    rows = packed_rows((a, b))
+    return int(np.bitwise_count(np.bitwise_xor(rows[0], rows[1])).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +385,30 @@ def spec_to_json(spec: HistogramSpec) -> str:
     return json.dumps(_spec_header(spec), indent=2) + "\n"
 
 
-def spec_from_json(text: str) -> HistogramSpec:
+def _spec_from_header(head, where: str) -> HistogramSpec:
+    """The one parser of a serialized spec (a spec JSON file or a fingerprint
+    file header).  A checksum, when present, must match the contents."""
+    if not isinstance(head, dict):
+        raise FormatError(f"{where}: histogram spec must be a JSON object")
     try:
-        head = json.loads(text)
         spec = HistogramSpec(
             bins=head["bins"],
             columns=tuple((e, l) for e, l in head["columns"]),
             edges=np.array(head["edges"], dtype=float),
         )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise FormatError(f"bad histogram-spec JSON: {exc}") from None
-    if "checksum" in head and head["checksum"] != spec.checksum:
-        raise FormatError("histogram-spec checksum does not match its contents")
+    except (KeyError, ValueError, TypeError, UserInputError) as exc:
+        raise FormatError(f"{where}: bad histogram spec: {type(exc).__name__}: {exc}") from None
+    if head.get("checksum", spec.checksum) != spec.checksum:
+        raise FormatError(f"{where}: histogram-spec checksum does not match its contents")
     return spec
+
+
+def spec_from_json(text: str) -> HistogramSpec:
+    try:
+        head = json.loads(text)
+    except ValueError as exc:
+        raise FormatError(f"bad histogram-spec JSON: {exc}") from None
+    return _spec_from_header(head, "histogram-spec JSON")
 
 
 def _check_record_text(value: str, what: str) -> str:
@@ -436,16 +451,13 @@ def read_fingerprints(path: str | Path) -> FingerprintSet:
         head = json.loads(lines[1])
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: bad header JSON: {exc}") from None
-    spec = HistogramSpec(
-        bins=head["bins"],
-        columns=tuple((e, l) for e, l in head["columns"]),
-        edges=np.array(head["edges"], dtype=float),
-    )
-    if head.get("checksum") != spec.checksum:
-        raise FormatError(f"{path}: header checksum does not match spec contents")
+    spec = _spec_from_header(head, f"{path}, line 2")
+    if "checksum" not in head:
+        raise FormatError(f"{path}, line 2: header has no checksum")
     xor_mode = head.get("xor_mode", "occupancy")
     reference_id = head.get("reference_id", "")
     n_bits = spec.n_bits
+    checksum = spec.checksum
     fps = []
     for ln, line in enumerate(lines[2:], start=3):
         if not line:
@@ -458,18 +470,19 @@ def read_fingerprints(path: str | Path) -> FingerprintSet:
             packed = np.frombuffer(bytes.fromhex(hexbits), dtype=np.uint8)
         except ValueError:
             raise FormatError(f"{path}, line {ln}: bad hex bit string") from None
-        if len(packed) != (n_bits + 7) // 8:
-            raise FormatError(f"{path}, line {ln}: bit string length does not match header")
-        fps.append(
-            DifferenceVector(
-                structure_id=ident,
-                tag=tag or None,
-                reference_id=reference_id,
-                spec_checksum=spec.checksum,
-                n_bits=n_bits,
-                packed=packed,
+        try:
+            fps.append(
+                DifferenceVector(
+                    structure_id=ident,
+                    tag=tag or None,
+                    reference_id=reference_id,
+                    spec_checksum=checksum,
+                    n_bits=n_bits,
+                    packed=packed,
+                )
             )
-        )
+        except UserInputError as exc:
+            raise FormatError(f"{path}, line {ln}: {exc}") from None
     return FingerprintSet(
         spec=spec, reference_id=reference_id, xor_mode=xor_mode, fingerprints=tuple(fps)
     )

@@ -18,9 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .distance import euclidean_cdist, hamming_cdist
 from .errors import FormatError, UserInputError
-from .fingerprint import DifferenceVector, hamming_distance
+from .fingerprint import DifferenceVector, packed_rows
 from .ioutil import atomic_write_text
+
+SCREENING_MODES = ("exact", "hamming", "novelty")
+NOVELTY_AGGREGATES = ("min", "mean")
 
 
 @dataclass(frozen=True)
@@ -68,20 +72,13 @@ class ScreeningReport:
         return report
 
 
-def _check_common_spec(fps: Sequence[DifferenceVector]) -> None:
-    checksums = {fp.spec_checksum for fp in fps}
-    if len(checksums) > 1:
-        raise UserInputError(f"fingerprints mix histogram specs: {sorted(checksums)}")
-
-
 def dedup_exact(fps: Sequence[DifferenceVector]) -> ScreeningReport:
     """Remove structures whose fingerprint bit pattern was seen earlier."""
-    _check_common_spec(fps)
     kept: list[str] = []
     removed: dict[str, str] = {}
     first_by_key: dict[bytes, str] = {}
-    for fp in fps:
-        key = fp.key()
+    for fp, row in zip(fps, packed_rows(fps)):
+        key = row.tobytes()
         if key in first_by_key:
             removed[fp.structure_id] = first_by_key[key]
         else:
@@ -105,21 +102,17 @@ def dedup_hamming(fps: Sequence[DifferenceVector], radius: int) -> ScreeningRepo
             kept=report.kept, removed=report.removed, input_count=report.input_count,
             mode="hamming:0",
         )
-    _check_common_spec(fps)
+    packed = packed_rows(fps)
+    leaders = np.empty_like(packed)     # packed rows of kept[0], kept[1], ...
     kept: list[str] = []
-    leaders: list[DifferenceVector] = []
     removed: dict[str, str] = {}
-    for fp in fps:
-        rep = None
-        for leader in leaders:
-            if hamming_distance(fp, leader) <= radius:
-                rep = leader.structure_id
-                break
-        if rep is None:
-            leaders.append(fp)
-            kept.append(fp.structure_id)
+    for i, fp in enumerate(fps):
+        near = np.flatnonzero(hamming_cdist(packed[i : i + 1], leaders[: len(kept)])[0] <= radius)
+        if near.size:
+            removed[fp.structure_id] = kept[near[0]]
         else:
-            removed[fp.structure_id] = rep
+            leaders[len(kept)] = packed[i]
+            kept.append(fp.structure_id)
     return ScreeningReport(
         kept=tuple(kept), removed=removed, input_count=len(fps), mode=f"hamming:{radius}"
     )
@@ -141,8 +134,10 @@ class NoveltyConfig:
     def __post_init__(self):
         if self.threshold < 0:
             raise UserInputError(f"threshold must be >= 0, got {self.threshold}")
-        if self.aggregate not in ("min", "mean"):
-            raise UserInputError(f"aggregate must be 'min' or 'mean', got {self.aggregate!r}")
+        if self.aggregate not in NOVELTY_AGGREGATES:
+            raise UserInputError(
+                f"aggregate must be one of {NOVELTY_AGGREGATES}, got {self.aggregate!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -193,23 +188,21 @@ def novelty_screen(
             f"dimension mismatch: candidates have {candidates.shape[1]} features, "
             f"training has {training.shape[1] if training.ndim == 2 else '?'}"
         )
-    records = []
-    for cid, vec in zip(candidate_ids, candidates):
-        d = np.sqrt(((training - vec) ** 2).sum(axis=1))
-        nearest = int(np.argmin(d))
-        dmin = float(d[nearest])
-        dmean = float(d.mean())
-        value = dmin if cfg.aggregate == "min" else dmean
-        records.append(
-            NoveltyRecord(
-                structure_id=cid,
-                min_distance=dmin,
-                mean_distance=dmean,
-                nearest_id=training_ids[nearest] if training_ids is not None else None,
-                accepted=bool(value > cfg.threshold),
-            )
+    d = euclidean_cdist(candidates, training)
+    nearest = d.argmin(axis=1)
+    dmin = d.min(axis=1)
+    dmean = d.mean(axis=1)
+    value = dmin if cfg.aggregate == "min" else dmean
+    return NoveltyResult(tuple(
+        NoveltyRecord(
+            structure_id=cid,
+            min_distance=float(dmin[i]),
+            mean_distance=float(dmean[i]),
+            nearest_id=training_ids[nearest[i]] if training_ids is not None else None,
+            accepted=bool(value[i] > cfg.threshold),
         )
-    return NoveltyResult(tuple(records))
+        for i, cid in enumerate(candidate_ids)
+    ))
 
 
 def novelty_report(result: NoveltyResult) -> ScreeningReport:
@@ -235,17 +228,26 @@ class OodScore:
     normalized: float       # min_hamming / total bit count, in [0, 1]
 
 
+def _ood_scores(
+    predictions: Sequence[DifferenceVector], training: Sequence[DifferenceVector]
+) -> list[OodScore]:
+    """Per prediction, in input order: the minimum Hamming distance to the
+    training store, normalized by the fingerprint bit length."""
+    if not training:
+        raise UserInputError("training fingerprint store is empty")
+    packed = packed_rows([*predictions, *training])
+    n = len(predictions)
+    best = hamming_cdist(packed[:n], packed[n:]).min(axis=1)
+    return [
+        OodScore(structure_id=fp.structure_id, min_hamming=int(b), normalized=int(b) / fp.n_bits)
+        for fp, b in zip(predictions, best)
+    ]
+
+
 def ood_score(fp: DifferenceVector, training: Sequence[DifferenceVector]) -> OodScore:
     """Minimum Hamming distance from ``fp`` to the training store, normalized
     by the fingerprint bit length."""
-    if not training:
-        raise UserInputError("training fingerprint store is empty")
-    best = min(hamming_distance(fp, t) for t in training)
-    return OodScore(
-        structure_id=fp.structure_id,
-        min_hamming=best,
-        normalized=best / fp.n_bits,
-    )
+    return _ood_scores([fp], training)[0]
 
 
 def rank_ood(
@@ -253,7 +255,7 @@ def rank_ood(
 ) -> list[OodScore]:
     """Scores for every prediction fingerprint, most novel first (ties keep
     input order)."""
-    scores = [ood_score(fp, training) for fp in predictions]
+    scores = _ood_scores(predictions, training)
     order = sorted(range(len(scores)), key=lambda i: (-scores[i].min_hamming, i))
     return [scores[i] for i in order]
 

@@ -170,6 +170,35 @@ class TestScreenCommand:
         assert report.output_count == 0
         assert len(report.removed) == 6
 
+    @pytest.mark.parametrize("old, new", [
+        ('"bins":16,', ''),                         # header without bins
+        ('"bins":16,', '"bins":"16",'),
+        ('"edges":[[', '"edges":[["x",'),
+    ])
+    def test_bad_header_exits_one(self, rng, tmp_path, capsys, old, new):
+        cfg = make_corpus(rng, tmp_path, n=4)
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        fps = tmp_path / "out" / "fingerprints.txt"
+        text = fps.read_text()
+        assert old in text
+        fps.write_text(text.replace(old, new, 1))
+        assert main(["screen", "--config", str(cfg), "--fingerprints", str(fps)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "internal-error" not in err
+
+    def test_padding_bits_exit_one(self, rng, tmp_path, capsys):
+        cfg = make_corpus(rng, tmp_path, n=4)
+        cfg.write_text(cfg.read_text().replace("lambda = -1 1", "lambda = 1")
+                       .replace("bins = 16", "bins = 13"))
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        fps = tmp_path / "out" / "fingerprints.txt"
+        lines = fps.read_text().splitlines()
+        assert read_fingerprints(fps).spec.n_bits % 8
+        lines[2] = lines[2][:-1] + format(int(lines[2][-1], 16) | 1, "x")
+        fps.write_text("\n".join(lines) + "\n")
+        assert main(["screen", "--config", str(cfg), "--fingerprints", str(fps)]) == 1
+        assert "line 3: nonzero padding bits" in capsys.readouterr().err
+
 
 class TestEmbedCommand:
     def test_fingerprint_input_row_count(self, rng, tmp_path):
@@ -418,6 +447,21 @@ class TestConfig:
         from dvlae.errors import ConfigError
         with pytest.raises(ConfigError, match="cutofff"):
             load_config(cfg_path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[fingerprint]\n", "[fingerprint]\nxor_mode = parity\n",
+         "xor_mode must be occupancy or count-equality, got 'parity'"),
+        ("mode = exact", "mode = fuzzy",
+         "screening mode must be exact, hamming, or novelty, got 'fuzzy'"),
+        ("[screening]\n", "[screening]\naggregate = max\n",
+         "aggregate must be min or mean, got 'max'"),
+        ("method = tsne", "method = umap", "embedding method must be tsne or pca, got 'umap'"),
+    ])
+    def test_bad_choice_exits_one(self, rng, tmp_path, capsys, old, new, message):
+        cfg_path = make_corpus(rng, tmp_path, n=4)
+        cfg_path.write_text(cfg_path.read_text().replace(old, new, 1))
+        assert main(["fingerprint", "--config", str(cfg_path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_unsupported_format_rejected(self, rng, tmp_path):
         cfg_path = make_corpus(rng, tmp_path, n=4)

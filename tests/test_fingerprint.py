@@ -10,6 +10,7 @@ from dvlae import (
     CutoffParams,
     DescriptorDef,
     DescriptorMatrix,
+    FormatError,
     HistogramSpec,
     RadialParams,
     SymmetryFunctionSet,
@@ -305,12 +306,27 @@ class TestHamming:
             hamming_distance(a, b)
 
     def test_matrix_matches_pairwise(self, rng):
-        from dvlae import hamming_matrix, pairwise_distances
+        from dvlae import hamming_cdist, pairwise_distances
+        from dvlae.fingerprint import packed_rows
 
         fps = [self._fp(rng.integers(0, 2, 37), f"s{i}") for i in range(15)]
-        fast = hamming_matrix(fps)
+        packed = packed_rows(fps)
+        fast = hamming_cdist(packed, packed)
         bits = np.vstack([fp.bits() for fp in fps])
         assert np.array_equal(fast, pairwise_distances(bits, metric="hamming"))
+        assert np.array_equal(fast, [[hamming_distance(a, b) for b in fps] for a in fps])
+        naive = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
+        assert np.array_equal(pairwise_distances(bits, metric="hamming"), naive)
+
+    def test_nonzero_padding_bits_rejected(self):
+        # 13 bits in 2 bytes: the low 3 bits of the last byte are padding
+        for tail in (0b001, 0b100):
+            with pytest.raises(UserInputError, match="padding"):
+                fp_mod.DifferenceVector("s", None, "r", "spec", 13,
+                                        np.array([0xFF, 0xF8 | tail], dtype=np.uint8))
+        ok = fp_mod.DifferenceVector("s", None, "r", "spec", 13,
+                                     np.array([0xFF, 0xF8], dtype=np.uint8))
+        assert ok.bits().sum() == 13
 
 
 class TestFlatVectors:
@@ -385,6 +401,62 @@ class TestSerialization:
         spec = spec_from_json(spec_to_json(fpset.spec))
         assert spec.checksum == fpset.spec.checksum
         assert np.array_equal(spec.edges, fpset.spec.edges)
+
+    def test_padding_bits_in_file_rejected_with_line(self, rng, tmp_path):
+        spec = HistogramSpec(bins=13, columns=(("X", "c0"),), edges=[[0.0, 1.0]])
+        fps = [pack_bits(rng.integers(0, 2, 13), f"s{i}", None, "r", spec.checksum)
+               for i in range(3)]
+        path = tmp_path / "fps.txt"
+        write_fingerprints(fp_mod.FingerprintSet(spec, "r", "occupancy", fps), path)
+        lines = path.read_text().splitlines()
+        ident, tag, hexbits = lines[3].split("\t")
+        last = int(hexbits[-2:], 16) | 1
+        lines[3] = f"{ident}\t{tag}\t{hexbits[:-2]}{last:02x}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="line 4: nonzero padding"):
+            read_fingerprints(path)
+
+    @pytest.mark.parametrize("breakage", [
+        lambda h: h.pop("bins"),
+        lambda h: h.update(bins="16"),
+        lambda h: h.update(bins=0),
+        lambda h: h.update(columns=[["Fe"]]),
+        lambda h: h.update(edges=h["edges"][:-1]),
+        lambda h: h.update(edges=[[1.0, 0.0]] * len(h["edges"])),
+        lambda h: h.update(edges=[[float("nan"), 1.0]] * len(h["edges"])),
+        lambda h: h.pop("checksum"),
+        lambda h: h.update(checksum="0" * 16),
+    ])
+    def test_bad_header_is_a_format_error(self, rng, tmp_path, breakage):
+        import json
+
+        fpset = self._fpset(rng)
+        path = tmp_path / "fps.txt"
+        write_fingerprints(fpset, path)
+        lines = path.read_text().splitlines()
+        head = json.loads(lines[1])
+        breakage(head)
+        lines[1] = json.dumps(head)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="line 2"):
+            read_fingerprints(path)
+        if "checksum" in head:      # a spec JSON file may omit its checksum
+            with pytest.raises(FormatError):
+                spec_from_json(json.dumps(head))
+
+    def test_checksum_computed_once_per_spec(self, rng, tmp_path, monkeypatch):
+        import hashlib
+
+        fpset = self._fpset(rng)
+        path = tmp_path / "fps.txt"
+        write_fingerprints(fpset, path)
+        calls = []
+        real = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda *a: calls.append(1) or real(*a))
+        back = read_fingerprints(path)
+        for _ in range(3):
+            assert back.spec.checksum == fpset.spec.checksum
+        assert len(back) == 6 and len(calls) == 1
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

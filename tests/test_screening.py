@@ -13,6 +13,8 @@ from dvlae import (
     ood_score,
     rank_ood,
 )
+import dvlae.distance as dist_mod
+from dvlae import hamming_distance
 from dvlae.fingerprint import pack_bits
 from dvlae.screening import novelty_report
 
@@ -103,6 +105,33 @@ class TestDedupHamming:
         by_id = {fp.structure_id: fp for fp in fps}
         for removed, rep in report.removed.items():
             assert hamming_distance(by_id[removed], by_id[rep]) <= radius
+
+    @pytest.mark.parametrize("radius", [3, 9, 14])
+    def test_greedy_leader_oracle_across_blocks(self, rng, monkeypatch, radius):
+        monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", 40)     # 8 leaders of 5 bytes per block
+        centers = rng.integers(0, 2, (30, 37))
+        fps = []
+        for i in range(150):
+            bits = centers[rng.integers(0, 30)].copy()
+            flip = rng.integers(0, 37, rng.integers(0, 6))
+            bits[flip] ^= 1
+            fps.append(fp_of(bits, f"s{i}"))
+        kept, leaders, removed = [], [], {}
+        for fp in fps:
+            near = [ld for ld in leaders if hamming_distance(fp, ld) <= radius]
+            if near:
+                removed[fp.structure_id] = near[0].structure_id
+            else:
+                leaders.append(fp)
+                kept.append(fp.structure_id)
+        assert len(leaders) > 16
+        report = dedup_hamming(fps, radius)
+        assert report.kept == tuple(kept)
+        assert report.removed == removed
+
+    def test_mixed_specs_rejected(self):
+        with pytest.raises(UserInputError):
+            dedup_hamming([fp_of([1, 0], "a", "x"), fp_of([1, 0], "b", "y")], 1)
 
     def test_negative_radius_rejected(self, rng):
         with pytest.raises(UserInputError):
@@ -203,6 +232,26 @@ class TestOod:
     def test_empty_store_rejected(self, rng):
         with pytest.raises(UserInputError):
             ood_score(fp_of([1, 0], "p"), [])
+
+    def test_row_min_oracle_across_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", 64)
+        store = random_fps(rng, 70, n_bits=37)
+        preds = random_fps(rng, 25, n_bits=37, n_patterns=6) + store[5:9]
+        want = [min(hamming_distance(p, t) for t in store) for p in preds]
+        order = sorted(range(len(preds)), key=lambda i: (-want[i], i))
+        ranked = rank_ood(preds, store)
+        assert [s.structure_id for s in ranked] == [preds[i].structure_id for i in order]
+        assert [s.min_hamming for s in ranked] == [want[i] for i in order]
+        assert [s.normalized for s in ranked] == [want[i] / 37 for i in order]
+        assert all(type(s.min_hamming) is int for s in ranked)
+        assert [ood_score(p, store).min_hamming for p in preds] == want
+
+    def test_prediction_spec_mismatch_rejected(self, rng):
+        store = random_fps(rng, 4, n_bits=16)
+        with pytest.raises(UserInputError):
+            rank_ood([fp_of([1] * 16, "p", "other")], store)
+        with pytest.raises(UserInputError):
+            ood_score(fp_of([1] * 24, "p"), store)
 
     def test_ranking_descending_with_stable_ties(self, rng):
         store = [fp_of([0] * 16, "t")]
