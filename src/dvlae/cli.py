@@ -1,9 +1,7 @@
 """Command-line pipeline: fingerprint, screen, embed, ood, plot.
 
 Exit codes: 0 success, 1 user/config error, 2 internal invariant violation.
-Every command is deterministic given (config, inputs, seed); the only
-environment variable consulted is DVLAE_WORKERS (process count for
-per-structure descriptor evaluation, default 1).
+Every command is deterministic given (config, inputs, seed).
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -23,22 +20,11 @@ from . import fingerprint as fp_mod
 from . import screening as scr_mod
 from .config import RunConfig, build_symmetry_functions, load_config
 from .descriptors import compute_dataset_descriptors
-from .embedding import Embedding, TsneConfig, read_embedding, write_embedding
+from .embedding import read_embedding, write_embedding
 from .errors import ConfigError, FormatError, UserInputError
 from .ioutil import atomic_write_text
 from .structures import Dataset, Structure, load_dataset, parse_extxyz, read_manifest
 from .svgplot import PlotSpec, write_scatter_svg
-
-
-def _workers() -> int:
-    raw = os.environ.get("DVLAE_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"DVLAE_WORKERS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"DVLAE_WORKERS must be >= 1, got {n}")
-    return n
 
 
 def _load_run_dataset(cfg: RunConfig) -> Dataset:
@@ -93,7 +79,7 @@ def cmd_fingerprint(args) -> int:
     if args.spec is not None:
         spec = fp_mod.spec_from_json(Path(args.spec).read_text())
     fpset = fp_mod.batch_fingerprints(
-        ds, ref, sfset, cfg.bins, xor_mode=cfg.xor_mode, workers=_workers(), spec=spec
+        ds, ref, sfset, cfg.bins, xor_mode=cfg.xor_mode, spec=spec
     )
     out = cfg.out_dir
     fp_mod.write_fingerprints(fpset, out / "fingerprints.txt")
@@ -131,12 +117,11 @@ def cmd_screen(args) -> int:
             dict.fromkeys(candidates.elements + training.elements)
         )
         sfset = build_symmetry_functions(elements, cfg.grid)
-        workers = _workers()
         cand_vecs = fp_mod.mean_descriptor_vectors(
-            compute_dataset_descriptors(candidates.structures, sfset, workers=workers)
+            compute_dataset_descriptors(candidates.structures, sfset)
         )
         train_vecs = fp_mod.mean_descriptor_vectors(
-            compute_dataset_descriptors(training.structures, sfset, workers=workers)
+            compute_dataset_descriptors(training.structures, sfset)
         )
         threshold = cfg.threshold if args.threshold is None else args.threshold
         aggregate = args.aggregate or cfg.aggregate
@@ -195,24 +180,13 @@ def write_vector_csv(ids, tags, vectors: np.ndarray, path: str | Path) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-def _baseline_embedding(cfg: RunConfig, ids, tags, method: str, tsne_cfg: TsneConfig,
-                        restrict_ids=None) -> Embedding:
+def _dataset_descriptors(cfg: RunConfig, restrict_ids=None):
+    """The configured dataset, restricted to ``restrict_ids`` if given, and
+    its descriptor matrices."""
     ds = _load_run_dataset(cfg)
     if restrict_ids is not None:
         ds = ds.subset(restrict_ids)
-    sfset = _sfset_for(cfg, ds)
-    matrices = compute_dataset_descriptors(ds.structures, sfset, workers=_workers())
-    vectors = fp_mod.baseline_padded_descriptor(matrices)
-    order = {s: i for i, s in enumerate(ds.ids())}
-    if ids is not None:
-        rows = [order[i] for i in ids]
-        vectors = vectors[rows]
-        use_ids, use_tags = ids, tags
-    else:
-        use_ids = ds.ids()
-        use_tags = tuple(s.tag for s in ds)
-    return emb_mod.embed_vectors(use_ids, use_tags, vectors, method=method,
-                                 metric="euclidean", cfg=tsne_cfg)
+    return ds, compute_dataset_descriptors(ds.structures, _sfset_for(cfg, ds))
 
 
 def cmd_embed(args) -> int:
@@ -226,7 +200,7 @@ def cmd_embed(args) -> int:
     if args.input is not None and source is not None:
         raise ConfigError("give either --input or --source, not both")
 
-    ids = tags = None
+    ids = tags = matrices = None
     if args.input is not None:
         in_path = Path(args.input)
         if not in_path.exists():
@@ -243,9 +217,7 @@ def cmd_embed(args) -> int:
             embedding = emb_mod.embed_vectors(ids, tags, vectors, method=method,
                                               metric="euclidean", cfg=tsne_cfg)
     elif source in ("baseline", "mean"):
-        ds = _load_run_dataset(cfg)
-        sfset = _sfset_for(cfg, ds)
-        matrices = compute_dataset_descriptors(ds.structures, sfset, workers=_workers())
+        ds, matrices = _dataset_descriptors(cfg)
         vectors = (
             fp_mod.baseline_padded_descriptor(matrices)
             if source == "baseline"
@@ -262,8 +234,12 @@ def cmd_embed(args) -> int:
     write_embedding(embedding, out / "embedding.csv")
     n_out = 1
     if args.compare_baseline:
-        baseline = _baseline_embedding(cfg, ids, tags, method, tsne_cfg,
-                                       restrict_ids=ids)
+        if matrices is None:
+            ds, matrices = _dataset_descriptors(cfg, restrict_ids=ids)
+        order = {s: i for i, s in enumerate(ds.ids())}
+        vectors = fp_mod.baseline_padded_descriptor(matrices)[[order[i] for i in ids]]
+        baseline = emb_mod.embed_vectors(ids, tags, vectors, method=method,
+                                         metric="euclidean", cfg=tsne_cfg)
         write_embedding(baseline, out / "embedding_baseline.csv")
         n_out = 2
     print(f"embedded {len(embedding.ids)} points ({method}), wrote {n_out} file(s)")

@@ -8,7 +8,7 @@ repeated evaluation is bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -92,6 +92,8 @@ class SymmetryFunctionSet:
 
     elements: tuple[str, ...]
     descriptors: Mapping[str, tuple[DescriptorDef, ...]]
+    # Per center element, its columns grouped for the kernel (derived).
+    groups: Mapping[str, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -101,6 +103,9 @@ class SymmetryFunctionSet:
         for e in self.elements:
             if not self.descriptors[e]:
                 raise UserInputError(f"element {e} has no descriptors")
+        object.__setattr__(
+            self, "groups", {e: _group_columns(self.descriptors[e]) for e in self.elements}
+        )
 
     @property
     def max_cutoff(self) -> float:
@@ -139,31 +144,8 @@ def radial_g2(distances: np.ndarray, p: RadialParams, cut: CutoffParams) -> floa
     ``distances`` must already be filtered to the target neighbor element and
     given in canonical neighbor order.
     """
-    d = np.asarray(distances, dtype=float)
-    if d.size == 0:
-        return 0.0
-    terms = np.exp(-p.eta * (d - p.r_s) ** 2) * cutoff_value(d, cut)
-    return float(np.sum(terms))
-
-
-def _angular_terms(
-    r_ij: np.ndarray, r_ik: np.ndarray, cos_theta: np.ndarray, p: AngularParams, cut: CutoffParams,
-    r_jk: np.ndarray | None,
-) -> float:
-    base = 1.0 + p.lam * np.asarray(cos_theta, dtype=float)
-    # 0^0 -> 1 (numpy's convention), so zeta = 0 keeps degenerate angles.
-    ang = np.power(base, p.zeta)
-    if r_jk is None:
-        gauss = np.exp(-p.eta * (r_ij ** 2 + r_ik ** 2))
-        taper = cutoff_value(r_ij, cut) * cutoff_value(r_ik, cut)
-    else:
-        gauss = np.exp(-p.eta * (r_ij ** 2 + r_ik ** 2 + r_jk ** 2))
-        taper = cutoff_value(r_ij, cut) * cutoff_value(r_ik, cut) * cutoff_value(r_jk, cut)
-    terms = ang * gauss * taper
-    # Value-sorted summation: the term multiset is identical for physically
-    # equivalent environments (supercell images, permuted atoms), so sorting
-    # makes the sum bit-identical across them.
-    return float(np.sum(np.sort(terms))) * 2.0 ** (1.0 - p.zeta)
+    group = _Group(cut, "G2", p.neighbor_element, [(0, p)])
+    return float(group.radial(np.asarray(distances, dtype=float))[0])
 
 
 def angular_g4(
@@ -171,12 +153,8 @@ def angular_g4(
     p: AngularParams, cut: CutoffParams,
 ) -> float:
     """G4 sum over unordered neighbor pairs (each pair counted once)."""
-    if np.size(r_ij) == 0:
-        return 0.0
-    return _angular_terms(
-        np.asarray(r_ij, float), np.asarray(r_ik, float), np.asarray(cos_theta, float),
-        p, cut, np.asarray(r_jk, float),
-    )
+    group = _Group(cut, "G4", p.element_pair, [(0, p)])
+    return float(group.angular(*(np.asarray(v, float) for v in (r_ij, r_ik, cos_theta, r_jk)))[0])
 
 
 def angular_g5(
@@ -184,12 +162,97 @@ def angular_g5(
     p: AngularParams, cut: CutoffParams,
 ) -> float:
     """G5 sum: like G4 but without the j-k distance factors."""
-    if np.size(r_ij) == 0:
-        return 0.0
-    return _angular_terms(
-        np.asarray(r_ij, float), np.asarray(r_ik, float), np.asarray(cos_theta, float),
-        p, cut, None,
-    )
+    group = _Group(cut, "G5", p.element_pair, [(0, p)])
+    return float(group.angular(*(np.asarray(v, float) for v in (r_ij, r_ik, cos_theta)), None)[0])
+
+
+class _Group:
+    """The columns of one center element that share a cutoff, a family (G2,
+    G4 or G5) and neighbor element(s), evaluated together: parameters are
+    (columns, 1) arrays broadcast against the (terms,) geometry."""
+
+    def __init__(self, cut: CutoffParams, kind: str, neighbors, members):
+        cols, params = zip(*members)
+        self.cut, self.kind, self.neighbors, self.cols = cut, kind, neighbors, np.array(cols)
+        self.eta = np.array([[p.eta] for p in params], dtype=float)
+        if kind == "G2":
+            self.r_s = np.array([[p.r_s] for p in params], dtype=float)
+            return
+        self.lam = np.array([[p.lam] for p in params], dtype=float)
+        zetas = [p.zeta for p in params]
+        self.zeta_rows = [(z, [k for k, x in enumerate(zetas) if x == z])
+                          for z in dict.fromkeys(zetas)]
+        self.scale = np.array([2.0 ** (1.0 - z) for z in zetas])
+
+    def evaluate(self, dist, disp, species) -> np.ndarray:
+        """Every column of the group for one center's canonical neighbors."""
+        within = dist < self.cut.outer
+        if self.kind == "G2":
+            return self.radial(dist[within & (species == self.neighbors)])
+        r_ij, r_ik, r_jk, cos = _pair_geometry(dist[within], disp[within], species[within],
+                                               self.neighbors)
+        return self.angular(r_ij, r_ik, cos, r_jk if self.kind == "G4" else None)
+
+    def radial(self, d: np.ndarray) -> np.ndarray:
+        """G2 over neighbor distances ``d`` in canonical order.  Each row is
+        contiguous, so ``sum(axis=1)`` adds it exactly as ``np.sum`` would."""
+        return (np.exp(-self.eta * (d - self.r_s) ** 2) * cutoff_value(d, self.cut)).sum(axis=1)
+
+    def angular(self, r_ij, r_ik, cos_theta, r_jk) -> np.ndarray:
+        """G4 terms with ``r_jk``, G5 terms without (None)."""
+        base = 1.0 + self.lam * cos_theta
+        # One scalar exponent per call: numpy evaluates some scalar powers
+        # (2, 0.5) as squares and roots, which array exponents do not match.
+        # 0^0 -> 1 (numpy's convention), so zeta = 0 keeps degenerate angles.
+        ang = np.empty_like(base)
+        for z, rows in self.zeta_rows:
+            ang[rows] = np.power(base[rows], z)
+        if r_jk is None:
+            gauss = np.exp(-self.eta * (r_ij ** 2 + r_ik ** 2))
+            taper = cutoff_value(r_ij, self.cut) * cutoff_value(r_ik, self.cut)
+        else:
+            gauss = np.exp(-self.eta * (r_ij ** 2 + r_ik ** 2 + r_jk ** 2))
+            taper = (cutoff_value(r_ij, self.cut) * cutoff_value(r_ik, self.cut)
+                     * cutoff_value(r_jk, self.cut))
+        terms = ang * gauss * taper
+        # Value-sorted summation: the term multiset is identical for physically
+        # equivalent environments (supercell images, permuted atoms), so sorting
+        # makes the sum bit-identical across them.
+        return np.sort(terms, axis=1).sum(axis=1) * self.scale
+
+
+def _pair_geometry(dist, disp, species, pair):
+    """(r_ij, r_ik, r_jk, cos_theta) over the unordered neighbor pairs of one
+    center whose elements match ``pair``."""
+    e1, e2 = pair
+    if e1 == e2:
+        idx = np.flatnonzero(species == e1)
+        a, b = np.triu_indices(len(idx), k=1)
+        a, b = idx[a], idx[b]
+    else:
+        ia, ib = np.flatnonzero(species == e1), np.flatnonzero(species == e2)
+        a = np.repeat(ia, len(ib))
+        b = np.tile(ib, len(ia))
+    r_ij = dist[a]
+    r_ik = dist[b]
+    da, db = disp[a], disp[b]
+    r_jk = np.linalg.norm(db - da, axis=1)
+    with np.errstate(invalid="ignore"):
+        cos = np.einsum("ij,ij->i", da, db) / (r_ij * r_ik)
+    return r_ij, r_ik, r_jk, np.clip(cos, -1.0, 1.0)
+
+
+def _group_columns(defs: Sequence[DescriptorDef]) -> tuple[_Group, ...]:
+    """Group one center element's columns by (cutoff, family, neighbor element(s))."""
+    members: dict[tuple, list] = {}
+    for col, dd in enumerate(defs):
+        p = dd.params
+        if isinstance(p, RadialParams):
+            key = (dd.cutoff, "G2", p.neighbor_element)
+        else:
+            key = (dd.cutoff, p.kind, p.element_pair)
+        members.setdefault(key, []).append((col, p))
+    return tuple(_Group(*key, m) for key, m in members.items())
 
 
 # ---------------------------------------------------------------------------
@@ -213,47 +276,6 @@ class DescriptorMatrix:
         return tuple((e, lbl) for e in self.blocks for lbl in self.columns[e])
 
 
-class _PairGeometry:
-    """Cached pair geometry for one center atom under one cutoff."""
-
-    def __init__(self, dist: np.ndarray, disp: np.ndarray, species: list[str]):
-        self.dist = dist
-        self.disp = disp
-        self.species = species
-        self._by_element: dict[str, np.ndarray] = {}
-        self._pairs: dict[tuple[str, str], tuple[np.ndarray, ...]] = {}
-
-    def element_indices(self, element: str) -> np.ndarray:
-        if element not in self._by_element:
-            self._by_element[element] = np.array(
-                [m for m, sp in enumerate(self.species) if sp == element], dtype=int
-            )
-        return self._by_element[element]
-
-    def pair_arrays(self, pair: tuple[str, str]):
-        """(r_ij, r_ik, r_jk, cos_theta) over unordered entry pairs matching ``pair``."""
-        if pair in self._pairs:
-            return self._pairs[pair]
-        e1, e2 = pair
-        if e1 == e2:
-            idx = self.element_indices(e1)
-            a, b = np.triu_indices(len(idx), k=1)
-            a, b = idx[a], idx[b]
-        else:
-            ia, ib = self.element_indices(e1), self.element_indices(e2)
-            a = np.repeat(ia, len(ib))
-            b = np.tile(ib, len(ia))
-        r_ij = self.dist[a]
-        r_ik = self.dist[b]
-        da, db = self.disp[a], self.disp[b]
-        r_jk = np.linalg.norm(db - da, axis=1)
-        with np.errstate(invalid="ignore"):
-            cos = np.einsum("ij,ij->i", da, db) / (r_ij * r_ik)
-        cos = np.clip(cos, -1.0, 1.0)
-        self._pairs[pair] = (r_ij, r_ik, r_jk, cos)
-        return self._pairs[pair]
-
-
 def compute_structure_descriptors(
     s: Structure,
     sfset: SymmetryFunctionSet,
@@ -274,45 +296,20 @@ def compute_structure_descriptors(
             f"neighbor list cutoff {nlist.cutoff} smaller than descriptor cutoff {sfset.max_cutoff}"
         )
 
-    blocks = {
-        e: np.zeros((0, len(sfset.descriptors[e]))) for e in sfset.elements
-    }
-    rows: dict[str, list[np.ndarray]] = {e: [] for e in sfset.elements}
-    for i, center in enumerate(s.species):
-        defs = sfset.descriptors[center]
-        dist = nlist.distances[i]
-        disp = nlist.displacements[i]
-        species = [s.species[j] for j in nlist.indices[i]]
-
-        geoms: dict[CutoffParams, _PairGeometry] = {}
-        values = np.empty(len(defs))
-        for col, dd in enumerate(defs):
-            cut = dd.cutoff
-            if cut not in geoms:
-                mask = dist < cut.outer
-                geoms[cut] = _PairGeometry(
-                    dist[mask], disp[mask], [sp for sp, m in zip(species, mask) if m]
-                )
-            geom = geoms[cut]
-            p = dd.params
-            if isinstance(p, RadialParams):
-                idx = geom.element_indices(p.neighbor_element)
-                values[col] = radial_g2(geom.dist[idx], p, cut)
-            else:
-                r_ij, r_ik, r_jk, cos = geom.pair_arrays(p.element_pair)
-                if p.kind == "G4":
-                    values[col] = angular_g4(r_ij, r_ik, r_jk, cos, p, cut)
-                else:
-                    values[col] = angular_g5(r_ij, r_ik, cos, p, cut)
-        rows[center].append(values)
-
+    species = np.array(s.species, dtype=str)
+    blocks = {}
     for e in sfset.elements:
-        if rows[e]:
-            blocks[e] = np.vstack(rows[e])
-    for e, block in blocks.items():
+        centers = s.element_indices(e)
+        block = np.empty((len(centers), len(sfset.descriptors[e])))
+        for row, i in zip(block, centers):
+            dist, disp = nlist.distances[i], nlist.displacements[i]
+            neighbors = species[nlist.indices[i]]
+            for group in sfset.groups[e]:
+                row[group.cols] = group.evaluate(dist, disp, neighbors)
         if not np.all(np.isfinite(block)):
             raise UserInputError(f"non-finite descriptor value in structure {s.id!r}, element {e}")
         block.setflags(write=False)
+        blocks[e] = block
     return DescriptorMatrix(
         structure_id=s.id,
         tag=s.tag,
@@ -324,19 +321,6 @@ def compute_structure_descriptors(
 def compute_dataset_descriptors(
     structures: Sequence[Structure],
     sfset: SymmetryFunctionSet,
-    workers: int = 1,
 ) -> list[DescriptorMatrix]:
-    """Descriptor matrices for many structures, in input order.
-
-    With ``workers > 1`` the per-structure work is farmed out to a process
-    pool; results are collected in order, so the output is identical to the
-    sequential run.
-    """
-    if workers <= 1 or len(structures) <= 1:
-        return [compute_structure_descriptors(s, sfset) for s in structures]
-    import concurrent.futures
-    import functools
-
-    fn = functools.partial(compute_structure_descriptors, sfset=sfset)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, structures, chunksize=max(1, len(structures) // (4 * workers))))
+    """Descriptor matrices for many structures, in input order."""
+    return [compute_structure_descriptors(s, sfset) for s in structures]

@@ -299,7 +299,6 @@ def batch_fingerprints(
     sfset: SymmetryFunctionSet,
     k: int,
     xor_mode: str = "occupancy",
-    workers: int = 1,
     spec: HistogramSpec | None = None,
 ) -> FingerprintSet:
     """Fingerprint every structure of ``ds`` against ``ref``.
@@ -310,7 +309,7 @@ def batch_fingerprints(
     missing = sorted(set(ds.elements) - set(ref.species))
     if missing:
         raise UserInputError(f"reference {ref.id!r} lacks element {missing[0]} present in the dataset")
-    matrices = compute_dataset_descriptors(ds.structures, sfset, workers=workers)
+    matrices = compute_dataset_descriptors(ds.structures, sfset)
     ref_matrix = next(
         (m for m, s in zip(matrices, ds.structures) if s is ref or s.id == ref.id), None
     )
@@ -455,7 +454,11 @@ def read_fingerprints(path: str | Path) -> FingerprintSet:
     if "checksum" not in head:
         raise FormatError(f"{path}, line 2: header has no checksum")
     xor_mode = head.get("xor_mode", "occupancy")
+    if xor_mode not in XOR_MODES:
+        raise FormatError(f"{path}, line 2: xor_mode must be one of {XOR_MODES}, got {xor_mode!r}")
     reference_id = head.get("reference_id", "")
+    if not isinstance(reference_id, str):
+        raise FormatError(f"{path}, line 2: reference_id must be a string, got {reference_id!r}")
     n_bits = spec.n_bits
     checksum = spec.checksum
     fps = []

@@ -46,6 +46,8 @@ class Structure:
             raise UserInputError(
                 f"structure {self.id!r}: {len(self.species)} species for {len(pos)} positions"
             )
+        if not (np.all(np.isfinite(self.cell)) and np.all(np.isfinite(pos))):
+            raise UserInputError(f"structure {self.id!r}: non-finite cell or position")
         if any(self.periodic) and abs(np.linalg.det(self.cell)) < 1e-12:
             raise UserInputError(f"structure {self.id!r}: degenerate cell with periodic directions")
 
@@ -160,9 +162,10 @@ def parse_extxyz(text: str | TextIO, source: str = "<stream>") -> Dataset:
     Frames follow the usual layout: an atom-count line, a comment line with
     ``Lattice="ax ay az bx by bz cx cy cz"`` and ``Properties=...`` key-value
     pairs, then one line per atom.  A missing ``Lattice`` key yields a
-    non-periodic structure.  An optional ``tag=...`` key is kept as the
-    structure's label; all other comment keys are ignored.  Structure ids are
-    ``<source>#<frame_index>``.
+    non-periodic structure; with one, every direction is periodic unless a
+    ``pbc="T T F"`` key (three T/F flags) says otherwise.  An optional
+    ``tag=...`` key is kept as the structure's label; all other comment keys
+    are ignored.  Structure ids are ``<source>#<frame_index>``.
     """
     if not isinstance(text, str):
         text = text.read()
@@ -195,6 +198,13 @@ def parse_extxyz(text: str | TextIO, source: str = "<stream>") -> Dataset:
             except ValueError:
                 raise ParseError(f"frame {frame}, line {i + 2}: unparsable Lattice value") from None
             periodic = (True, True, True)
+        pbc = keys.get("pbc")
+        if pbc is not None:
+            flags = pbc.split()
+            if len(flags) != 3 or not set(flags) <= {"T", "F"} or ("T" in flags and lattice is None):
+                raise ParseError(f"frame {frame}, line {i + 2}: pbc must be three T/F flags, "
+                                 f"T only with a Lattice; got {pbc!r}")
+            periodic = tuple(f == "T" for f in flags)
 
         props = keys.get("Properties", keys.get("properties", "species:S:1:pos:R:3"))
         species_col, pos_col, n_cols = _parse_properties(props, frame, i + 2)
@@ -242,6 +252,8 @@ def to_extxyz(structures: Iterable[Structure]) -> str:
         if any(s.periodic):
             lattice = " ".join(repr(float(v)) for v in s.cell.ravel())
             key_parts.append(f'Lattice="{lattice}"')
+            if not all(s.periodic):
+                key_parts.append('pbc="' + " ".join("T" if p else "F" for p in s.periodic) + '"')
         key_parts.append("Properties=species:S:1:pos:R:3")
         if s.tag is not None:
             key_parts.append(f'tag="{s.tag}"')
@@ -350,6 +362,16 @@ class NeighborList:
 # the unwrapped distance that is finally reported and filtered.
 _SEARCH_MARGIN = 1e-9
 
+# Size of the (n, n, shifts, 3) candidate displacements built per block of
+# image shifts; a block holds at least one shift.
+_BLOCK_BYTES = 1 << 22
+
+# Most image shifts one neighbor search may enumerate, about 30 times what a
+# 2 Å cell needs at a 12 Å cutoff.  A cell far smaller than the cutoff needs
+# millions (a 0.05 Å cell at 6 Å: about 14M), so such a structure is
+# rejected before any shift array is allocated.
+_MAX_IMAGE_SHIFTS = 100_000
+
 
 def neighbor_list(s: Structure, r_c: float) -> NeighborList:
     """Enumerate all neighbors (including periodic images) with 0 < R < r_c.
@@ -365,7 +387,7 @@ def neighbor_list(s: Structure, r_c: float) -> NeighborList:
     per = s.periodic
 
     if not any(per):
-        shift_range = [(0, 0)] * 3
+        half = np.zeros(3)
         frac_wrap = np.zeros((n, 3), dtype=int)
         wrapped = pos
         cell = np.eye(3)
@@ -376,46 +398,48 @@ def neighbor_list(s: Structure, r_c: float) -> NeighborList:
         frac_wrap = np.where(per, np.floor(frac), 0.0).astype(int)
         wrapped = (frac - frac_wrap) @ cell
         # |frac component of any displacement shorter than r| <= r * ||inv[:, k]||
-        reach = (r_c + _SEARCH_MARGIN) * np.linalg.norm(inv, axis=0)
-        shift_range = [
-            (-(math.ceil(reach[k]) + 1), math.ceil(reach[k]) + 1) if per[k] else (0, 0)
-            for k in range(3)
-        ]
-
-    limit2 = (r_c + _SEARCH_MARGIN) ** 2
-    found: list[list[tuple[float, int, tuple[int, int, int], np.ndarray]]] = [[] for _ in range(n)]
-    for raw_shift in itertools.product(*(range(lo, hi + 1) for lo, hi in shift_range)):
-        offset = np.asarray(raw_shift, dtype=float) @ cell
-        diff = wrapped[None, :, :] + offset - wrapped[:, None, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        ii, jj = np.nonzero(d2 < limit2)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            true_shift = (
-                raw_shift[0] - frac_wrap[j, 0] + frac_wrap[i, 0],
-                raw_shift[1] - frac_wrap[j, 1] + frac_wrap[i, 1],
-                raw_shift[2] - frac_wrap[j, 2] + frac_wrap[i, 2],
-            )
-            if i == j and true_shift == (0, 0, 0):
-                continue
-            disp = pos[j] + np.asarray(true_shift, dtype=float) @ s.cell - pos[i] \
-                if any(per) else pos[j] - pos[i]
-            dist = float(np.linalg.norm(disp))
-            if 0.0 < dist < r_c:
-                found[i].append((dist, j, true_shift, disp))
-
-    indices, shifts, distances, displacements = [], [], [], []
-    for i in range(n):
-        found[i].sort(key=lambda e: (e[0], e[1], e[2]))
-        indices.append(_frozen_array([e[1] for e in found[i]], dtype=int))
-        shifts.append(_frozen_array([e[2] for e in found[i]], dtype=int).reshape(-1, 3))
-        distances.append(_frozen_array([e[0] for e in found[i]]))
-        displacements.append(
-            _frozen_array(np.array([e[3] for e in found[i]], dtype=float).reshape(-1, 3))
+        reach = np.ceil((r_c + _SEARCH_MARGIN) * np.linalg.norm(inv, axis=0))
+        half = np.where(per, reach + 1, 0.0)
+    # Counted in floats, before any integer cast can overflow.
+    n_shifts = math.prod(2 * half + 1)
+    if n_shifts > _MAX_IMAGE_SHIFTS:
+        raise UserInputError(
+            f"structure {s.id!r}: a {r_c} Å cutoff needs {n_shifts:.0f} periodic images of its "
+            f"cell, more than the limit of {_MAX_IMAGE_SHIFTS}; the cell is too small"
         )
+    half = half.astype(int)
+    shifts = np.indices(2 * half + 1).reshape(3, -1).T - half
+
+    # Candidates: wrapped positions within the cutoff plus margin, found over
+    # blocks of shifts so the (n, n, shifts, 3) temporary stays bounded.
+    limit2 = (r_c + _SEARCH_MARGIN) ** 2
+    per_block = max(1, _BLOCK_BYTES // max(1, 24 * n * n))
+    found = []
+    for start in range(0, len(shifts), per_block):
+        block = shifts[start:start + per_block]
+        diff = wrapped[None, :, None, :] + (block @ cell)[None, None] - wrapped[:, None, None, :]
+        ii, jj, kk = np.nonzero(np.vecdot(diff, diff) < limit2)
+        found.append((ii, jj, block[kk]))
+    ii, jj, raw = (np.concatenate(parts) for parts in zip(*found))
+
+    true_shift = raw - frac_wrap[jj] + frac_wrap[ii]
+    disp = pos[jj] + true_shift.astype(float) @ s.cell - pos[ii] if any(per) else pos[jj] - pos[ii]
+    # vecdot, unlike einsum, matches np.linalg.norm of each row bit for bit.
+    dist = np.sqrt(np.vecdot(disp, disp))
+    keep = (dist > 0.0) & (dist < r_c)
+    ii, jj, true_shift, disp, dist = ii[keep], jj[keep], true_shift[keep], disp[keep], dist[keep]
+    order = np.lexsort((true_shift[:, 2], true_shift[:, 1], true_shift[:, 0], jj, dist, ii))
+    bounds = np.searchsorted(ii[order], np.arange(1, n))
+
+    def per_center(values: np.ndarray) -> tuple[np.ndarray, ...]:
+        values = values[order]
+        values.setflags(write=False)
+        return tuple(np.split(values, bounds)) if n else ()
+
     return NeighborList(
         cutoff=float(r_c),
-        indices=tuple(indices),
-        shifts=tuple(shifts),
-        distances=tuple(distances),
-        displacements=tuple(displacements),
+        indices=per_center(jj),
+        shifts=per_center(true_shift),
+        distances=per_center(dist),
+        displacements=per_center(disp),
     )

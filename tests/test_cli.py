@@ -106,14 +106,6 @@ class TestFingerprintCommand:
         for x, y in zip(a.fingerprints, b.fingerprints):
             assert np.array_equal(x.packed, y.packed)
 
-    def test_workers_env_does_not_change_output(self, rng, tmp_path, monkeypatch):
-        cfg = make_corpus(rng, tmp_path, n=6)
-        assert main(["fingerprint", "--config", str(cfg)]) == 0
-        seq = (tmp_path / "out" / "fingerprints.txt").read_bytes()
-        monkeypatch.setenv("DVLAE_WORKERS", "2")
-        assert main(["fingerprint", "--config", str(cfg), "--out", str(tmp_path / "par")]) == 0
-        assert (tmp_path / "par" / "fingerprints.txt").read_bytes() == seq
-
 
 class TestScreenCommand:
     def test_duplicate_groups_reduce(self, rng, tmp_path):
@@ -174,6 +166,8 @@ class TestScreenCommand:
         ('"bins":16,', ''),                         # header without bins
         ('"bins":16,', '"bins":"16",'),
         ('"edges":[[', '"edges":[["x",'),
+        ('"xor_mode":"occupancy"', '"xor_mode":["bogus"]'),
+        ('"reference_id":', '"reference_id":{"a":1},"was":'),
     ])
     def test_bad_header_exits_one(self, rng, tmp_path, capsys, old, new):
         cfg = make_corpus(rng, tmp_path, n=4)
@@ -265,6 +259,26 @@ class TestEmbedCommand:
         assert np.abs(dv.coords - dv.coords[0]).max() <= 1e-9
         gaps = np.linalg.norm(base.coords[1:] - base.coords[0], axis=1)
         assert (gaps > 1.0).all()
+
+    @pytest.mark.parametrize("source", ["baseline", "mean"])
+    def test_compare_baseline_computes_descriptors_once(self, rng, tmp_path, monkeypatch, source):
+        import dvlae.descriptors as desc
+
+        described = []
+        compute = desc.compute_structure_descriptors
+
+        def counting(s, *args, **kwargs):
+            described.append(s.id)
+            return compute(s, *args, **kwargs)
+
+        monkeypatch.setattr(desc, "compute_structure_descriptors", counting)
+        cfg = make_corpus(rng, tmp_path, n=7)
+        assert main(["embed", "--config", str(cfg), "--source", source, "--method", "pca",
+                     "--compare-baseline"]) == 0
+        assert len(described) == 7
+        baseline = (tmp_path / "out" / "embedding_baseline.csv").read_bytes()
+        if source == "baseline":
+            assert baseline == (tmp_path / "out" / "embedding.csv").read_bytes()
 
     def test_source_mean_vectors(self, rng, tmp_path):
         cfg = make_corpus(rng, tmp_path, n=9)

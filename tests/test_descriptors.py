@@ -14,9 +14,11 @@ from dvlae import (
     SymmetryFunctionSet,
     UserInputError,
     angular_g4,
+    angular_g5,
     build_supercell,
     compute_structure_descriptors,
     cutoff_value,
+    neighbor_list,
     radial_g2,
 )
 from dvlae.config import GridConfig, build_symmetry_functions
@@ -241,6 +243,88 @@ class TestStructureMatrices:
         cut = CutoffParams(inner=1.0, outer=4.0)
         values = [radial_g2(np.array([r]), p, cut) for r in np.linspace(0.5, 4.5, 50)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+
+def per_column_reference(s, sf):
+    """Descriptor blocks column by column through the scalar reference
+    functions, with each center's pairs enumerated one by one."""
+    nl = neighbor_list(s, sf.max_cutoff)
+    blocks = {}
+    for e in sf.elements:
+        rows = []
+        for i in s.element_indices(e):
+            row = []
+            for dd in sf.descriptors[e]:
+                p, cut = dd.params, dd.cutoff
+                idx = np.flatnonzero(nl.distances[i] < cut.outer)
+                dist, disp = nl.distances[i][idx], nl.displacements[i][idx]
+                sp = [s.species[j] for j in nl.indices[i][idx]]
+                if isinstance(p, RadialParams):
+                    d = np.array([r for r, x in zip(dist, sp) if x == p.neighbor_element])
+                    row.append(radial_g2(d, p, cut))
+                    continue
+                e1, e2 = p.element_pair
+                n = len(idx)
+                if e1 == e2:
+                    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+                             if sp[a] == sp[b] == e1]
+                else:
+                    pairs = [(a, b) for a in range(n) if sp[a] == e1
+                             for b in range(n) if sp[b] == e2]
+                a = np.array([pr[0] for pr in pairs], dtype=int)
+                b = np.array([pr[1] for pr in pairs], dtype=int)
+                r_ij, r_ik = dist[a], dist[b]
+                r_jk = np.linalg.norm(disp[b] - disp[a], axis=1)
+                cos = np.clip(np.einsum("ij,ij->i", disp[a], disp[b]) / (r_ij * r_ik), -1.0, 1.0)
+                if p.kind == "G4":
+                    row.append(angular_g4(r_ij, r_ik, r_jk, cos, p, cut))
+                else:
+                    row.append(angular_g5(r_ij, r_ik, cos, p, cut))
+            rows.append(row)
+        blocks[e] = np.array(rows, dtype=float).reshape(len(rows), len(sf.descriptors[e]))
+    return blocks
+
+
+class TestGroupedKernel:
+    def symmetry_functions(self):
+        grid = GridConfig(
+            cutoff=4.5, inner_cutoff=1.0, radial_eta=(0.0, 0.7, 3.0), radial_rs=(0.0, 1.5),
+            angular_eta=(0.0, 0.3), zeta=(0.0, 0.5, 1.0, 2.0, 4.0), lam=(-1, 1),
+            overrides={("radial_eta", "H-Fe"): (0.5,), ("zeta", "Fe-H-H"): (2.0, 16.0),
+                       ("angular_eta", "H-Fe-H"): (0.1, 0.2, 0.4)})
+        base = build_symmetry_functions(("Fe", "H"), grid)
+        short = CutoffParams(inner=0.5, outer=2.5)
+        extra = (
+            DescriptorDef(RadialParams(1.0, 0.5, "Fe"), short),
+            DescriptorDef(AngularParams(0.2, 2.0, 1, "G4", ("Fe", "H")), short),
+            DescriptorDef(AngularParams(0.2, 0.5, -1, "G5", ("H", "H")), short),
+            DescriptorDef(RadialParams(0.0, 0.0, "H"), short),
+        )
+        return SymmetryFunctionSet(elements=("Fe", "H"), descriptors={
+            e: base.descriptors[e] + extra for e in ("Fe", "H")})
+
+    def test_groups_of_different_sizes(self):
+        sf = self.symmetry_functions()
+        for e in sf.elements:
+            assert len({len(g.cols) for g in sf.groups[e]}) > 1
+            cols = np.concatenate([g.cols for g in sf.groups[e]])
+            assert sorted(cols.tolist()) == list(range(len(sf.descriptors[e])))
+
+    def test_equals_per_column_reference_functions(self, rng):
+        sf = self.symmetry_functions()
+        cluster = isolated(("Fe", "H", "H", "Fe", "H", "Fe", "Fe", "Fe"),
+                           [[0, 0, 0], [0.9, 0, 0], [0, 1.1, 0.3], [3.5, 0, 0],
+                            [-1.0, -0.8, 0.5], [0, 0, -9.0], [0, 0, -11.0], [20.0, 0, 0]])
+        nl = neighbor_list(cluster, sf.max_cutoff)
+        assert [cluster.species[j] for j in nl.indices[5]] == ["Fe"]     # no H neighbor
+        assert nl.n_neighbors(7) == 0
+        structures = [cluster] + [random_structure(rng, f"s{k}", n_atoms=int(rng.integers(2, 7)),
+                                                   unwrapped=True) for k in range(12)]
+        for s in structures:
+            m = compute_structure_descriptors(s, sf)
+            want = per_column_reference(s, sf)
+            for e in sf.elements:
+                assert np.array_equal(m.blocks[e], want[e]), (s.id, e)
 
 
 @settings(max_examples=30, deadline=None)

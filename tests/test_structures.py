@@ -87,6 +87,33 @@ class TestParseExtxyz:
             assert np.array_equal(back.positions, orig.positions)
             assert np.array_equal(back.cell, orig.cell)
 
+    def test_pbc_flags_set_periodic_directions(self):
+        text = '1\nLattice="4 0 0 0 4 0 0 0 20" pbc="T T F"\nH 0 0 0\n'
+        s = parse_extxyz(text).structures[0]
+        assert s.periodic == (True, True, False)
+        assert 'pbc="T T F"' in to_extxyz([s])
+        assert parse_extxyz(to_extxyz([s])).structures[0].periodic == (True, True, False)
+
+    def test_fully_periodic_roundtrip_writes_no_pbc(self):
+        s = parse_extxyz(TWO_H_FRAME).structures[0]
+        assert "pbc" not in to_extxyz([s])
+        assert to_extxyz(parse_extxyz(to_extxyz([s])).structures) == to_extxyz([s])
+
+    @pytest.mark.parametrize("pbc", ['pbc="T T"', 'pbc="T T X"', 'pbc="True True False"',
+                                     'pbc="T"'])
+    def test_bad_pbc_cites_line(self, pbc):
+        text = f'1\nLattice="4 0 0 0 4 0 0 0 4" {pbc}\nH 0 0 0\n'
+        with pytest.raises(ParseError, match="line 2"):
+            parse_extxyz(text)
+
+    def test_periodic_pbc_without_lattice_rejected(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_extxyz('1\npbc="T T T"\nH 0 0 0\n')
+
+    def test_non_finite_lattice_rejected(self):
+        with pytest.raises(UserInputError, match="non-finite"):
+            parse_extxyz('1\nLattice="nan 0 0 0 4 0 0 0 4"\nH 0 0 0\n')
+
     def test_duplicate_ids_rejected(self):
         s = parse_extxyz(TWO_H_FRAME, source="a").structures[0]
         with pytest.raises(UserInputError, match="duplicate"):
@@ -272,6 +299,42 @@ class TestNeighborList:
                       positions=[[0, 0, 0], [0, 0, 2.0]], periodic=(False,) * 3, id="dim")
         nl = neighbor_list(s, 3.0)
         assert nl.entries(0) == [(1, (0, 0, 0), 2.0)]
+
+    def test_slab_has_no_neighbors_across_nonperiodic_axis(self):
+        text = '2\nLattice="3 0 0 0 3 0 0 0 3" pbc="T T F"\nH 0 0 0.5\nH 1.5 1.5 2.5\n'
+        slab = parse_extxyz(text).structures[0]
+        bulk = Structure(cell=slab.cell, species=slab.species, positions=slab.positions,
+                         periodic=(True,) * 3, id="bulk")
+        assert any(np.any(sh[:, 2] != 0) for sh in neighbor_list(bulk, 4.0).shifts)
+        nl = neighbor_list(slab, 4.0)
+        assert all(np.all(sh[:, 2] == 0) for sh in nl.shifts)
+        assert {(j, sh) for j, sh, _ in nl.entries(0)} == \
+            {(j, sh) for j, sh, _ in oracle_neighbors(slab, 4.0)[0]}
+
+    def test_image_shift_count_capped(self):
+        tiny = Structure(cell=0.05 * np.eye(3), species=("H",), positions=[[0, 0, 0]],
+                         periodic=(True,) * 3, id="tiny")
+        with pytest.raises(UserInputError, match="periodic images"):
+            neighbor_list(tiny, 6.0)
+        chain = Structure(cell=0.05 * np.eye(3), species=("H",), positions=[[0, 0, 0]],
+                          periodic=(True, False, False), id="chain")
+        assert neighbor_list(chain, 6.0).n_neighbors(0) == 2 * 119
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_zero_and_one_atom_structures(self, periodic):
+        empty = Structure(cell=np.eye(3), species=(), positions=np.zeros((0, 3)),
+                          periodic=(periodic,) * 3, id="empty")
+        nl = neighbor_list(empty, 2.0)
+        for per_center in (nl.indices, nl.shifts, nl.distances, nl.displacements):
+            assert len(per_center) == 0
+        one = Structure(cell=np.eye(3), species=("H",), positions=[[0.2, 0.3, 0.4]],
+                        periodic=(periodic,) * 3, id="one")
+        nl = neighbor_list(one, 1.1)
+        for per_center in (nl.indices, nl.shifts, nl.distances, nl.displacements):
+            assert len(per_center) == 1
+        assert nl.n_neighbors(0) == (6 if periodic else 0)
+        assert nl.shifts[0].shape == (nl.n_neighbors(0), 3)
+        assert nl.displacements[0].shape == (nl.n_neighbors(0), 3)
 
     def test_bad_cutoff(self, rng):
         with pytest.raises(UserInputError):
