@@ -76,8 +76,10 @@ def main():
 
     everything = list(train_fps.fingerprints) + list(pred_fps.fingerprints)
     bits = np.vstack([fp.bits() for fp in everything])
+    # t-SNE needs perplexity < (n - 1) / 3; small runs get a smaller one.
+    perplexity = min(15.0, 0.9 * (len(everything) - 1) / 3)
     coords, _ = tsne_embed(pairwise_distances(bits, metric="hamming"),
-                           TsneConfig(perplexity=15, iterations=800,
+                           TsneConfig(perplexity=perplexity, iterations=800,
                                       learning_rate=50.0, seed=args.seed))
     emb = Embedding(
         ids=tuple(fp.structure_id for fp in everything),

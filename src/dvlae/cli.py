@@ -168,6 +168,8 @@ def _read_vector_csv(path: Path):
             vecs.append([float(v) for v in row[2:]])
         except ValueError:
             raise FormatError(f"{path}, line {ln}: unparsable vector entry") from None
+        if not np.all(np.isfinite(vecs[-1])):
+            raise FormatError(f"{path}, line {ln}: non-finite vector entry")
     return ids, tags, np.array(vecs, dtype=float)
 
 

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import UserInputError
-from .structures import NeighborList, Structure, neighbor_list
+from .structures import Structure, neighbor_list
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,10 @@ class SymmetryFunctionSet:
 
     elements: tuple[str, ...]
     descriptors: Mapping[str, tuple[DescriptorDef, ...]]
-    # Per center element, its columns grouped for the kernel (derived).
+    # Per center element, its columns grouped for the kernel, and its column
+    # labels (both derived).
     groups: Mapping[str, tuple] = field(init=False, repr=False, compare=False)
+    labels: Mapping[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -106,6 +108,9 @@ class SymmetryFunctionSet:
         object.__setattr__(
             self, "groups", {e: _group_columns(self.descriptors[e]) for e in self.elements}
         )
+        object.__setattr__(
+            self, "labels", {e: tuple(d.label for d in self.descriptors[e]) for e in self.elements}
+        )
 
     @property
     def max_cutoff(self) -> float:
@@ -113,9 +118,7 @@ class SymmetryFunctionSet:
 
     def column_layout(self) -> tuple[tuple[str, str], ...]:
         """(element, label) per column, in canonical order."""
-        return tuple(
-            (e, d.label) for e in self.elements for d in self.descriptors[e]
-        )
+        return tuple((e, lbl) for e in self.elements for lbl in self.labels[e])
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +147,7 @@ def radial_g2(distances: np.ndarray, p: RadialParams, cut: CutoffParams) -> floa
     ``distances`` must already be filtered to the target neighbor element and
     given in canonical neighbor order.
     """
-    group = _Group(cut, "G2", p.neighbor_element, [(0, p)])
+    group = _Group(cut, p.neighbor_element, [(0, p)])
     return float(group.radial(np.asarray(distances, dtype=float))[0])
 
 
@@ -153,8 +156,8 @@ def angular_g4(
     p: AngularParams, cut: CutoffParams,
 ) -> float:
     """G4 sum over unordered neighbor pairs (each pair counted once)."""
-    group = _Group(cut, "G4", p.element_pair, [(0, p)])
-    return float(group.angular(*(np.asarray(v, float) for v in (r_ij, r_ik, cos_theta, r_jk)))[0])
+    group = _Group(cut, p.element_pair, [(0, p)])
+    return float(group.angular(*(np.asarray(v, float) for v in (r_ij, r_ik, r_jk, cos_theta)))[0])
 
 
 def angular_g5(
@@ -162,44 +165,47 @@ def angular_g5(
     p: AngularParams, cut: CutoffParams,
 ) -> float:
     """G5 sum: like G4 but without the j-k distance factors."""
-    group = _Group(cut, "G5", p.element_pair, [(0, p)])
-    return float(group.angular(*(np.asarray(v, float) for v in (r_ij, r_ik, cos_theta)), None)[0])
+    group = _Group(cut, p.element_pair, [(0, p)])
+    r_jk = np.zeros(np.shape(r_ij))     # G5 rows take no r_jk factors
+    return float(group.angular(*(np.asarray(v, float) for v in (r_ij, r_ik, r_jk, cos_theta)))[0])
 
 
 class _Group:
-    """The columns of one center element that share a cutoff, a family (G2,
-    G4 or G5) and neighbor element(s), evaluated together: parameters are
-    (columns, 1) arrays broadcast against the (terms,) geometry."""
+    """The columns of one center element that share a cutoff and a neighbor
+    element (G2) or an element pair (G4 and G5 together), evaluated at once:
+    parameters are (columns, 1) arrays broadcast against the (terms,)
+    geometry."""
 
-    def __init__(self, cut: CutoffParams, kind: str, neighbors, members):
+    def __init__(self, cut: CutoffParams, neighbors, members):
         cols, params = zip(*members)
-        self.cut, self.kind, self.neighbors, self.cols = cut, kind, neighbors, np.array(cols)
+        self.cut, self.neighbors, self.cols = cut, neighbors, np.array(cols)
+        self.is_radial = isinstance(params[0], RadialParams)
         self.eta = np.array([[p.eta] for p in params], dtype=float)
-        if kind == "G2":
+        if self.is_radial:
             self.r_s = np.array([[p.r_s] for p in params], dtype=float)
             return
+        self.g4 = np.array([[p.kind == "G4"] for p in params])
         self.lam = np.array([[p.lam] for p in params], dtype=float)
         zetas = [p.zeta for p in params]
         self.zeta_rows = [(z, [k for k, x in enumerate(zetas) if x == z])
                           for z in dict.fromkeys(zetas)]
         self.scale = np.array([2.0 ** (1.0 - z) for z in zetas])
 
-    def evaluate(self, dist, disp, species) -> np.ndarray:
+    def evaluate(self, dist, disp, species, structure_id: str) -> np.ndarray:
         """Every column of the group for one center's canonical neighbors."""
         within = dist < self.cut.outer
-        if self.kind == "G2":
+        if self.is_radial:
             return self.radial(dist[within & (species == self.neighbors)])
-        r_ij, r_ik, r_jk, cos = _pair_geometry(dist[within], disp[within], species[within],
-                                               self.neighbors)
-        return self.angular(r_ij, r_ik, cos, r_jk if self.kind == "G4" else None)
+        return self.angular(*_pair_geometry(dist[within], disp[within], species[within],
+                                            self.neighbors, structure_id))
 
     def radial(self, d: np.ndarray) -> np.ndarray:
         """G2 over neighbor distances ``d`` in canonical order.  Each row is
         contiguous, so ``sum(axis=1)`` adds it exactly as ``np.sum`` would."""
         return (np.exp(-self.eta * (d - self.r_s) ** 2) * cutoff_value(d, self.cut)).sum(axis=1)
 
-    def angular(self, r_ij, r_ik, cos_theta, r_jk) -> np.ndarray:
-        """G4 terms with ``r_jk``, G5 terms without (None)."""
+    def angular(self, r_ij, r_ik, r_jk, cos_theta) -> np.ndarray:
+        """G4 rows with the ``r_jk`` factors, G5 rows without them."""
         base = 1.0 + self.lam * cos_theta
         # One scalar exponent per call: numpy evaluates some scalar powers
         # (2, 0.5) as squares and roots, which array exponents do not match.
@@ -207,13 +213,10 @@ class _Group:
         ang = np.empty_like(base)
         for z, rows in self.zeta_rows:
             ang[rows] = np.power(base[rows], z)
-        if r_jk is None:
-            gauss = np.exp(-self.eta * (r_ij ** 2 + r_ik ** 2))
-            taper = cutoff_value(r_ij, self.cut) * cutoff_value(r_ik, self.cut)
-        else:
-            gauss = np.exp(-self.eta * (r_ij ** 2 + r_ik ** 2 + r_jk ** 2))
-            taper = (cutoff_value(r_ij, self.cut) * cutoff_value(r_ik, self.cut)
-                     * cutoff_value(r_jk, self.cut))
+        r2 = r_ij ** 2 + r_ik ** 2
+        fc = cutoff_value(r_ij, self.cut) * cutoff_value(r_ik, self.cut)
+        gauss = np.exp(-self.eta * np.where(self.g4, r2 + r_jk ** 2, r2))
+        taper = np.where(self.g4, fc * cutoff_value(r_jk, self.cut), fc)
         terms = ang * gauss * taper
         # Value-sorted summation: the term multiset is identical for physically
         # equivalent environments (supercell images, permuted atoms), so sorting
@@ -221,16 +224,28 @@ class _Group:
         return np.sort(terms, axis=1).sum(axis=1) * self.scale
 
 
-def _pair_geometry(dist, disp, species, pair):
+# Most unordered neighbor pairs one center may form for one angular group.
+# With the default 16-column G4+G5 group a pair costs about 0.8 KB of
+# temporaries (measured: a one-atom 1.0 Å cell at 6 Å, 399,171 pairs, 330 MB),
+# so the cap keeps one center within a 1 GB budget.
+_MAX_CENTER_PAIRS = 1_000_000
+
+
+def _pair_geometry(dist, disp, species, pair, structure_id: str):
     """(r_ij, r_ik, r_jk, cos_theta) over the unordered neighbor pairs of one
     center whose elements match ``pair``."""
     e1, e2 = pair
+    ia, ib = np.flatnonzero(species == e1), np.flatnonzero(species == e2)
+    n_pairs = len(ia) * (len(ia) - 1) // 2 if e1 == e2 else len(ia) * len(ib)
+    if n_pairs > _MAX_CENTER_PAIRS:
+        raise UserInputError(
+            f"structure {structure_id!r}: one atom has {n_pairs} {e1}-{e2} neighbor pairs, "
+            f"more than {_MAX_CENTER_PAIRS}; the cell is too dense for the cutoff"
+        )
     if e1 == e2:
-        idx = np.flatnonzero(species == e1)
-        a, b = np.triu_indices(len(idx), k=1)
-        a, b = idx[a], idx[b]
+        a, b = np.triu_indices(len(ia), k=1)
+        a, b = ia[a], ia[b]
     else:
-        ia, ib = np.flatnonzero(species == e1), np.flatnonzero(species == e2)
         a = np.repeat(ia, len(ib))
         b = np.tile(ib, len(ia))
     r_ij = dist[a]
@@ -243,14 +258,12 @@ def _pair_geometry(dist, disp, species, pair):
 
 
 def _group_columns(defs: Sequence[DescriptorDef]) -> tuple[_Group, ...]:
-    """Group one center element's columns by (cutoff, family, neighbor element(s))."""
+    """Group one center element's columns by (cutoff, neighbor element) for
+    G2 and by (cutoff, element pair) for G4 and G5."""
     members: dict[tuple, list] = {}
     for col, dd in enumerate(defs):
         p = dd.params
-        if isinstance(p, RadialParams):
-            key = (dd.cutoff, "G2", p.neighbor_element)
-        else:
-            key = (dd.cutoff, p.kind, p.element_pair)
+        key = (dd.cutoff, p.neighbor_element if isinstance(p, RadialParams) else p.element_pair)
         members.setdefault(key, []).append((col, p))
     return tuple(_Group(*key, m) for key, m in members.items())
 
@@ -276,25 +289,12 @@ class DescriptorMatrix:
         return tuple((e, lbl) for e in self.blocks for lbl in self.columns[e])
 
 
-def compute_structure_descriptors(
-    s: Structure,
-    sfset: SymmetryFunctionSet,
-    nlist: NeighborList | None = None,
-) -> DescriptorMatrix:
-    """Evaluate every descriptor for every atom of ``s``.
-
-    A neighbor list built with at least ``sfset.max_cutoff`` may be passed to
-    avoid recomputation; otherwise one is built here.
-    """
+def compute_structure_descriptors(s: Structure, sfset: SymmetryFunctionSet) -> DescriptorMatrix:
+    """Evaluate every descriptor for every atom of ``s``."""
     missing = sorted(set(s.species) - set(sfset.elements))
     if missing:
         raise UserInputError(f"element {missing[0]} of structure {s.id!r} not in symmetry-function set")
-    if nlist is None:
-        nlist = neighbor_list(s, sfset.max_cutoff)
-    elif nlist.cutoff < sfset.max_cutoff:
-        raise UserInputError(
-            f"neighbor list cutoff {nlist.cutoff} smaller than descriptor cutoff {sfset.max_cutoff}"
-        )
+    nlist = neighbor_list(s, sfset.max_cutoff)
 
     species = np.array(s.species, dtype=str)
     blocks = {}
@@ -305,7 +305,7 @@ def compute_structure_descriptors(
             dist, disp = nlist.distances[i], nlist.displacements[i]
             neighbors = species[nlist.indices[i]]
             for group in sfset.groups[e]:
-                row[group.cols] = group.evaluate(dist, disp, neighbors)
+                row[group.cols] = group.evaluate(dist, disp, neighbors, s.id)
         if not np.all(np.isfinite(block)):
             raise UserInputError(f"non-finite descriptor value in structure {s.id!r}, element {e}")
         block.setflags(write=False)
@@ -314,7 +314,7 @@ def compute_structure_descriptors(
         structure_id=s.id,
         tag=s.tag,
         blocks=blocks,
-        columns={e: tuple(d.label for d in sfset.descriptors[e]) for e in sfset.elements},
+        columns=sfset.labels,
     )
 
 

@@ -18,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,8 +79,10 @@ class HistogramSpec:
         """Digest of (bins, columns, exact edges), computed once per spec."""
         return self._checksum
 
-    def bin_of(self, values: np.ndarray, column: int) -> np.ndarray:
-        lo, hi = self.edges[column]
+    def bin_of(self, values: np.ndarray, column) -> np.ndarray:
+        """Bin indices of ``values`` in ``column`` (an int), or of the columns
+        of a (rows, columns) block in ``column`` (an index array)."""
+        lo, hi = self.edges[column].T
         idx = np.floor(self.bins * (np.asarray(values, float) - lo) / (hi - lo)).astype(int)
         return np.clip(idx, 0, self.bins - 1)
 
@@ -90,13 +92,6 @@ class HistogramSpec:
             if e not in seen:
                 seen.append(e)
         return tuple(seen)
-
-
-def _column_values(matrices: Sequence[DescriptorMatrix], element: str, col: int) -> Iterable[np.ndarray]:
-    for m in matrices:
-        block = m.blocks.get(element)
-        if block is not None and block.shape[0]:
-            yield block[:, col]
 
 
 def determine_bin_edges(matrices: Sequence[DescriptorMatrix], k: int) -> HistogramSpec:
@@ -115,25 +110,17 @@ def determine_bin_edges(matrices: Sequence[DescriptorMatrix], k: int) -> Histogr
                 f"descriptor layout of {m.structure_id!r} differs from {matrices[0].structure_id!r}"
             )
 
-    edges = np.empty((len(layout), 2))
-    flat = 0
+    lo, hi = [], []
     for element in matrices[0].blocks:
-        n_cols = len(matrices[0].columns[element])
-        any_rows = any(
-            m.blocks[element].shape[0] for m in matrices
-        )
-        if not any_rows:
+        blocks = [m.blocks[element] for m in matrices if m.blocks[element].shape[0]]
+        if not blocks:
             raise UserInputError(f"no atoms of element {element} anywhere in the inputs")
-        for col in range(n_cols):
-            lo = min(float(v.min()) for v in _column_values(matrices, element, col))
-            hi = max(float(v.max()) for v in _column_values(matrices, element, col))
-            if hi == lo:
-                edges[flat] = (lo - _DEGENERATE_HALF_WIDTH, hi + _DEGENERATE_HALF_WIDTH)
-            else:
-                pad = max(_EDGE_PAD_MIN, _EDGE_PAD_REL * (hi - lo))
-                edges[flat] = (lo - pad, hi + pad)
-            flat += 1
-    return HistogramSpec(bins=k, columns=layout, edges=edges)
+        lo.append(np.min([b.min(axis=0) for b in blocks], axis=0))
+        hi.append(np.max([b.max(axis=0) for b in blocks], axis=0))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    pad = np.where(hi == lo, _DEGENERATE_HALF_WIDTH,
+                   np.maximum(_EDGE_PAD_MIN, _EDGE_PAD_REL * (hi - lo)))
+    return HistogramSpec(bins=k, columns=layout, edges=np.stack([lo - pad, hi + pad], axis=1))
 
 
 @dataclass(frozen=True)
@@ -151,15 +138,14 @@ def build_histograms(d: DescriptorMatrix, spec: HistogramSpec) -> StructureHisto
     """Histogram every descriptor column of one structure under ``spec``."""
     if d.column_layout() != spec.columns:
         raise UserInputError(f"descriptor layout of {d.structure_id!r} does not match the histogram spec")
-    counts = np.zeros((spec.n_columns, spec.bins), dtype=np.int64)
-    flat = 0
-    for element in d.blocks:
-        block = d.blocks[element]
-        for col in range(len(d.columns[element])):
-            if block.shape[0]:
-                idx = spec.bin_of(block[:, col], flat)
-                counts[flat] = np.bincount(idx, minlength=spec.bins)
-            flat += 1
+    # Each value's flat (column, bin) index, counted in one pass.
+    flat, start = [], 0
+    for element, block in d.blocks.items():
+        cols = np.arange(start, start + len(d.columns[element]))
+        flat.append((spec.bin_of(block, cols) + spec.bins * cols).ravel())
+        start += len(cols)
+    counts = np.bincount(np.concatenate(flat), minlength=spec.n_bits)
+    counts = counts.reshape(spec.n_columns, spec.bins)
     return StructureHistogram(
         structure_id=d.structure_id,
         tag=d.tag,

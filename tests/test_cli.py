@@ -1,9 +1,11 @@
 """End-to-end CLI pipelines over small synthetic extended-XYZ corpora."""
 
+import time
+
 import numpy as np
 import pytest
 
-from dvlae import Embedding, read_embedding, read_fingerprints, to_extxyz
+from dvlae import Embedding, Structure, read_embedding, read_fingerprints, to_extxyz
 from dvlae.cli import main
 from dvlae.screening import ScreeningReport
 from dvlae.svgplot import PlotSpec
@@ -93,6 +95,26 @@ class TestFingerprintCommand:
         assert main(["fingerprint", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "fingerprints.txt").exists()
+
+    @pytest.mark.parametrize("edge, code", [(0.3, 1), (1.2, 0)])
+    def test_angular_pair_cap(self, tmp_path, capsys, edge, code):
+        # One atom in a cubic cell at a 6 Å cutoff: 33,382 neighbors (557M
+        # pairs) at a 0.3 Å edge, 496 neighbors (122,760 pairs) at 1.2 Å.
+        s = Structure(cell=np.eye(3) * edge, species=("Fe",), positions=np.zeros((1, 3)),
+                      periodic=(True,) * 3)
+        (tmp_path / "data.xyz").write_text(to_extxyz([s]))
+        (tmp_path / "manifest.txt").write_text("data.xyz\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(CONFIG_TEMPLATE.format(out="out", reference="auto")
+                       .replace("cutoff = 4.0", "cutoff = 6.0")
+                       .replace("elements = Fe H", "elements = Fe"))
+        start = time.perf_counter()
+        assert main(["fingerprint", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "data.xyz#0': one atom has 557162271 Fe-Fe neighbor pairs" in err
+            assert time.perf_counter() - start < 5.0
+        assert (tmp_path / "out" / "fingerprints.txt").exists() == (code == 0)
 
     def test_spec_reuse_gives_comparable_bits(self, rng, tmp_path):
         cfg = make_corpus(rng, tmp_path)
@@ -195,6 +217,19 @@ class TestScreenCommand:
 
 
 class TestEmbedCommand:
+    @pytest.mark.parametrize("method", ["tsne", "pca"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_vector_entry_exits_one(self, rng, tmp_path, capsys, method, bad):
+        cfg = make_corpus(rng, tmp_path, n=4)
+        rows = ["id,tag,v0,v1"] + [f"p{i},,{i},{2 * i}" for i in range(12)]
+        rows[5] = f"p4,,{bad},8"
+        vec = tmp_path / "vec.csv"
+        vec.write_text("\n".join(rows) + "\n")
+        assert main(["embed", "--config", str(cfg), "--input", str(vec),
+                     "--method", method]) == 1
+        assert "line 6: non-finite vector entry" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "embedding.csv").exists()
+
     def test_fingerprint_input_row_count(self, rng, tmp_path):
         cfg = make_corpus(rng, tmp_path, n=14)
         assert main(["fingerprint", "--config", str(cfg)]) == 0

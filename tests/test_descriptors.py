@@ -310,6 +310,56 @@ class TestGroupedKernel:
             cols = np.concatenate([g.cols for g in sf.groups[e]])
             assert sorted(cols.tolist()) == list(range(len(sf.descriptors[e])))
 
+    def test_one_angular_group_per_cutoff_and_element_pair(self):
+        sf = self.symmetry_functions()
+        for e in sf.elements:
+            want = {}
+            for col, d in enumerate(sf.descriptors[e]):
+                if isinstance(d.params, AngularParams):
+                    want.setdefault((d.cutoff, d.params.element_pair), []).append(col)
+            groups = [g for g in sf.groups[e] if not g.is_radial]
+            assert len(groups) == len(want) == 5
+            mixed = 0
+            for g in groups:
+                assert g.cols.tolist() == want[(g.cut, g.neighbors)]
+                kinds = [sf.descriptors[e][c].params.kind for c in g.cols]
+                assert g.g4.ravel().tolist() == [k == "G4" for k in kinds]
+                mixed += set(kinds) == {"G4", "G5"}
+            assert mixed == 3       # every pair at the long cutoff has both families
+
+    def test_pair_cap_raises_before_building_pairs(self, monkeypatch):
+        import dvlae.descriptors as desc
+
+        sf = build_symmetry_functions(("Fe",), GridConfig(cutoff=2.0))
+        s = isolated(("Fe",) * 5, [[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
+        assert max(n * (n - 1) // 2 for n in map(len, neighbor_list(s, 2.0).indices)) == 6
+        monkeypatch.setattr(desc, "_MAX_CENTER_PAIRS", 6)
+        compute_structure_descriptors(s, sf)
+        monkeypatch.setattr(desc, "_MAX_CENTER_PAIRS", 5)
+        monkeypatch.setattr(desc.np, "triu_indices", None)     # never reached
+        with pytest.raises(UserInputError, match="'mol': one atom has 6 Fe-Fe neighbor pairs"):
+            compute_structure_descriptors(s, sf)
+
+    def test_rows_follow_documented_evaluation_order(self, rng):
+        # Each term is (ang * gauss) * taper, with G4's r_jk factors added last:
+        # (r_ij^2 + r_ik^2) + r_jk^2 and (fc_ij * fc_ik) * fc_jk.
+        cut = CutoffParams(inner=1.0, outer=4.0)
+        r_ij, r_ik, r_jk = rng.uniform(1.0, 4.0, (3, 200))
+        cos = rng.uniform(-1.0, 1.0, 200)
+        fc_ij, fc_ik, fc_jk = (cutoff_value(r, cut) for r in (r_ij, r_ik, r_jk))
+        for eta, zeta, lam in ((0.0, 1.0, 1), (0.3, 0.5, -1), (1.7, 4.0, 1), (0.2, 0.0, -1)):
+            ang = np.power(1.0 + float(lam) * cos, zeta)
+            g4 = ang * np.exp(-eta * ((r_ij ** 2 + r_ik ** 2) + r_jk ** 2)) * ((fc_ij * fc_ik) * fc_jk)
+            g5 = ang * np.exp(-eta * (r_ij ** 2 + r_ik ** 2)) * (fc_ij * fc_ik)
+            scale = 2.0 ** (1.0 - zeta)
+            p4, p5 = (AngularParams(eta, zeta, lam, k, ("Fe", "H")) for k in ("G4", "G5"))
+            assert angular_g4(r_ij, r_ik, r_jk, cos, p4, cut) == np.sort(g4).sum() * scale
+            assert angular_g5(r_ij, r_ik, cos, p5, cut) == np.sort(g5).sum() * scale
+            for k in range(len(cos)):       # one term at a time: no sum hides a last bit
+                one = slice(k, k + 1)
+                assert angular_g4(r_ij[one], r_ik[one], r_jk[one], cos[one], p4, cut) == g4[k] * scale
+                assert angular_g5(r_ij[one], r_ik[one], cos[one], p5, cut) == g5[k] * scale
+
     def test_equals_per_column_reference_functions(self, rng):
         sf = self.symmetry_functions()
         cluster = isolated(("Fe", "H", "H", "Fe", "H", "Fe", "Fe", "Fe"),

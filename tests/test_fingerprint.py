@@ -132,6 +132,100 @@ class TestHistograms:
             build_histograms(m, spec)
 
 
+def naive_edges(matrices):
+    """Per-column (lo, hi) with the padding rule, one column at a time."""
+    edges = []
+    for e in matrices[0].blocks:
+        for c in range(len(matrices[0].columns[e])):
+            values = [float(v) for m in matrices for v in m.blocks[e][:, c]]
+            lo, hi = min(values), max(values)
+            pad = 1e-6 if hi == lo else max(1e-9, 1e-6 * (hi - lo))
+            edges.append((lo - pad, hi + pad))
+    return np.array(edges)
+
+
+def naive_counts(m, spec):
+    """Per-column bincount of the scalar bin formula, clipped to the range."""
+    counts, flat = [], 0
+    for e in m.blocks:
+        for c in range(len(m.columns[e])):
+            lo, hi = (float(x) for x in spec.edges[flat])
+            idx = [min(max(int(np.floor(spec.bins * (float(v) - lo) / (hi - lo))), 0), spec.bins - 1)
+                   for v in m.blocks[e][:, c]]
+            counts.append(np.bincount(np.array(idx, dtype=int), minlength=spec.bins))
+            flat += 1
+    return np.array(counts)
+
+
+def narrow_spec(matrices, bins):
+    """A spec whose edges cut every column inside its data, so values fall
+    below and above the range and get clipped."""
+    edges = naive_edges(matrices)
+    width = edges[:, 1] - edges[:, 0]
+    edges += np.column_stack([0.3 * width, -0.3 * width])
+    edges[width < 1e-5] += 1.0      # a degenerate column: every value below the range
+    return HistogramSpec(bins=bins, columns=matrices[0].column_layout(), edges=edges)
+
+
+class TestBlockPaths:
+    """The per-element block code of ``determine_bin_edges`` and
+    ``build_histograms`` against one-column-at-a-time oracles."""
+
+    def matrices(self, rng):
+        labels = {"Fe": ("a", "b", "flat"), "H": ("c", "d", "narrow")}
+        out = []
+        for k in range(7):
+            n_fe, n_h = int(rng.integers(1, 5)), (0 if k % 3 == 0 else int(rng.integers(1, 4)))
+            fe = np.column_stack([rng.normal(0, 2, n_fe), rng.integers(-4, 9, n_fe) / 4,
+                                  np.full(n_fe, 0.25)])
+            # "narrow" spreads over 2^-45, far below the relative pad's reach.
+            h = np.column_stack([rng.normal(3, 1, (n_h, 2)), 1.0 + rng.integers(0, 2, n_h) * 2.0 ** -45])
+            out.append(DescriptorMatrix(f"m{k}", None, {"Fe": fe, "H": h}, labels))
+        return out
+
+    def test_edges_equal_per_column_oracle(self, rng):
+        mats = self.matrices(rng)
+        spec = determine_bin_edges(mats, k=9)
+        assert np.array_equal(spec.edges, naive_edges(mats))
+        assert spec.edges[2].tolist() == [0.25 - 1e-6, 0.25 + 1e-6]
+
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_counts_equal_per_column_bincount(self, rng, supplied):
+        mats = self.matrices(rng)
+        spec = narrow_spec(mats, 6) if supplied else determine_bin_edges(mats, k=6)
+        for m in mats:
+            h = build_histograms(m, spec)
+            want = naive_counts(m, spec)
+            assert h.counts.dtype == np.int64
+            assert np.array_equal(h.counts, want)
+            assert np.array_equal(h.occupancy, want > 0)
+        if supplied:
+            lo, hi = spec.edges.T
+            cols = {"Fe": slice(0, 3), "H": slice(3, 6)}
+            assert any((m.blocks[e] < lo[c]).any() for m in mats for e, c in cols.items())
+            assert any((m.blocks[e] > hi[c]).any() for m in mats for e, c in cols.items())
+
+    @pytest.mark.parametrize("mode", fp_mod.XOR_MODES)
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_batch_fingerprints_equal_oracle(self, rng, mode, supplied):
+        sf = build_symmetry_functions(("Fe", "H"), GridConfig(
+            cutoff=4.0, radial_eta=(0.0, 1.0), angular_eta=(0.0,), zeta=(1.0,)))
+        structures = [both_elements(rng, f"s{i}", n_atoms=5) if i % 2
+                      else dyadic_structure(rng, f"s{i}", elements=("Fe",), n_atoms=3)
+                      for i in range(8)]
+        ds = make_dataset(structures)
+        mats = [compute_structure_descriptors(s, sf) for s in structures]
+        spec = narrow_spec(mats, 12) if supplied else None
+        fpset = batch_fingerprints(ds, structures[1], sf, k=12, xor_mode=mode, spec=spec)
+        if not supplied:
+            assert np.array_equal(fpset.spec.edges, naive_edges(mats))
+        ref = naive_counts(mats[1], fpset.spec)
+        for fp, m in zip(fpset.fingerprints, mats):
+            cur = naive_counts(m, fpset.spec)
+            diff = (cur > 0) ^ (ref > 0) if mode == "occupancy" else cur != ref
+            assert np.array_equal(fp.bits(), diff.ravel())
+
+
 class TestDifferenceVector:
     def _pair(self, cur_vals, ref_vals, k=3, mode="occupancy"):
         cur = matrix_of([cur_vals], ident="cur")
