@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -22,7 +22,7 @@ from .config import RunConfig, build_symmetry_functions, load_config
 from .descriptors import compute_dataset_descriptors
 from .embedding import read_embedding, write_embedding
 from .errors import ConfigError, FormatError, UserInputError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_id_list, read_input_text
 from .structures import Dataset, Structure, load_dataset, parse_extxyz, read_manifest
 from .svgplot import PlotSpec, write_scatter_svg
 
@@ -35,9 +35,7 @@ def _load_run_dataset(cfg: RunConfig) -> Dataset:
         raise ConfigError("manifests name no structure files")
     ds = load_dataset(files, elements=cfg.elements)
     if cfg.keep_ids is not None:
-        wanted = [line.strip() for line in cfg.keep_ids.read_text().splitlines()
-                  if line.strip() and not line.lstrip().startswith("#")]
-        ds = ds.subset(wanted)
+        ds = ds.subset(read_id_list(cfg.keep_ids, "keep_ids file"))
     return ds
 
 
@@ -51,7 +49,7 @@ def _resolve_reference(cfg: RunConfig, ds: Dataset) -> Structure:
                 return s
         raise ConfigError(f"reference id {wanted!r} not found in the dataset")
     ref_path = Path(cfg.reference[5:])
-    ref_ds = parse_extxyz(ref_path.read_text(), source=str(ref_path))
+    ref_ds = parse_extxyz(read_input_text(ref_path, "reference file"), source=str(ref_path))
     if len(ref_ds) == 0:
         raise ConfigError(f"reference file {ref_path} holds no structures")
     return ref_ds.structures[0]   # first frame by convention
@@ -67,17 +65,13 @@ def _sfset_for(cfg: RunConfig, ds: Dataset):
 # ---------------------------------------------------------------------------
 
 def cmd_fingerprint(args) -> int:
-    cfg = _apply_common_overrides(load_config(args.config), args)
-    if args.bins is not None:
-        if args.bins < 1:
-            raise ConfigError(f"--bins must be >= 1, got {args.bins}")
-        cfg = _replace(cfg, bins=args.bins)
+    cfg = _load_config(args)
     ds = _load_run_dataset(cfg)
     ref = _resolve_reference(cfg, ds)
     sfset = _sfset_for(cfg, ds)
     spec = None
     if args.spec is not None:
-        spec = fp_mod.spec_from_json(Path(args.spec).read_text())
+        spec = fp_mod.spec_from_json(read_input_text(args.spec, "histogram spec"))
     fpset = fp_mod.batch_fingerprints(
         ds, ref, sfset, cfg.bins, xor_mode=cfg.xor_mode, spec=spec
     )
@@ -102,17 +96,15 @@ def _validate_against_config(fpset: fp_mod.FingerprintSet, cfg: RunConfig) -> No
 
 
 def cmd_screen(args) -> int:
-    cfg = _apply_common_overrides(load_config(args.config), args)
-    mode = args.mode or cfg.screening_mode
+    cfg = _load_config(args)
     out = cfg.out_dir
 
-    if mode == "novelty":
-        training_manifest = Path(args.training_manifest) if args.training_manifest else cfg.training_manifest
-        if training_manifest is None:
+    if cfg.screening_mode == "novelty":
+        if cfg.training_manifest is None:
             raise ConfigError("novelty screening needs a training manifest "
                               "(config [screening] training_manifest or --training-manifest)")
         candidates = _load_run_dataset(cfg)
-        training = load_dataset(read_manifest(training_manifest))
+        training = load_dataset(read_manifest(cfg.training_manifest, "training manifest"))
         elements = cfg.elements if cfg.elements is not None else tuple(
             dict.fromkeys(candidates.elements + training.elements)
         )
@@ -123,11 +115,9 @@ def cmd_screen(args) -> int:
         train_vecs = fp_mod.mean_descriptor_vectors(
             compute_dataset_descriptors(training.structures, sfset)
         )
-        threshold = cfg.threshold if args.threshold is None else args.threshold
-        aggregate = args.aggregate or cfg.aggregate
         result = scr_mod.novelty_screen(
             candidates.ids(), cand_vecs, train_vecs,
-            scr_mod.NoveltyConfig(threshold=threshold, aggregate=aggregate),
+            scr_mod.NoveltyConfig(threshold=cfg.threshold, aggregate=cfg.aggregate),
             training_ids=training.ids(),
         )
         report = scr_mod.novelty_report(result)
@@ -136,11 +126,10 @@ def cmd_screen(args) -> int:
             raise ConfigError("dedup screening needs --fingerprints")
         fpset = fp_mod.read_fingerprints(args.fingerprints)
         _validate_against_config(fpset, cfg)
-        radius = cfg.radius if args.radius is None else args.radius
-        if mode == "exact":
+        if cfg.screening_mode == "exact":
             report = scr_mod.dedup_exact(fpset.fingerprints)
         else:
-            report = scr_mod.dedup_hamming(fpset.fingerprints, radius)
+            report = scr_mod.dedup_hamming(fpset.fingerprints, cfg.radius)
 
     scr_mod.write_report(report, out / "screening_report.json")
     scr_mod.write_kept_manifest(report, out / "kept_ids.txt")
@@ -151,8 +140,8 @@ def cmd_screen(args) -> int:
     return 0
 
 
-def _read_vector_csv(path: Path):
-    rows = list(csv.reader(io.StringIO(path.read_text())))
+def _read_vector_csv(path: str | Path):
+    rows = list(csv.reader(io.StringIO(read_input_text(path, "embedding input"))))
     if not rows or len(rows[0]) < 3 or rows[0][:2] != ["id", "tag"]:
         raise FormatError(f"{path}: expected header id,tag,v0,...")
     width = len(rows[0]) - 2
@@ -192,30 +181,23 @@ def _dataset_descriptors(cfg: RunConfig, restrict_ids=None):
 
 
 def cmd_embed(args) -> int:
-    cfg = _apply_common_overrides(load_config(args.config), args)
-    method = args.method or cfg.method
-    tsne_cfg = _replace(cfg.tsne, seed=cfg.seed) if args.perplexity is None else _replace(
-        cfg.tsne, seed=cfg.seed, perplexity=args.perplexity
-    )
-    out = cfg.out_dir
+    cfg = _load_config(args)
+    method, tsne_cfg, out = cfg.method, cfg.tsne, cfg.out_dir
     source = args.source
     if args.input is not None and source is not None:
         raise ConfigError("give either --input or --source, not both")
 
     ids = tags = matrices = None
     if args.input is not None:
-        in_path = Path(args.input)
-        if not in_path.exists():
-            raise ConfigError(f"embedding input not found: {in_path}")
-        if fp_mod.sniff_fingerprint_file(in_path):
-            fpset = fp_mod.read_fingerprints(in_path)
+        if fp_mod.sniff_fingerprint_file(args.input, "embedding input"):
+            fpset = fp_mod.read_fingerprints(args.input)
             ids = fpset.ids()
             tags = tuple(fp.tag for fp in fpset.fingerprints)
             bits = np.vstack([fp.bits() for fp in fpset.fingerprints])
             embedding = emb_mod.embed_vectors(ids, tags, bits, method=method,
                                               metric="hamming", cfg=tsne_cfg)
         else:
-            ids, tags, vectors = _read_vector_csv(in_path)
+            ids, tags, vectors = _read_vector_csv(args.input)
             embedding = emb_mod.embed_vectors(ids, tags, vectors, method=method,
                                               metric="euclidean", cfg=tsne_cfg)
     elif source in ("baseline", "mean"):
@@ -249,7 +231,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_ood(args) -> int:
-    cfg = _apply_common_overrides(load_config(args.config), args)
+    cfg = _load_config(args)
     if args.top_n < 0:
         raise ConfigError(f"--top-n must be >= 0, got {args.top_n}")
     training = fp_mod.read_fingerprints(args.training)
@@ -284,10 +266,7 @@ def cmd_plot(args) -> int:
     embedding = read_embedding(args.embedding)
     highlight: tuple[str, ...] = ()
     if args.highlight is not None:
-        highlight = tuple(
-            line.strip() for line in Path(args.highlight).read_text().splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        )
+        highlight = tuple(read_id_list(args.highlight, "highlight file"))
     spec = PlotSpec(width=args.width, height=args.height, highlight=highlight)
     write_scatter_svg(embedding, spec, args.out)
     print(f"wrote {args.out} ({len(embedding.ids)} points, {len(highlight)} highlighted)")
@@ -298,16 +277,10 @@ def cmd_plot(args) -> int:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-def _replace(obj, **kw):
-    return dataclasses.replace(obj, **kw)
-
-
-def _apply_common_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "out", None) is not None:
-        cfg = _replace(cfg, out_dir=Path(args.out))
-    if getattr(args, "seed", None) is not None:
-        cfg = _replace(cfg, seed=args.seed, tsne=_replace(cfg.tsne, seed=args.seed))
-    return cfg
+def _load_config(args) -> RunConfig:
+    """The --config file with every given "section.key" flag set into it."""
+    return load_config(args.config, [(dest, value) for dest, value in vars(args).items()
+                                     if "." in dest and value is not None])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,13 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.description = "A flag that takes a SECTION.KEY value overrides that config key."
         p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="random seed (overrides config)")
+        p.add_argument("--out", dest="run.output", type=os.path.abspath, help="output directory")
+        p.add_argument("--seed", dest="run.seed", help="random seed")
 
     p = sub.add_parser("fingerprint", help="compute fingerprints for the configured datasets")
     common(p)
-    p.add_argument("--bins", type=int, help="histogram bins per column (overrides config)")
+    p.add_argument("--bins", dest="fingerprint.bins", help="histogram bins per column")
     p.add_argument("--spec", help="reuse a serialized histogram spec (JSON) instead of "
                                   "determining bin edges from the data")
     p.set_defaults(func=cmd_fingerprint)
@@ -333,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("screen", help="reduce redundancy or screen novelty")
     common(p)
     p.add_argument("--fingerprints", help="fingerprint file (dedup modes)")
-    p.add_argument("--mode", choices=scr_mod.SCREENING_MODES,
-                   help="screening mode (overrides config)")
-    p.add_argument("--radius", type=int, help="Hamming radius (mode=hamming)")
-    p.add_argument("--threshold", type=float, help="novelty distance threshold")
-    p.add_argument("--aggregate", choices=scr_mod.NOVELTY_AGGREGATES, help="novelty aggregate")
-    p.add_argument("--training-manifest", help="training dataset manifest (mode=novelty)")
+    p.add_argument("--mode", dest="screening.mode", help="screening mode")
+    p.add_argument("--radius", dest="screening.radius", help="Hamming radius (mode=hamming)")
+    p.add_argument("--threshold", dest="screening.threshold", help="novelty distance threshold")
+    p.add_argument("--aggregate", dest="screening.aggregate", help="novelty aggregate")
+    p.add_argument("--training-manifest", dest="screening.training_manifest",
+                   type=os.path.abspath, help="training dataset manifest (mode=novelty)")
     p.set_defaults(func=cmd_screen)
 
     p = sub.add_parser("embed", help="2-D embedding of fingerprints or vectors")
@@ -346,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="fingerprint file or vector CSV")
     p.add_argument("--source", choices=["baseline", "mean"],
                    help="compute vectors from the configured dataset instead of --input")
-    p.add_argument("--method", choices=emb_mod.EMBEDDING_METHODS, help="overrides config")
-    p.add_argument("--perplexity", type=float, help="t-SNE perplexity (overrides config)")
+    p.add_argument("--method", dest="embedding.method", help="tsne or pca")
+    p.add_argument("--perplexity", dest="embedding.perplexity", help="t-SNE perplexity")
     p.add_argument("--compare-baseline", action="store_true",
                    help="also embed the zero-padded baseline vectors of the same structures")
     p.set_defaults(func=cmd_embed)

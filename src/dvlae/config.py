@@ -7,7 +7,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .descriptors import (
     AngularParams,
@@ -19,6 +19,7 @@ from .descriptors import (
 from .embedding import EMBEDDING_METHODS, TsneConfig
 from .errors import ConfigError
 from .fingerprint import XOR_MODES
+from .ioutil import read_input_text
 from .screening import NOVELTY_AGGREGATES, SCREENING_MODES
 
 CONFIG_FORMAT = 1
@@ -174,17 +175,22 @@ def _parse_grid(section: configparser.SectionProxy) -> GridConfig:
     return GridConfig(overrides=overrides, **kwargs)
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run-configuration file."""
+def load_config(path: str | Path, overrides: Iterable[tuple[str, object]] = ()) -> RunConfig:
+    """Parse and validate a run-configuration file, with ``overrides``
+    ("section.key", value) pairs set into it first, so a command-line flag is
+    checked exactly as its key is.  Paths are checked when they are read."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str    # element symbols in keys are case-sensitive
     try:
-        parser.read_string(path.read_text(), source=str(path))
+        parser.read_string(read_input_text(path, "config file"), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    for dotted, value in overrides:
+        section, _, key = dotted.partition(".")
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section][key] = str(value)
 
     base = path.parent
 
@@ -200,17 +206,12 @@ def load_config(path: str | Path) -> RunConfig:
     if not parser.has_section("data") or "manifests" not in parser["data"]:
         raise ConfigError("config needs a [data] section with a 'manifests' key")
     manifests = tuple(resolve(p) for p in parser["data"]["manifests"].split())
-    for m in manifests:
-        if not m.exists():
-            raise ConfigError(f"manifest not found: {m}")
     elements = None
     if "elements" in parser["data"]:
         elements = tuple(parser["data"]["elements"].split())
     keep_ids = None
     if "keep_ids" in parser["data"]:
         keep_ids = resolve(parser["data"]["keep_ids"])
-        if not keep_ids.exists():
-            raise ConfigError(f"keep_ids file not found: {keep_ids}")
 
     grid = _parse_grid(parser["descriptors"]) if parser.has_section("descriptors") \
         else GridConfig()
@@ -223,10 +224,7 @@ def load_config(path: str | Path) -> RunConfig:
     if reference != "auto" and not (reference.startswith("id:") or reference.startswith("path:")):
         raise ConfigError(f"reference must be auto, id:<id>, or path:<file>, got {reference!r}")
     if reference.startswith("path:"):
-        ref_path = resolve(reference[5:])
-        if not ref_path.exists():
-            raise ConfigError(f"reference file not found: {ref_path}")
-        reference = f"path:{ref_path}"
+        reference = f"path:{resolve(reference[5:])}"
     xor_mode = _choice(fp, "xor_mode", "occupancy", XOR_MODES, "xor_mode")
 
     sc = parser["screening"] if parser.has_section("screening") else {}
@@ -234,8 +232,6 @@ def load_config(path: str | Path) -> RunConfig:
     training_manifest = None
     if "training_manifest" in sc:
         training_manifest = resolve(sc["training_manifest"])
-        if not training_manifest.exists():
-            raise ConfigError(f"training manifest not found: {training_manifest}")
     aggregate = _choice(sc, "aggregate", "min", NOVELTY_AGGREGATES, "aggregate")
 
     emb = parser["embedding"] if parser.has_section("embedding") else {}

@@ -25,8 +25,10 @@ class CutoffParams:
     outer: float
 
     def __post_init__(self):
-        if not (0.0 <= self.inner < self.outer):
-            raise UserInputError(f"need 0 <= inner < outer, got inner={self.inner}, outer={self.outer}")
+        if not (0.0 <= self.inner < self.outer < np.inf):
+            raise UserInputError(
+                f"need 0 <= inner < outer < inf, got inner={self.inner}, outer={self.outer}"
+            )
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,8 @@ class RadialParams:
     def __post_init__(self):
         if not np.isfinite(self.eta) or self.eta < 0:
             raise UserInputError(f"eta must be finite and >= 0, got {self.eta}")
-        if self.r_s < 0:
-            raise UserInputError(f"r_s must be >= 0, got {self.r_s}")
+        if not np.isfinite(self.r_s) or self.r_s < 0:
+            raise UserInputError(f"r_s must be finite and >= 0, got {self.r_s}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,8 @@ class AngularParams:
     def __post_init__(self):
         if self.lam not in (+1, -1):
             raise UserInputError(f"lam must be +1 or -1, got {self.lam}")
-        if self.zeta < 0:
-            raise UserInputError(f"zeta must be >= 0, got {self.zeta}")
+        if not np.isfinite(self.zeta) or self.zeta < 0:
+            raise UserInputError(f"zeta must be finite and >= 0, got {self.zeta}")
         if not np.isfinite(self.eta) or self.eta < 0:
             raise UserInputError(f"eta must be finite and >= 0, got {self.eta}")
         if self.kind not in ("G4", "G5"):

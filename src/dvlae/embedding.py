@@ -20,13 +20,19 @@ import numpy as np
 
 from .distance import euclidean_cdist, hamming_cdist
 from .errors import FormatError, UserInputError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_input_text
 
 EMBEDDING_METHODS = ("tsne", "pca")
 
 _PERPLEXITY_TOL = 1e-5
 _MAX_BISECTIONS = 100
 _PROB_FLOOR = 1e-12
+# Exact t-SNE keeps about 12 n x n float64 arrays live at once (peak RSS grew
+# by 12.3-12.6 x 8n^2 bytes at n = 500-1500 on x86-64 with numpy 2.4), plus an
+# 8-byte KL entry per iteration.  With 13 arrays counted, a 4 GiB budget allows
+# about 6,400 points at 1000 iterations.
+_TSNE_BYTES_PER_PAIR = 13 * 8
+_TSNE_MEMORY_BUDGET = 4 << 30
 
 
 @dataclass(frozen=True)
@@ -41,15 +47,25 @@ class TsneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (np.isfinite(self.perplexity) and np.isfinite(self.learning_rate)):
+            raise UserInputError("perplexity and learning rate must be finite")
         if self.perplexity <= 0 or self.iterations < 1 or self.learning_rate <= 0:
             raise UserInputError("perplexity, iterations and learning rate must be positive")
 
     def validate_for(self, n_points: int) -> None:
+        """Reject a run on ``n_points`` points before any n x n array exists."""
         limit = (n_points - 1) / 3
         if not self.perplexity < limit:
             raise UserInputError(
                 f"perplexity must be < (n-1)/3 = {limit:.3f} for {n_points} points, "
                 f"got {self.perplexity}"
+            )
+        need = _TSNE_BYTES_PER_PAIR * n_points**2 + 8 * self.iterations
+        if need > _TSNE_MEMORY_BUDGET:
+            raise UserInputError(
+                f"exact t-SNE of {n_points} points over {self.iterations} iterations needs "
+                f"about {need / 2**30:.1f} GiB, over the {_TSNE_MEMORY_BUDGET >> 30} GiB "
+                "budget; use --method pca, fewer points or fewer iterations"
             )
 
 
@@ -251,6 +267,7 @@ def embed_vectors(
     if method == "pca":
         coords = pca_project(np.asarray(vectors, dtype=float), dims=2)
     elif method == "tsne":
+        cfg.validate_for(len(vectors))
         coords, _ = tsne_embed(pairwise_distances(vectors, metric=metric), cfg)
     else:
         raise UserInputError(f"unknown embedding method {method!r}")
@@ -275,8 +292,7 @@ def write_embedding(emb: Embedding, path: str | Path) -> None:
 
 
 def read_embedding(path: str | Path) -> Embedding:
-    text = Path(path).read_text()
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = list(csv.reader(io.StringIO(read_input_text(path, "embedding file"))))
     if not rows or rows[0] != ["id", "tag", "x", "y"]:
         raise FormatError(f"{path}: expected header id,tag,x,y")
     ids, tags, coords = [], [], []

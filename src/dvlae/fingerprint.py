@@ -24,7 +24,7 @@ import numpy as np
 
 from .descriptors import DescriptorMatrix, SymmetryFunctionSet, compute_dataset_descriptors
 from .errors import FormatError, UserInputError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_input_text
 from .structures import Dataset, Structure
 
 XOR_MODES = ("occupancy", "count-equality")
@@ -32,6 +32,10 @@ XOR_MODES = ("occupancy", "count-equality")
 _EDGE_PAD_REL = 1e-6
 _EDGE_PAD_MIN = 1e-9
 _DEGENERATE_HALF_WIDTH = 1e-6
+# build_histograms counts each structure into one int64 row of n_bits entries;
+# a 64 MiB budget for that row caps a fingerprint at 8,388,608 bits (bins x
+# columns), about 1,400x the default grid's 5,800 bits for two elements.
+_MAX_BITS = (64 << 20) // 8
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,11 @@ class HistogramSpec:
             raise UserInputError(f"bin count must be an integer, got {self.bins!r}")
         if self.bins < 1:
             raise UserInputError(f"bin count must be >= 1, got {self.bins}")
+        if self.bins * len(self.columns) > _MAX_BITS:
+            raise UserInputError(
+                f"{self.bins} bins x {len(self.columns)} columns exceeds the cap of "
+                f"{_MAX_BITS} fingerprint bits"
+            )
         if len(self.columns) != len(edges):
             raise UserInputError("one (lo, hi) pair per column required")
         if not np.all(np.isfinite(edges)) or np.any(edges[:, 0] >= edges[:, 1]):
@@ -85,13 +94,6 @@ class HistogramSpec:
         lo, hi = self.edges[column].T
         idx = np.floor(self.bins * (np.asarray(values, float) - lo) / (hi - lo)).astype(int)
         return np.clip(idx, 0, self.bins - 1)
-
-    def elements(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for e, _ in self.columns:
-            if e not in seen:
-                seen.append(e)
-        return tuple(seen)
 
 
 def determine_bin_edges(matrices: Sequence[DescriptorMatrix], k: int) -> HistogramSpec:
@@ -416,18 +418,13 @@ def write_fingerprints(fpset: FingerprintSet, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def sniff_fingerprint_file(path: str | Path) -> bool:
-    try:
-        with open(path, "r") as fh:
-            return fh.readline().rstrip("\n") == _MAGIC
-    except OSError:
-        return False
+def sniff_fingerprint_file(path: str | Path, what: str) -> bool:
+    return read_input_text(path, what).partition("\n")[0] == _MAGIC
 
 
 def read_fingerprints(path: str | Path) -> FingerprintSet:
     """Read a fingerprint file back, bit-exactly."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = read_input_text(path, "fingerprint file").splitlines()
     if not lines or lines[0] != _MAGIC:
         raise FormatError(f"{path}: not a fingerprint file (missing magic line)")
     if len(lines) < 2:

@@ -132,8 +132,8 @@ class NoveltyConfig:
     aggregate: str = "min"
 
     def __post_init__(self):
-        if self.threshold < 0:
-            raise UserInputError(f"threshold must be >= 0, got {self.threshold}")
+        if not np.isfinite(self.threshold) or self.threshold < 0:
+            raise UserInputError(f"threshold must be finite and >= 0, got {self.threshold}")
         if self.aggregate not in NOVELTY_AGGREGATES:
             raise UserInputError(
                 f"aggregate must be one of {NOVELTY_AGGREGATES}, got {self.aggregate!r}"

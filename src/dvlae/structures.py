@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .errors import ParseError, UserInputError
+from .ioutil import read_input_text
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -265,7 +266,7 @@ def to_extxyz(structures: Iterable[Structure]) -> str:
     return "\n".join(chunks) + "\n"
 
 
-def read_manifest(path: str | Path) -> list[Path]:
+def read_manifest(path: str | Path, what: str = "manifest") -> list[Path]:
     """Read a dataset manifest: one structure-file path per line, '#' comments.
 
     Relative paths are resolved against the manifest's own directory.
@@ -273,7 +274,7 @@ def read_manifest(path: str | Path) -> list[Path]:
     path = Path(path)
     base = path.parent
     files: list[Path] = []
-    for raw in path.read_text().splitlines():
+    for raw in read_input_text(path, what).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -287,9 +288,7 @@ def load_dataset(files: Iterable[str | Path], elements: Sequence[str] | None = N
     structures: list[Structure] = []
     for f in files:
         f = Path(f)
-        if not f.exists():
-            raise ParseError(f"structure file not found: {f}")
-        ds = parse_extxyz(f.read_text(), source=str(f))
+        ds = parse_extxyz(read_input_text(f, "structure file"), source=str(f))
         structures.extend(ds.structures)
     return make_dataset(structures, elements)
 

@@ -184,6 +184,15 @@ class TestScreenCommand:
         assert report.output_count == 0
         assert len(report.removed) == 6
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exits_one(self, rng, tmp_path, capsys, threshold):
+        cfg = make_corpus(rng, tmp_path, n=4)
+        cfg.write_text(cfg.read_text().replace(
+            "mode = exact", f"mode = novelty\ntraining_manifest = manifest.txt\nthreshold = {threshold}"))
+        assert main(["screen", "--config", str(cfg)]) == 1
+        assert "threshold must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "screening_report.json").exists()
+
     @pytest.mark.parametrize("old, new", [
         ('"bins":16,', ''),                         # header without bins
         ('"bins":16,', '"bins":"16",'),
@@ -268,6 +277,21 @@ class TestEmbedCommand:
                      "--perplexity", "30"])
         assert code == 1
         assert "perplexity" in capsys.readouterr().err
+
+    def test_tsne_over_memory_budget_exits_one(self, rng, tmp_path, capsys, monkeypatch):
+        import dvlae.embedding as emb_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("distance matrix built before the t-SNE memory check")
+        monkeypatch.setattr(emb_mod, "pairwise_distances", fail)
+        cfg = make_corpus(rng, tmp_path, n=6)
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        cfg.write_text(cfg.read_text().replace("perplexity = 4", "perplexity = 1")
+                       .replace("iterations = 250", "iterations = 1000000000000"))
+        code = main(["embed", "--config", str(cfg),
+                     "--input", str(tmp_path / "out" / "fingerprints.txt")])
+        assert code == 1
+        assert "--method pca" in capsys.readouterr().err
 
     def test_compare_baseline_separates_supercells(self, rng, tmp_path):
         # primitive + its supercells: fingerprints coincide, baseline does not
@@ -519,3 +543,66 @@ class TestConfig:
         from dvlae.errors import ConfigError
         with pytest.raises(ConfigError, match="format"):
             load_config(cfg_path)
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("screen", ["--mode", "fuzzy"],
+         "screening mode must be exact, hamming, or novelty, got 'fuzzy'"),
+        ("screen", ["--aggregate", "max"], "aggregate must be min or mean, got 'max'"),
+        ("screen", ["--radius", "two"], "radius must be a int, got 'two'"),
+        ("screen", ["--threshold", "low"], "threshold must be a float, got 'low'"),
+        ("embed", ["--method", "umap"], "embedding method must be tsne or pca, got 'umap'"),
+        ("embed", ["--perplexity", "high"], "perplexity must be a float, got 'high'"),
+        ("fingerprint", ["--bins", "0"], "bins must be >= 1, got 0"),
+        ("fingerprint", ["--seed", "x"], "seed must be a int, got 'x'"),
+    ])
+    def test_flag_validated_as_its_config_key(self, rng, tmp_path, capsys,
+                                              command, flags, message):
+        cfg_path = make_corpus(rng, tmp_path, n=4)
+        assert main([command, "--config", str(cfg_path), *flags]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_overrides_set_config_keys(self, rng, tmp_path):
+        from dvlae.config import load_config
+        cfg_path = make_corpus(rng, tmp_path, n=4)
+        cfg = load_config(cfg_path, [("run.seed", "11"), ("fingerprint.bins", 9),
+                                     ("embedding.perplexity", "2.5"), ("screening.radius", "3")])
+        assert (cfg.seed, cfg.tsne.seed, cfg.bins, cfg.tsne.perplexity, cfg.radius) == \
+            (11, 11, 9, 2.5, 3)
+        assert load_config(cfg_path).seed == 7
+
+    def test_path_flags_relative_to_working_directory(self, rng, tmp_path, monkeypatch):
+        project, work = tmp_path / "project", tmp_path / "work"
+        project.mkdir()
+        work.mkdir()
+        cfg = make_corpus(rng, project, n=6)
+        (work / "train.txt").write_text(f"{project / 'data.xyz'}\n")
+        monkeypatch.chdir(work)
+        assert main(["screen", "--config", str(cfg), "--mode", "novelty",
+                     "--training-manifest", "train.txt", "--out", "res"]) == 0
+        assert (work / "res" / "screening_report.json").exists()
+        assert not (project / "res").exists()
+
+    def test_path_key_checked_only_when_read(self, rng, tmp_path, capsys):
+        cfg = make_corpus(rng, tmp_path, n=6)
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        cfg.write_text(cfg.read_text().replace(
+            "mode = exact", "mode = exact\ntraining_manifest = gone.txt"))
+        assert main(["embed", "--config", str(cfg), "--method", "pca",
+                     "--input", str(tmp_path / "out" / "fingerprints.txt")]) == 0
+        assert main(["screen", "--config", str(cfg), "--mode", "novelty"]) == 1
+        assert f"training manifest not found: {tmp_path / 'gone.txt'}" in capsys.readouterr().err
+
+    def test_bins_cap_exits_one(self, rng, tmp_path, capsys):
+        import json
+        cfg = make_corpus(rng, tmp_path, n=4)
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        spec = json.loads((tmp_path / "out" / "histogram_spec.json").read_text())
+        spec["bins"] = 10**11
+        (tmp_path / "huge_spec.json").write_text(json.dumps(spec))
+        assert main(["fingerprint", "--config", str(cfg), "--out", str(tmp_path / "o1"),
+                     "--spec", str(tmp_path / "huge_spec.json")]) == 1
+        assert "exceeds the cap" in capsys.readouterr().err
+        cfg.write_text(cfg.read_text().replace("bins = 16", f"bins = {10**11}"))
+        assert main(["fingerprint", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 1
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()

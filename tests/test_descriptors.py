@@ -69,6 +69,9 @@ class TestCutoff:
             CutoffParams(inner=3.0, outer=3.0)
         with pytest.raises(UserInputError):
             CutoffParams(inner=-0.1, outer=3.0)
+        for inner, outer in [(float("nan"), 3.0), (0.0, float("nan")), (1.0, float("inf"))]:
+            with pytest.raises(UserInputError, match="need 0 <= inner < outer < inf"):
+                CutoffParams(inner=inner, outer=outer)
 
 
 class TestRadial:
@@ -93,8 +96,18 @@ class TestRadial:
         p = RadialParams(eta=1.0, r_s=0.0, neighbor_element="A")
         assert radial_g2(np.array([]), p, WIDE) == 0.0
 
+    @pytest.mark.parametrize("r_s", [float("nan"), float("inf"), -1.0])
+    def test_bad_center_rejected(self, r_s):
+        with pytest.raises(UserInputError, match="r_s must be finite and >= 0"):
+            RadialParams(eta=1.0, r_s=r_s, neighbor_element="A")
+
 
 class TestAngular:
+    @pytest.mark.parametrize("zeta", [float("nan"), float("inf"), -1.0])
+    def test_bad_zeta_rejected(self, zeta):
+        with pytest.raises(UserInputError, match="zeta must be finite and >= 0"):
+            AngularParams(0.0, zeta, 1, "G4", ("A", "A"))
+
     def test_dimer_has_no_pairs(self):
         s = isolated(("A", "A"), [[0, 0, 0], [1, 0, 0]])
         sf = SymmetryFunctionSet(elements=("A",), descriptors={"A": (

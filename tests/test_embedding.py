@@ -15,6 +15,7 @@ from dvlae import (
     tsne_embed,
     write_embedding,
 )
+import dvlae.embedding as emb_mod
 from dvlae.embedding import embedding_to_csv, joint_probabilities
 
 
@@ -194,12 +195,50 @@ class TestTsne:
         with pytest.raises(UserInputError, match="perplexity"):
             tsne_embed(d, TsneConfig(perplexity=3.0, iterations=10))
 
+    @pytest.mark.parametrize("field", ["perplexity", "learning_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(UserInputError, match="finite"):
+            TsneConfig(**{field: value})
+
     def test_coordinates_finite(self, rng):
         points, _ = three_clusters(rng, per_cluster=8)
         d = pairwise_distances(points)
         y, kl = tsne_embed(d, TsneConfig(perplexity=4, iterations=500, seed=0))
         assert np.isfinite(y).all()
         assert np.isfinite(kl).all()
+
+
+class TestTsneGuard:
+    """``embed_vectors`` checks a t-SNE run before any n x n array exists."""
+
+    @pytest.fixture(autouse=True)
+    def no_distances(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("pairwise_distances called before the t-SNE checks")
+        monkeypatch.setattr(emb_mod, "pairwise_distances", fail)
+
+    @pytest.mark.parametrize("n, cfg", [
+        (20_000, TsneConfig()),                             # ~39 GiB of n x n arrays
+        (50, TsneConfig(perplexity=5, iterations=10**12)),  # 8 TB of KL trace
+    ])
+    def test_over_memory_budget_rejected(self, n, cfg):
+        vectors = np.zeros((n, 2))
+        with pytest.raises(UserInputError, match="--method pca"):
+            embed_vectors([str(i) for i in range(n)], [None] * n, vectors, cfg=cfg)
+
+    def test_perplexity_checked_first(self, rng):
+        with pytest.raises(UserInputError, match="perplexity"):
+            embed_vectors(list("abcdefghij"), [None] * 10, rng.normal(0, 1, (10, 3)),
+                          cfg=TsneConfig(perplexity=3.0, iterations=10))
+
+    def test_map_size_within_budget(self):
+        TsneConfig().validate_for(1000)
+        TsneConfig(iterations=300).validate_for(1000)
+
+    def test_pca_needs_no_distances(self, rng):
+        emb = embed_vectors(list("abcd"), [None] * 4, rng.normal(0, 1, (4, 3)), method="pca")
+        assert emb.coords.shape == (4, 2)
 
 
 class TestEmbeddingCsv:

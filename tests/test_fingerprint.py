@@ -125,6 +125,15 @@ class TestHistograms:
             assert (h.counts[:n_fe].sum(axis=1) == fe_atoms).all()
             assert (h.counts[n_fe:].sum(axis=1) == h_atoms).all()
 
+    def test_bit_count_capped(self):
+        cap = fp_mod._MAX_BITS
+        HistogramSpec(bins=cap, columns=(("X", "c0"),), edges=[[0.0, 1.0]])
+        HistogramSpec(bins=cap // 2, columns=(("X", "c0"), ("X", "c1")), edges=[[0.0, 1.0]] * 2)
+        with pytest.raises(UserInputError, match="exceeds the cap"):
+            HistogramSpec(bins=cap + 1, columns=(("X", "c0"),), edges=[[0.0, 1.0]])
+        with pytest.raises(UserInputError, match="exceeds the cap"):
+            HistogramSpec(bins=10**11, columns=(("X", "c0"), ("X", "c1")), edges=[[0.0, 1.0]] * 2)
+
     def test_layout_mismatch_rejected(self):
         m = matrix_of([[0.5]])
         spec = HistogramSpec(bins=2, columns=(("Y", "col0"),), edges=np.array([[0.0, 1.0]]))

@@ -196,6 +196,11 @@ class TestNoveltyScreen:
         assert report.removed == {"x": "t0", "y": "t1"}
         assert report.mode == "novelty"
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1])
+    def test_bad_threshold_rejected(self, threshold):
+        with pytest.raises(UserInputError, match="threshold must be finite and >= 0"):
+            NoveltyConfig(threshold=threshold)
+
 
 class TestOod:
     def test_in_store_scores_zero(self, rng):
