@@ -22,7 +22,7 @@ from .config import RunConfig, build_symmetry_functions, load_config
 from .descriptors import compute_dataset_descriptors
 from .embedding import read_embedding, write_embedding
 from .errors import ConfigError, FormatError, UserInputError
-from .ioutil import atomic_write_text, read_id_list, read_input_text
+from .ioutil import atomic_write_text, check_output_dir, read_id_list, read_input_text
 from .structures import Dataset, Structure, load_dataset, parse_extxyz, read_manifest
 from .svgplot import PlotSpec, write_scatter_svg
 
@@ -103,6 +103,7 @@ def cmd_screen(args) -> int:
         if cfg.training_manifest is None:
             raise ConfigError("novelty screening needs a training manifest "
                               "(config [screening] training_manifest or --training-manifest)")
+        novelty_cfg = scr_mod.NoveltyConfig(threshold=cfg.threshold, aggregate=cfg.aggregate)
         candidates = _load_run_dataset(cfg)
         training = load_dataset(read_manifest(cfg.training_manifest, "training manifest"))
         elements = cfg.elements if cfg.elements is not None else tuple(
@@ -117,7 +118,7 @@ def cmd_screen(args) -> int:
         )
         result = scr_mod.novelty_screen(
             candidates.ids(), cand_vecs, train_vecs,
-            scr_mod.NoveltyConfig(threshold=cfg.threshold, aggregate=cfg.aggregate),
+            novelty_cfg,
             training_ids=training.ids(),
         )
         report = scr_mod.novelty_report(result)
@@ -140,8 +141,10 @@ def cmd_screen(args) -> int:
     return 0
 
 
-def _read_vector_csv(path: str | Path):
-    rows = list(csv.reader(io.StringIO(read_input_text(path, "embedding input"))))
+def _read_vector_csv(path: str | Path, text: str | None = None):
+    if text is None:
+        text = read_input_text(path, "embedding input")
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows or len(rows[0]) < 3 or rows[0][:2] != ["id", "tag"]:
         raise FormatError(f"{path}: expected header id,tag,v0,...")
     width = len(rows[0]) - 2
@@ -171,6 +174,22 @@ def write_vector_csv(ids, tags, vectors: np.ndarray, path: str | Path) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
+def _read_embedding_input(path: str | Path, method: str):
+    """(ids, tags, vectors, metric) of an ``embed --input`` file, read once.
+    A fingerprint file gives its packed rows, since t-SNE needs only their
+    Hamming distances, and unpacks them for PCA; a vector CSV gives its rows."""
+    text = read_input_text(path, "embedding input")
+    if not fp_mod.is_fingerprint_text(text):
+        return (*_read_vector_csv(path, text), "euclidean")
+    fpset = fp_mod.read_fingerprints(path, text)
+    ids = fpset.ids()
+    tags = tuple(fp.tag for fp in fpset.fingerprints)
+    rows = fp_mod.packed_rows(fpset.fingerprints)
+    if method == "pca":
+        return ids, tags, np.unpackbits(rows, axis=1, count=fpset.spec.n_bits), "hamming"
+    return ids, tags, rows, "packed-hamming"
+
+
 def _dataset_descriptors(cfg: RunConfig, restrict_ids=None):
     """The configured dataset, restricted to ``restrict_ids`` if given, and
     its descriptor matrices."""
@@ -189,17 +208,9 @@ def cmd_embed(args) -> int:
 
     ids = tags = matrices = None
     if args.input is not None:
-        if fp_mod.sniff_fingerprint_file(args.input, "embedding input"):
-            fpset = fp_mod.read_fingerprints(args.input)
-            ids = fpset.ids()
-            tags = tuple(fp.tag for fp in fpset.fingerprints)
-            bits = np.vstack([fp.bits() for fp in fpset.fingerprints])
-            embedding = emb_mod.embed_vectors(ids, tags, bits, method=method,
-                                              metric="hamming", cfg=tsne_cfg)
-        else:
-            ids, tags, vectors = _read_vector_csv(args.input)
-            embedding = emb_mod.embed_vectors(ids, tags, vectors, method=method,
-                                              metric="euclidean", cfg=tsne_cfg)
+        ids, tags, vectors, metric = _read_embedding_input(args.input, method)
+        embedding = emb_mod.embed_vectors(ids, tags, vectors, method=method,
+                                          metric=metric, cfg=tsne_cfg)
     elif source in ("baseline", "mean"):
         ds, matrices = _dataset_descriptors(cfg)
         vectors = (
@@ -263,6 +274,7 @@ def cmd_ood(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    check_output_dir(Path(args.out).parent)
     embedding = read_embedding(args.embedding)
     highlight: tuple[str, ...] = ()
     if args.highlight is not None:
@@ -278,9 +290,12 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_config(args) -> RunConfig:
-    """The --config file with every given "section.key" flag set into it."""
-    return load_config(args.config, [(dest, value) for dest, value in vars(args).items()
-                                     if "." in dest and value is not None])
+    """The --config file with every given "section.key" flag set into it,
+    once its output directory is known to be creatable."""
+    cfg = load_config(args.config, [(dest, value) for dest, value in vars(args).items()
+                                    if "." in dest and value is not None])
+    check_output_dir(cfg.out_dir)
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,11 +27,11 @@ EMBEDDING_METHODS = ("tsne", "pca")
 _PERPLEXITY_TOL = 1e-5
 _MAX_BISECTIONS = 100
 _PROB_FLOOR = 1e-12
-# Exact t-SNE keeps about 12 n x n float64 arrays live at once (peak RSS grew
-# by 12.3-12.6 x 8n^2 bytes at n = 500-1500 on x86-64 with numpy 2.4), plus an
-# 8-byte KL entry per iteration.  With 13 arrays counted, a 4 GiB budget allows
-# about 6,400 points at 1000 iterations.
-_TSNE_BYTES_PER_PAIR = 13 * 8
+# Exact t-SNE keeps about 6 n x n float64 arrays live at once (peak RSS of
+# `embed` grew by 5.4-5.8 x 8n^2 bytes at n = 500-1500 on x86-64 with numpy
+# 2.4), plus an 8-byte KL entry per iteration.  With 7 arrays counted, a 4 GiB
+# budget allows about 8,700 points at 1000 iterations.
+_TSNE_BYTES_PER_PAIR = 7 * 8
 _TSNE_MEMORY_BUDGET = 4 << 30
 
 
@@ -93,18 +93,23 @@ def pairwise_distances(vectors: np.ndarray, metric: str = "euclidean") -> np.nda
     """Symmetric zero-diagonal distance matrix.
 
     ``euclidean`` expects real row vectors; ``hamming`` expects 0/1 rows and
-    counts differing positions.
+    counts differing positions; ``packed-hamming`` expects those rows already
+    bit-packed, uint8 with zero padding bits (``fingerprint.packed_rows``),
+    and gives the same distances from an eighth of the input.
     """
     x = np.asarray(vectors)
     if x.ndim != 2:
         raise UserInputError("vectors must form a 2-D array (one row per point)")
     if metric == "euclidean":
         out = euclidean_cdist(x, x)
-    elif metric == "hamming":
-        if not np.isin(x, (0, 1)).all():
-            raise UserInputError("hamming metric requires 0/1 bit vectors")
-        packed = np.packbits(x.astype(bool), axis=1)
-        out = hamming_cdist(packed, packed).astype(float)
+    elif metric in ("hamming", "packed-hamming"):
+        if metric == "hamming":
+            if not np.isin(x, (0, 1)).all():
+                raise UserInputError("hamming metric requires 0/1 bit vectors")
+            x = np.packbits(x.astype(bool), axis=1)
+        elif x.dtype != np.uint8:
+            raise UserInputError(f"packed-hamming metric requires uint8 rows, got {x.dtype}")
+        out = hamming_cdist(x, x).astype(float)
     else:
         raise UserInputError(f"unknown metric {metric!r}")
     out = (out + out.T) / 2.0
@@ -229,20 +234,49 @@ def tsne_embed(
     gains = np.ones_like(y)     # per-coordinate adaptive rates, reference-style
     kl_trace = np.empty(cfg.iterations)
 
+    # Three n x n buffers, reused every iteration and filled in place.  Each
+    # step is the textbook formula with the same operations in the same order,
+    # so every value is bit-identical to evaluating it with fresh arrays:
+    #   inv = 1 / (1 + |y_i - y_j|^2), zero diagonal
+    #   q   = max(inv / sum(inv), floor)
+    #   KL  = sum(p * log(p / q))                      (scratch: w)
+    #   w   = (exaggeration * p - q) * inv             (p alone once switched)
+    #   L   = 4 * (diag(rowsum(w)) - w),  grad = L @ y (L built in w)
+    inv = np.empty((n, n))
+    q = np.empty((n, n))
+    w = np.empty((n, n))
     for it in range(cfg.iterations):
-        diff = y[:, None, :] - y[None, :, :]
-        inv_dist = 1.0 / (1.0 + np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(inv_dist, 0.0)
-        q = np.maximum(inv_dist / inv_dist.sum(), _PROB_FLOOR)
+        cols = np.ascontiguousarray(y.T)
+        np.subtract(cols[0, :, None], cols[0], out=inv)
+        np.multiply(inv, inv, out=inv)
+        np.subtract(cols[1, :, None], cols[1], out=q)
+        np.multiply(q, q, out=q)
+        np.add(inv, q, out=inv)
+        np.add(inv, 1.0, out=inv)
+        np.divide(1.0, inv, out=inv)
+        np.fill_diagonal(inv, 0.0)
+        np.divide(inv, inv.sum(), out=q)
+        np.maximum(q, _PROB_FLOOR, out=q)
 
-        kl = float((p * np.log(p / q)).sum())
+        np.divide(p, q, out=w)
+        np.log(w, out=w)
+        np.multiply(p, w, out=w)
+        kl = float(w.sum())
         kl_trace[it] = kl
         if not np.isfinite(kl):
             raise UserInputError("KL divergence became non-finite during optimization")
 
-        p_eff = p * cfg.exaggeration if it < cfg.switch_iteration else p
-        weight = (p_eff - q) * inv_dist
-        grad = 4.0 * (np.diag(weight.sum(axis=1)) - weight) @ y
+        if it < cfg.switch_iteration:
+            np.multiply(p, cfg.exaggeration, out=w)
+            np.subtract(w, q, out=w)
+        else:
+            np.subtract(p, q, out=w)
+        np.multiply(w, inv, out=w)
+        laplacian_diag = w.sum(axis=1) - w.diagonal()
+        np.subtract(0.0, w, out=w)
+        np.fill_diagonal(w, laplacian_diag)
+        np.multiply(w, 4.0, out=w)
+        grad = w @ y
 
         same_sign = (grad > 0) == (velocity > 0)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)

@@ -38,6 +38,19 @@ _DEGENERATE_HALF_WIDTH = 1e-6
 _MAX_BITS = (64 << 20) // 8
 
 
+def check_bin_count(bins, n_columns: int) -> None:
+    """The one rule for a histogram size: an integer ``bins`` >= 1 whose
+    ``bins`` x ``n_columns`` fingerprint bits stay within ``_MAX_BITS``."""
+    if not isinstance(bins, (int, np.integer)) or isinstance(bins, bool):
+        raise UserInputError(f"bin count must be an integer, got {bins!r}")
+    if bins < 1:
+        raise UserInputError(f"bin count must be >= 1, got {bins}")
+    if bins * n_columns > _MAX_BITS:
+        raise UserInputError(
+            f"{bins} bins x {n_columns} columns exceeds the cap of {_MAX_BITS} fingerprint bits"
+        )
+
+
 @dataclass(frozen=True)
 class HistogramSpec:
     """Shared binning: k uniform bins per (element, descriptor) column.
@@ -56,15 +69,7 @@ class HistogramSpec:
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "columns", tuple((e, l) for e, l in self.columns))
-        if not isinstance(self.bins, (int, np.integer)) or isinstance(self.bins, bool):
-            raise UserInputError(f"bin count must be an integer, got {self.bins!r}")
-        if self.bins < 1:
-            raise UserInputError(f"bin count must be >= 1, got {self.bins}")
-        if self.bins * len(self.columns) > _MAX_BITS:
-            raise UserInputError(
-                f"{self.bins} bins x {len(self.columns)} columns exceeds the cap of "
-                f"{_MAX_BITS} fingerprint bits"
-            )
+        check_bin_count(self.bins, len(self.columns))
         if len(self.columns) != len(edges):
             raise UserInputError("one (lo, hi) pair per column required")
         if not np.all(np.isfinite(edges)) or np.any(edges[:, 0] >= edges[:, 1]):
@@ -100,8 +105,6 @@ def determine_bin_edges(matrices: Sequence[DescriptorMatrix], k: int) -> Histogr
     """Global per-column ranges over all given matrices, padded so extremes
     fall strictly inside; columns with a single value get a tiny symmetric
     window around it."""
-    if k < 1:
-        raise UserInputError(f"bin count must be >= 1, got {k}")
     matrices = list(matrices)
     if not matrices:
         raise UserInputError("no descriptor matrices given")
@@ -297,6 +300,8 @@ def batch_fingerprints(
     missing = sorted(set(ds.elements) - set(ref.species))
     if missing:
         raise UserInputError(f"reference {ref.id!r} lacks element {missing[0]} present in the dataset")
+    if spec is None:
+        check_bin_count(k, len(sfset.column_layout()))
     matrices = compute_dataset_descriptors(ds.structures, sfset)
     ref_matrix = next(
         (m for m, s in zip(matrices, ds.structures) if s is ref or s.id == ref.id), None
@@ -418,13 +423,17 @@ def write_fingerprints(fpset: FingerprintSet, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def sniff_fingerprint_file(path: str | Path, what: str) -> bool:
-    return read_input_text(path, what).partition("\n")[0] == _MAGIC
+def is_fingerprint_text(text: str) -> bool:
+    """Whether ``text`` opens with the fingerprint-file magic line."""
+    return text.partition("\n")[0] == _MAGIC
 
 
-def read_fingerprints(path: str | Path) -> FingerprintSet:
-    """Read a fingerprint file back, bit-exactly."""
-    lines = read_input_text(path, "fingerprint file").splitlines()
+def read_fingerprints(path: str | Path, text: str | None = None) -> FingerprintSet:
+    """Read a fingerprint file back, bit-exactly; ``text`` is its contents
+    when the caller has already read them."""
+    if text is None:
+        text = read_input_text(path, "fingerprint file")
+    lines = text.splitlines()
     if not lines or lines[0] != _MAGIC:
         raise FormatError(f"{path}: not a fingerprint file (missing magic line)")
     if len(lines) < 2:

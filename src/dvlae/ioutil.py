@@ -1,11 +1,13 @@
-"""The one boundary to user-named files: ``read_input_text`` reads them and
-``atomic_write_text`` writes them (atomically, so no partial artifacts), and
-any failure is a ``UserInputError`` (exit 1) naming the path."""
+"""The one boundary to user-named files: ``read_input_text`` reads them,
+``check_output_dir`` vets an output directory before the work starts, and
+``atomic_write_text`` writes them (atomically, so no partial artifacts); any
+failure is a ``UserInputError`` (exit 1) naming the path."""
 
 from __future__ import annotations
 
 import contextlib
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -33,6 +35,27 @@ def read_id_list(path: str | Path, what: str) -> list[str]:
     """Structure ids, one per line; blank lines and '#' comment lines skipped."""
     return [line.strip() for line in read_input_text(path, what).splitlines()
             if line.strip() and not line.lstrip().startswith("#")]
+
+
+def check_output_dir(path: str | Path) -> None:
+    """Fail now, before any work, if ``atomic_write_text`` could not later
+    create or write into the directory ``path``: its nearest existing
+    ancestor (or itself) must be a writable directory.  Creates nothing."""
+    path = Path(path)
+    for existing in (path, *path.parents):
+        try:
+            mode = existing.stat().st_mode
+        except FileNotFoundError:
+            continue
+        except (OSError, ValueError) as exc:    # e.g. a regular file on the way
+            raise UserInputError(f"cannot create directory {path}: {_reason(exc)}") from None
+        if not stat.S_ISDIR(mode):
+            reason = f"{existing} is not a directory"
+        elif not os.access(existing, os.W_OK | os.X_OK):
+            reason = f"{existing} is not writable"
+        else:
+            return
+        raise UserInputError(f"cannot create directory {path}: {reason}")
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

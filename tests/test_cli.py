@@ -347,6 +347,115 @@ class TestEmbedCommand:
         assert len(emb.ids) == 9
 
 
+    @pytest.mark.parametrize("method", ["tsne", "pca"])
+    def test_fingerprint_input_read_once_and_kept_packed(self, rng, tmp_path, monkeypatch,
+                                                         method):
+        import dvlae.cli as cli_mod
+        import dvlae.embedding as emb_mod
+        import dvlae.fingerprint as fp_mod
+        from dvlae.config import load_config
+
+        cfg = make_corpus(rng, tmp_path, n=14)
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        fps = tmp_path / "out" / "fingerprints.txt"
+        fpset = read_fingerprints(fps)
+        bits = np.vstack([fp.bits() for fp in fpset.fingerprints])
+
+        reads, distance_inputs = [], []
+        real_read, real_distances = cli_mod.read_input_text, emb_mod.pairwise_distances
+
+        def counting_read(path, what):
+            reads.append(str(path))
+            return real_read(path, what)
+
+        def recording_distances(vectors, metric="euclidean"):
+            distance_inputs.append((vectors.dtype, vectors.shape, metric))
+            return real_distances(vectors, metric)
+
+        monkeypatch.setattr(cli_mod, "read_input_text", counting_read)
+        monkeypatch.setattr(fp_mod, "read_input_text", counting_read)
+        monkeypatch.setattr(emb_mod, "pairwise_distances", recording_distances)
+        assert main(["embed", "--config", str(cfg), "--input", str(fps),
+                     "--method", method]) == 0
+        assert reads == [str(fps)]
+        got = read_embedding(tmp_path / "out" / "embedding.csv").coords
+        if method == "tsne":
+            assert distance_inputs == [(np.uint8, (14, (fpset.spec.n_bits + 7) // 8),
+                                        "packed-hamming")]
+            want, _ = emb_mod.tsne_embed(real_distances(bits, metric="hamming"),
+                                         load_config(cfg).tsne)
+        else:
+            assert distance_inputs == []
+            want = emb_mod.pca_project(bits)
+        assert np.array_equal(got, want)
+
+    def test_empty_fingerprint_file_exits_one(self, rng, tmp_path, capsys):
+        cfg = make_corpus(rng, tmp_path, n=4)
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        fps = tmp_path / "out" / "fingerprints.txt"
+        fps.write_text("".join(fps.read_text().splitlines(keepends=True)[:2]))
+        for method in ("tsne", "pca"):
+            assert main(["embed", "--config", str(cfg), "--input", str(fps),
+                         "--method", method]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+
+
+def _forbid_work(monkeypatch):
+    """Make every descriptor, distance and t-SNE computation an error."""
+    import dvlae.descriptors as desc_mod
+    import dvlae.embedding as emb_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the settings and outputs were checked")
+    monkeypatch.setattr(desc_mod, "compute_structure_descriptors", fail)
+    monkeypatch.setattr(emb_mod, "pairwise_distances", fail)
+    monkeypatch.setattr(emb_mod, "tsne_embed", fail)
+
+
+class TestFailFast:
+    """Unwritable outputs and over-cap settings exit 1 before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fingerprint"],
+        ["embed", "--input", "out/fingerprints.txt"],
+        ["embed", "--source", "mean"],
+        ["screen", "--mode", "novelty", "--training-manifest", "manifest.txt"],
+    ])
+    def test_output_below_a_file(self, rng, tmp_path, capsys, monkeypatch, argv):
+        cfg = make_corpus(rng, tmp_path, n=6)
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        monkeypatch.chdir(tmp_path)
+        _forbid_work(monkeypatch)
+        cfg.write_text(cfg.read_text().replace("output = out", "output = run.ini/sub"))
+        assert main([argv[0], "--config", str(cfg)] + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create directory {tmp_path / 'run.ini' / 'sub'}")
+        assert main([argv[0], "--config", str(cfg), "--out", "out/fingerprints.txt/sub"]
+                    + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'out' / 'fingerprints.txt' / 'sub'}: Not a directory" in err
+
+    def test_output_is_a_file(self, rng, tmp_path, capsys, monkeypatch):
+        cfg = make_corpus(rng, tmp_path, n=6)
+        _forbid_work(monkeypatch)
+        assert main(["fingerprint", "--config", str(cfg), "--out", str(cfg)]) == 1
+        assert f"{cfg} is not a directory" in capsys.readouterr().err
+
+    def test_bins_cap_before_descriptors(self, rng, tmp_path, capsys, monkeypatch):
+        cfg = make_corpus(rng, tmp_path, n=6)
+        _forbid_work(monkeypatch)
+        cfg.write_text(cfg.read_text().replace("bins = 16", f"bins = {10**11}"))
+        assert main(["fingerprint", "--config", str(cfg)]) == 1
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_novelty_threshold_before_descriptors(self, rng, tmp_path, capsys, monkeypatch):
+        cfg = make_corpus(rng, tmp_path, n=6)
+        _forbid_work(monkeypatch)
+        assert main(["screen", "--config", str(cfg), "--mode", "novelty", "--threshold", "nan",
+                     "--training-manifest", str(tmp_path / "manifest.txt")]) == 1
+        assert "threshold must be finite" in capsys.readouterr().err
+
+
 class TestOodCommand:
     def _two_fingerprint_files(self, rng, tmp_path):
         cfg = make_corpus(rng, tmp_path, n=8)

@@ -62,6 +62,16 @@ class TestPairwiseDistances:
         with pytest.raises(UserInputError):
             pairwise_distances(np.array([[0.5, 1.0]]), metric="hamming")
 
+    def test_packed_hamming_equals_bit_hamming(self, rng):
+        bits = rng.integers(0, 2, (20, 37))     # 37 bits: three padding bits per row
+        packed = np.packbits(bits.astype(bool), axis=1)
+        assert np.array_equal(pairwise_distances(packed, metric="packed-hamming"),
+                              pairwise_distances(bits, metric="hamming"))
+
+    def test_packed_hamming_rejects_unpacked_rows(self):
+        with pytest.raises(UserInputError, match="uint8"):
+            pairwise_distances(np.zeros((2, 8)), metric="packed-hamming")
+
     def test_unknown_metric_rejected(self):
         with pytest.raises(UserInputError):
             pairwise_distances(np.zeros((2, 2)), metric="cosine")
@@ -207,6 +217,88 @@ class TestTsne:
         y, kl = tsne_embed(d, TsneConfig(perplexity=4, iterations=500, seed=0))
         assert np.isfinite(y).all()
         assert np.isfinite(kl).all()
+
+
+def reference_tsne(distances, cfg):
+    """The exact t-SNE loop as first written, one fresh array per term; the
+    buffer-reusing ``tsne_embed`` must reproduce it bit for bit."""
+    d = np.asarray(distances, dtype=float)
+    n = len(d)
+    cfg.validate_for(n)
+    p = joint_probabilities(d, cfg.perplexity)
+
+    rng = np.random.default_rng(cfg.seed)
+    y = rng.normal(0.0, 1e-2, size=(n, 2))
+    velocity = np.zeros_like(y)
+    gains = np.ones_like(y)
+    kl_trace = np.empty(cfg.iterations)
+
+    for it in range(cfg.iterations):
+        diff = y[:, None, :] - y[None, :, :]
+        inv_dist = 1.0 / (1.0 + np.einsum("ijk,ijk->ij", diff, diff))
+        np.fill_diagonal(inv_dist, 0.0)
+        q = np.maximum(inv_dist / inv_dist.sum(), emb_mod._PROB_FLOOR)
+
+        kl = float((p * np.log(p / q)).sum())
+        kl_trace[it] = kl
+        if not np.isfinite(kl):
+            raise UserInputError("KL divergence became non-finite during optimization")
+
+        p_eff = p * cfg.exaggeration if it < cfg.switch_iteration else p
+        weight = (p_eff - q) * inv_dist
+        grad = 4.0 * (np.diag(weight.sum(axis=1)) - weight) @ y
+
+        same_sign = (grad > 0) == (velocity > 0)
+        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+        np.clip(gains, 0.01, None, out=gains)
+        momentum = cfg.momentum_early if it < cfg.switch_iteration else cfg.momentum_late
+        velocity = momentum * velocity - cfg.learning_rate * gains * grad
+        y = y + velocity
+        y = y - y.mean(axis=0)
+
+    return y, kl_trace
+
+
+class TestTsneMatchesReference:
+    """``tsne_embed`` is bit-identical to ``reference_tsne``: coordinates and
+    the whole KL trace, on either metric, before and after the switch."""
+
+    @staticmethod
+    def _distances(rng, n, metric):
+        if metric == "euclidean":
+            return pairwise_distances(rng.normal(0, rng.uniform(0.5, 20), (n, 5)))
+        centres = rng.integers(0, 2, (4, 120))
+        bits = centres[rng.integers(0, 4, n)]
+        bits[rng.random(bits.shape) < 0.05] ^= 1
+        return pairwise_distances(bits, metric="hamming")
+
+    @staticmethod
+    def _assert_same(d, cfg):
+        y, kl = tsne_embed(d, cfg)
+        y_ref, kl_ref = reference_tsne(d, cfg)
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(kl, kl_ref)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "hamming"])
+    @pytest.mark.parametrize("n, perplexity", [(12, 3.0), (37, 10.0), (257, 30.0)])
+    @pytest.mark.parametrize("iterations, switch", [(40, 250), (90, 30)])
+    def test_bit_identical(self, rng, metric, n, perplexity, iterations, switch):
+        cfg = TsneConfig(perplexity=perplexity, iterations=iterations,
+                         switch_iteration=switch, seed=n)
+        self._assert_same(self._distances(rng, n, metric), cfg)
+
+    def test_duplicate_rows(self, rng):
+        # exact copies: zero off-diagonal distances and coinciding points
+        points = np.repeat(rng.normal(0, 3, (8, 4)), 5, axis=0)
+        self._assert_same(pairwise_distances(points),
+                          TsneConfig(perplexity=4, iterations=60, switch_iteration=20))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "hamming"])
+    def test_all_rows_identical(self, metric):
+        # every distance zero: each row takes the uniform calibration branch
+        d = pairwise_distances(np.ones((12, 9), dtype=int), metric=metric)
+        with pytest.warns(UserWarning, match="uniform row"):
+            self._assert_same(d, TsneConfig(perplexity=3, iterations=40, switch_iteration=15))
 
 
 class TestTsneGuard:

@@ -7,7 +7,7 @@ import pytest
 
 import dvlae.ioutil as io_mod
 from dvlae import UserInputError
-from dvlae.ioutil import atomic_write_text, read_id_list, read_input_text
+from dvlae.ioutil import atomic_write_text, check_output_dir, read_id_list, read_input_text
 
 
 class TestRead:
@@ -75,3 +75,30 @@ class TestAtomicWrite:
         with pytest.raises(KeyboardInterrupt):
             atomic_write_text(tmp_path / "out.txt", "x")
         assert os.listdir(tmp_path) == []
+
+
+class TestCheckOutputDir:
+    def test_creatable_and_existing_pass_creating_nothing(self, tmp_path):
+        check_output_dir(tmp_path)
+        check_output_dir(tmp_path / "new" / "deeper")
+        assert os.listdir(tmp_path) == []
+
+    def test_below_regular_file(self, tmp_path):
+        (tmp_path / "run.ini").write_text("x")
+        with pytest.raises(UserInputError, match="cannot create directory .*run.ini/sub/deeper: "
+                                                 "Not a directory"):
+            check_output_dir(tmp_path / "run.ini" / "sub" / "deeper")
+
+    def test_regular_file_as_directory(self, tmp_path):
+        (tmp_path / "run.ini").write_text("x")
+        with pytest.raises(UserInputError, match="run.ini is not a directory"):
+            check_output_dir(tmp_path / "run.ini")
+
+    def test_unwritable_ancestor(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io_mod.os, "access", lambda path, mode: False)
+        with pytest.raises(UserInputError, match=f"{re.escape(str(tmp_path))} is not writable"):
+            check_output_dir(tmp_path / "new")
+
+    def test_nul_byte_names_path(self, tmp_path):
+        with pytest.raises(UserInputError, match="cannot create directory"):
+            check_output_dir(str(tmp_path / "a\0b"))
