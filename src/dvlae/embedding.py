@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,11 +29,16 @@ _PERPLEXITY_TOL = 1e-5
 _MAX_BISECTIONS = 100
 _PROB_FLOOR = 1e-12
 # Exact t-SNE keeps about 6 n x n float64 arrays live at once (peak RSS of
-# `embed` grew by 5.4-5.8 x 8n^2 bytes at n = 500-1500 on x86-64 with numpy
-# 2.4), plus an 8-byte KL entry per iteration.  With 7 arrays counted, a 4 GiB
-# budget allows about 8,700 points at 1000 iterations.
+# `embed` grew by 5.2-5.4 x 8n^2 bytes at n = 500-1500 on x86-64 with numpy
+# 2.4, thread pool included), plus an 8-byte KL entry per iteration.  With 7
+# arrays counted, a 4 GiB budget allows about 8,700 points at 1000 iterations.
 _TSNE_BYTES_PER_PAIR = 7 * 8
 _TSNE_MEMORY_BUDGET = 4 << 30
+# The t-SNE loop hands its elementwise passes to one thread per CPU, at most
+# _TSNE_MAX_WORKERS (only 2 CPUs were measured), in blocks of this many rows:
+# at n = 1000 on 2 cores, 32-128 rows ran equally fast and 16 slower.
+_TSNE_BLOCK_ROWS = 64
+_TSNE_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,6 @@ def pairwise_distances(vectors: np.ndarray, metric: str = "euclidean") -> np.nda
         out = hamming_cdist(x, x).astype(float)
     else:
         raise UserInputError(f"unknown metric {metric!r}")
-    out = (out + out.T) / 2.0
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -126,14 +131,15 @@ def pca_project(vectors: np.ndarray, dims: int = 2) -> np.ndarray:
 
     Axes are covariance eigenvectors in descending-eigenvalue order; each
     axis's sign is fixed by making its largest-magnitude loading positive.
+    ``vectors`` is not modified: one float copy is centered in place.
     """
-    x = np.asarray(vectors, dtype=float)
+    x = np.array(vectors, dtype=float)
     if x.ndim != 2:
         raise UserInputError("vectors must form a 2-D array")
     if len(x) < dims:
         raise UserInputError(f"need at least {dims} points for a {dims}-D projection, got {len(x)}")
-    centered = x - x.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    x -= x.mean(axis=0)
+    _, _, vt = np.linalg.svd(x, full_matrices=False)
     axes = vt[:dims]
     if axes.shape[0] < dims:   # fewer features than dims: pad with zero axes
         axes = np.vstack([axes, np.zeros((dims - axes.shape[0], x.shape[1]))])
@@ -141,7 +147,7 @@ def pca_project(vectors: np.ndarray, dims: int = 2) -> np.ndarray:
         lead = np.argmax(np.abs(axes[row]))
         if axes[row, lead] < 0:
             axes[row] = -axes[row]
-    return centered @ axes.T
+    return x @ axes.T
 
 
 # ---------------------------------------------------------------------------
@@ -241,52 +247,102 @@ def tsne_embed(
     #   q   = max(inv / sum(inv), floor)
     #   KL  = sum(p * log(p / q))                      (scratch: w)
     #   w   = (exaggeration * p - q) * inv             (p alone once switched)
-    #   L   = 4 * (diag(rowsum(w)) - w),  grad = L @ y (L built in w)
+    #   grad = 4 * (diag(rowsum(w)) - w) @ y = -4 * (w with diagonal
+    #          -(rowsum(w) - w_ii)) @ y                (negating and x4 are exact)
+    # The elementwise steps run on row blocks spread over a thread pool (numpy
+    # releases the GIL).  Each row is computed and summed whole by one thread,
+    # and the two whole-matrix sums and the product with y run on the full
+    # buffers, so the result does not depend on the worker count.
+    # Imported here: concurrent.futures adds about 7 ms and 0.4 MB to the
+    # start-up of every command, and only this loop uses it.
+    from concurrent.futures import ThreadPoolExecutor
+
     inv = np.empty((n, n))
     q = np.empty((n, n))
     w = np.empty((n, n))
-    for it in range(cfg.iterations):
-        cols = np.ascontiguousarray(y.T)
-        np.subtract(cols[0, :, None], cols[0], out=inv)
-        np.multiply(inv, inv, out=inv)
-        np.subtract(cols[1, :, None], cols[1], out=q)
-        np.multiply(q, q, out=q)
-        np.add(inv, q, out=inv)
-        np.add(inv, 1.0, out=inv)
-        np.divide(1.0, inv, out=inv)
-        np.fill_diagonal(inv, 0.0)
-        np.divide(inv, inv.sum(), out=q)
-        np.maximum(q, _PROB_FLOOR, out=q)
+    blocks = [slice(i, min(i + _TSNE_BLOCK_ROWS, n)) for i in range(0, n, _TSNE_BLOCK_ROWS)]
+    workers = max(1, min(_cpu_count(), _TSNE_MAX_WORKERS, len(blocks)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
 
-        np.divide(p, q, out=w)
-        np.log(w, out=w)
-        np.multiply(p, w, out=w)
-        kl = float(w.sum())
-        kl_trace[it] = kl
-        if not np.isfinite(kl):
-            raise UserInputError("KL divergence became non-finite during optimization")
+        def each_block(step, *args):
+            """Run ``step(rows, *args)`` on every row block, worker k taking
+            blocks k, k + workers, ...; returns once all are done."""
+            def work(k):
+                for rows in blocks[k::workers]:
+                    step(rows, *args)
+            for _ in pool.map(work, range(workers)):
+                pass
 
-        if it < cfg.switch_iteration:
-            np.multiply(p, cfg.exaggeration, out=w)
-            np.subtract(w, q, out=w)
-        else:
-            np.subtract(p, q, out=w)
-        np.multiply(w, inv, out=w)
-        laplacian_diag = w.sum(axis=1) - w.diagonal()
-        np.subtract(0.0, w, out=w)
-        np.fill_diagonal(w, laplacian_diag)
-        np.multiply(w, 4.0, out=w)
-        grad = w @ y
+        for it in range(cfg.iterations):
+            each_block(_inverse_rows, np.ascontiguousarray(y.T), inv, q)
+            each_block(_kl_rows, p, inv, q, w, inv.sum())
+            kl = float(w.sum())
+            kl_trace[it] = kl
+            if not np.isfinite(kl):
+                raise UserInputError("KL divergence became non-finite during optimization")
+            exaggeration = cfg.exaggeration if it < cfg.switch_iteration else 1.0
+            each_block(_weight_rows, p, q, inv, w, exaggeration)
+            grad = (w @ y) * -4.0
 
-        same_sign = (grad > 0) == (velocity > 0)
-        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
-        np.clip(gains, 0.01, None, out=gains)
-        momentum = cfg.momentum_early if it < cfg.switch_iteration else cfg.momentum_late
-        velocity = momentum * velocity - cfg.learning_rate * gains * grad
-        y = y + velocity
-        y = y - y.mean(axis=0)
+            same_sign = (grad > 0) == (velocity > 0)
+            gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+            np.clip(gains, 0.01, None, out=gains)
+            momentum = cfg.momentum_early if it < cfg.switch_iteration else cfg.momentum_late
+            velocity = momentum * velocity - cfg.learning_rate * gains * grad
+            y = y + velocity
+            y = y - y.mean(axis=0)
 
     return y, kl_trace
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _inverse_rows(rows: slice, cols: np.ndarray, inv: np.ndarray, scratch: np.ndarray) -> None:
+    """inv[rows] = 1 / (1 + |y_i - y_j|^2) with a zero diagonal; ``cols`` is y
+    transposed, ``scratch[rows]`` is overwritten."""
+    a, b = inv[rows], scratch[rows]
+    np.subtract(cols[0, rows, None], cols[0], out=a)
+    np.multiply(a, a, out=a)
+    np.subtract(cols[1, rows, None], cols[1], out=b)
+    np.multiply(b, b, out=b)
+    np.add(a, b, out=a)
+    np.add(a, 1.0, out=a)
+    np.divide(1.0, a, out=a)
+    np.fill_diagonal(a[:, rows], 0.0)
+
+
+def _kl_rows(
+    rows: slice, p: np.ndarray, inv: np.ndarray, q: np.ndarray, kl: np.ndarray, total: float
+) -> None:
+    """q[rows] = max(inv / total, floor) and kl[rows] = p * log(p / q)."""
+    qb, kb, pb = q[rows], kl[rows], p[rows]
+    np.divide(inv[rows], total, out=qb)
+    np.maximum(qb, _PROB_FLOOR, out=qb)
+    np.divide(pb, qb, out=kb)
+    np.log(kb, out=kb)
+    np.multiply(pb, kb, out=kb)
+
+
+def _weight_rows(
+    rows: slice, p: np.ndarray, q: np.ndarray, inv: np.ndarray, w: np.ndarray,
+    exaggeration: float,
+) -> None:
+    """w[rows] = (exaggeration * p - q) * inv off the diagonal, and
+    -(rowsum - w_ii) on it."""
+    wb = w[rows]
+    if exaggeration == 1.0:     # p * 1.0 == p: skip the pass
+        np.subtract(p[rows], q[rows], out=wb)
+    else:
+        np.multiply(p[rows], exaggeration, out=wb)
+        np.subtract(wb, q[rows], out=wb)
+    np.multiply(wb, inv[rows], out=wb)
+    square = wb[:, rows]
+    np.fill_diagonal(square, -(wb.sum(axis=1) - square.diagonal()))
 
 
 def embed_vectors(
@@ -299,7 +355,7 @@ def embed_vectors(
 ) -> Embedding:
     """End-to-end: distance matrix (if needed), reduction, Embedding."""
     if method == "pca":
-        coords = pca_project(np.asarray(vectors, dtype=float), dims=2)
+        coords = pca_project(vectors, dims=2)
     elif method == "tsne":
         cfg.validate_for(len(vectors))
         coords, _ = tsne_embed(pairwise_distances(vectors, metric=metric), cfg)

@@ -1,5 +1,9 @@
 """Distance matrices, PCA, perplexity calibration, and exact t-SNE."""
 
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -115,6 +119,18 @@ class TestPca:
     def test_too_few_points_rejected(self):
         with pytest.raises(UserInputError):
             pca_project(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("dtype", [float, np.uint8])
+    def test_input_not_modified(self, rng, dtype):
+        # the projection centers its own float copy in place, never the caller's array
+        x = rng.integers(0, 2, (30, 9)).astype(dtype)
+        before = x.copy()
+        y = pca_project(x)
+        assert np.array_equal(x, before) and x.dtype == dtype
+        assert np.array_equal(y, pca_project(before.astype(float)))
+        emb = embed_vectors([str(i) for i in range(30)], [None] * 30, x, method="pca")
+        assert np.array_equal(x, before)
+        assert np.array_equal(emb.coords, y)
 
 
 class TestPerplexityCalibration:
@@ -299,6 +315,81 @@ class TestTsneMatchesReference:
         d = pairwise_distances(np.ones((12, 9), dtype=int), metric=metric)
         with pytest.warns(UserWarning, match="uniform row"):
             self._assert_same(d, TsneConfig(perplexity=3, iterations=40, switch_iteration=15))
+
+    @staticmethod
+    def _pool_sizes(monkeypatch, cpus, block):
+        """Pretend the process may run on ``cpus`` CPUs, use ``block``-row
+        blocks, and record the size of every thread pool tsne_embed opens."""
+        monkeypatch.setattr(emb_mod, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(emb_mod, "_TSNE_BLOCK_ROWS", block)
+        sizes = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        return sizes
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("metric", ["euclidean", "hamming"])
+    @pytest.mark.parametrize("n, block", [
+        (12, 1),        # one row per block
+        (35, 7),        # 5 blocks of 7 rows
+        (37, 7),        # n not divisible by the block height: 5 blocks of 7, one of 2
+        (37, 37),       # one block of n rows: a single worker
+        (37, 64),       # block taller than n
+    ])
+    def test_any_block_height_and_worker_count(self, rng, monkeypatch, cpus, metric, n, block):
+        sizes = self._pool_sizes(monkeypatch, cpus, block)
+        cfg = TsneConfig(perplexity=3.0, iterations=50, switch_iteration=20, seed=n + cpus)
+        self._assert_same(self._distances(rng, n, metric), cfg)
+        assert sizes == [min(cpus, -(-n // block))]
+
+    @pytest.mark.parametrize("block, workers", [(1, 6), (4, 2)])
+    def test_fewer_blocks_than_cpus(self, rng, monkeypatch, block, workers):
+        # 6 rows on 64 CPUs: one worker per block, no idle threads
+        sizes = self._pool_sizes(monkeypatch, 64, block)
+        self._assert_same(self._distances(rng, 6, "euclidean"),
+                          TsneConfig(perplexity=1.5, iterations=40, switch_iteration=15))
+        assert sizes == [workers]
+
+    def test_more_workers_than_cores_with_fast_thread_switching(self, rng, monkeypatch):
+        # 64 CPUs capped at 8 threads, one row per block, the interpreter
+        # switching threads every microsecond: a block skipped or written
+        # twice would change bits
+        sizes = self._pool_sizes(monkeypatch, 64, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self._assert_same(self._distances(rng, 45, "hamming"),
+                              TsneConfig(perplexity=5, iterations=60, switch_iteration=25))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sizes == [emb_mod._TSNE_MAX_WORKERS]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_worker_thread_outlives_the_call(self, rng, monkeypatch):
+        self._pool_sizes(monkeypatch, 3, 4)
+        live = []
+        kl_rows = emb_mod._kl_rows
+
+        def counting_kl_rows(*args):
+            live.append(threading.active_count())
+            kl_rows(*args)
+
+        monkeypatch.setattr(emb_mod, "_kl_rows", counting_kl_rows)
+        d = self._distances(rng, 30, "euclidean")
+        before = threading.active_count()
+        tsne_embed(d, TsneConfig(perplexity=3, iterations=20))
+        assert max(live) > before                   # worker threads ran ...
+        assert threading.active_count() == before   # ... and are gone on return
+        live.clear()
+        with pytest.raises(UserInputError, match="non-finite"):
+            tsne_embed(d, TsneConfig(perplexity=3, iterations=20, learning_rate=1e308))
+        assert max(live) > before
+        assert threading.active_count() == before
 
 
 class TestTsneGuard:
