@@ -68,22 +68,21 @@ def main():
     pred_fps = batch_fingerprints(make_dataset(predictions), ref, sfset, k=50,
                                   spec=train_fps.spec)
 
-    scores = rank_ood(pred_fps.fingerprints, train_fps.fingerprints)
+    scores = rank_ood(pred_fps, train_fps)
     print(f"{'structure':12s} {'min_hamming':>11s} {'normalized':>10s}")
     for s in scores[: args.top_n]:
         print(f"{s.structure_id:12s} {s.min_hamming:11d} {s.normalized:10.4f}")
     top_ids = [s.structure_id for s in scores[: args.top_n]]
 
-    everything = list(train_fps.fingerprints) + list(pred_fps.fingerprints)
-    bits = np.vstack([fp.bits() for fp in everything])
+    bits = np.vstack([train_fps.bits(), pred_fps.bits()])
     # t-SNE needs perplexity < (n - 1) / 3; small runs get a smaller one.
-    perplexity = min(15.0, 0.9 * (len(everything) - 1) / 3)
+    perplexity = min(15.0, 0.9 * (len(bits) - 1) / 3)
     coords, _ = tsne_embed(pairwise_distances(bits, metric="hamming"),
                            TsneConfig(perplexity=perplexity, iterations=800,
                                       learning_rate=50.0, seed=args.seed))
     emb = Embedding(
-        ids=tuple(fp.structure_id for fp in everything),
-        tags=tuple(fp.tag for fp in everything),
+        ids=train_fps.ids + pred_fps.ids,
+        tags=train_fps.tags + pred_fps.tags,
         coords=coords,
     )
     out = args.outdir / "ood_map.svg"

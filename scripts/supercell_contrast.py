@@ -61,8 +61,8 @@ def main():
 
     fpset = batch_fingerprints(ds, prim, sfset, k=args.bins)
     print("pairwise Hamming distances to the primitive fingerprint:")
-    for fp in fpset.fingerprints:
-        print(f"  {fp.structure_id:12s} {hamming_distance(fpset.fingerprints[0], fp)}")
+    for ident, row in zip(fpset.ids, fpset.fingerprints):
+        print(f"  {ident:12s} {hamming_distance(fpset.fingerprints[0], row)}")
 
     matrices = compute_dataset_descriptors(ds.structures, sfset)
     padded = baseline_padded_descriptor(matrices)
@@ -70,7 +70,7 @@ def main():
     for s, vec in zip(ds, padded):
         print(f"  {s.id:12s} {np.linalg.norm(padded[0] - vec):.3f}")
 
-    bits = np.vstack([fp.bits() for fp in fpset.fingerprints])
+    bits = fpset.bits()
     ids, tags = ds.ids(), tuple(s.tag for s in ds)
     cfg = TsneConfig(perplexity=2.5, iterations=600, learning_rate=20.0, seed=args.seed)
     for name, vectors, metric in (

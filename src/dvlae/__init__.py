@@ -36,10 +36,8 @@ from .embedding import (
 )
 from .errors import ConfigError, DvlaeError, FormatError, ParseError, UserInputError
 from .fingerprint import (
-    DifferenceVector,
     FingerprintSet,
     HistogramSpec,
-    StructureHistogram,
     baseline_padded_descriptor,
     batch_fingerprints,
     build_histograms,
@@ -59,7 +57,6 @@ from .screening import (
     dedup_exact,
     dedup_hamming,
     novelty_screen,
-    ood_score,
     rank_ood,
 )
 from .structures import (

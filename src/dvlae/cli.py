@@ -128,9 +128,9 @@ def cmd_screen(args) -> int:
         fpset = fp_mod.read_fingerprints(args.fingerprints)
         _validate_against_config(fpset, cfg)
         if cfg.screening_mode == "exact":
-            report = scr_mod.dedup_exact(fpset.fingerprints)
+            report = scr_mod.dedup_exact(fpset)
         else:
-            report = scr_mod.dedup_hamming(fpset.fingerprints, cfg.radius)
+            report = scr_mod.dedup_hamming(fpset, cfg.radius)
 
     scr_mod.write_report(report, out / "screening_report.json")
     scr_mod.write_kept_manifest(report, out / "kept_ids.txt")
@@ -182,12 +182,9 @@ def _read_embedding_input(path: str | Path, method: str):
     if not fp_mod.is_fingerprint_text(text):
         return (*_read_vector_csv(path, text), "euclidean")
     fpset = fp_mod.read_fingerprints(path, text)
-    ids = fpset.ids()
-    tags = tuple(fp.tag for fp in fpset.fingerprints)
-    rows = fp_mod.packed_rows(fpset.fingerprints)
     if method == "pca":
-        return ids, tags, np.unpackbits(rows, axis=1, count=fpset.spec.n_bits), "hamming"
-    return ids, tags, rows, "packed-hamming"
+        return fpset.ids, fpset.tags, fpset.bits(), "hamming"
+    return fpset.ids, fpset.tags, fpset.fingerprints, "packed-hamming"
 
 
 def _dataset_descriptors(cfg: RunConfig, restrict_ids=None):
@@ -247,14 +244,7 @@ def cmd_ood(args) -> int:
         raise ConfigError(f"--top-n must be >= 0, got {args.top_n}")
     training = fp_mod.read_fingerprints(args.training)
     predictions = fp_mod.read_fingerprints(args.predictions)
-    if training.spec.checksum != predictions.spec.checksum:
-        raise ConfigError(
-            "training and prediction fingerprints use different histogram specs "
-            f"({training.spec.checksum} vs {predictions.spec.checksum})"
-        )
-    if not training.fingerprints:
-        raise ConfigError("training fingerprint file holds no records")
-    scores = scr_mod.rank_ood(predictions.fingerprints, training.fingerprints)
+    scores = scr_mod.rank_ood(predictions, training)
     out = cfg.out_dir
 
     buf = io.StringIO()

@@ -18,7 +18,7 @@ from .descriptors import (
 )
 from .embedding import EMBEDDING_METHODS, TsneConfig
 from .errors import ConfigError
-from .fingerprint import XOR_MODES
+from .fingerprint import XOR_MODES, check_bin_count
 from .ioutil import read_input_text
 from .screening import NOVELTY_AGGREGATES, SCREENING_MODES
 
@@ -218,8 +218,7 @@ def load_config(path: str | Path, overrides: Iterable[tuple[str, object]] = ()) 
 
     fp = parser["fingerprint"] if parser.has_section("fingerprint") else {}
     bins = _number(int, fp, "bins", 50)
-    if bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {bins}")
+    check_bin_count(bins, 0)    # the column count, and so the bit cap, waits for the data
     reference = fp.get("reference", "auto").strip()
     if reference != "auto" and not (reference.startswith("id:") or reference.startswith("path:")):
         raise ConfigError(f"reference must be auto, id:<id>, or path:<file>, got {reference!r}")

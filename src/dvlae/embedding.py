@@ -100,7 +100,7 @@ def pairwise_distances(vectors: np.ndarray, metric: str = "euclidean") -> np.nda
 
     ``euclidean`` expects real row vectors; ``hamming`` expects 0/1 rows and
     counts differing positions; ``packed-hamming`` expects those rows already
-    bit-packed, uint8 with zero padding bits (``fingerprint.packed_rows``),
+    bit-packed, uint8 with zero padding bits (``FingerprintSet.fingerprints``),
     and gives the same distances from an eighth of the input.
     """
     x = np.asarray(vectors)

@@ -42,9 +42,9 @@ def check_bin_count(bins, n_columns: int) -> None:
     """The one rule for a histogram size: an integer ``bins`` >= 1 whose
     ``bins`` x ``n_columns`` fingerprint bits stay within ``_MAX_BITS``."""
     if not isinstance(bins, (int, np.integer)) or isinstance(bins, bool):
-        raise UserInputError(f"bin count must be an integer, got {bins!r}")
+        raise UserInputError(f"bins must be an integer, got {bins!r}")
     if bins < 1:
-        raise UserInputError(f"bin count must be >= 1, got {bins}")
+        raise UserInputError(f"bins must be >= 1, got {bins}")
     if bins * n_columns > _MAX_BITS:
         raise UserInputError(
             f"{bins} bins x {n_columns} columns exceeds the cap of {_MAX_BITS} fingerprint bits"
@@ -128,19 +128,9 @@ def determine_bin_edges(matrices: Sequence[DescriptorMatrix], k: int) -> Histogr
     return HistogramSpec(bins=k, columns=layout, edges=np.stack([lo - pad, hi + pad], axis=1))
 
 
-@dataclass(frozen=True)
-class StructureHistogram:
-    """Per-column bin counts and occupancy bits for one structure."""
-
-    structure_id: str
-    tag: str | None
-    spec_checksum: str
-    counts: np.ndarray      # (n_columns, bins) int64
-    occupancy: np.ndarray   # (n_columns, bins) bool
-
-
-def build_histograms(d: DescriptorMatrix, spec: HistogramSpec) -> StructureHistogram:
-    """Histogram every descriptor column of one structure under ``spec``."""
+def build_histograms(d: DescriptorMatrix, spec: HistogramSpec) -> np.ndarray:
+    """Bin counts of every descriptor column of one structure under
+    ``spec``: an (n_columns, bins) int64 array."""
     if d.column_layout() != spec.columns:
         raise UserInputError(f"descriptor layout of {d.structure_id!r} does not match the histogram spec")
     # Each value's flat (column, bin) index, counted in one pass.
@@ -150,104 +140,28 @@ def build_histograms(d: DescriptorMatrix, spec: HistogramSpec) -> StructureHisto
         flat.append((spec.bin_of(block, cols) + spec.bins * cols).ravel())
         start += len(cols)
     counts = np.bincount(np.concatenate(flat), minlength=spec.n_bits)
-    counts = counts.reshape(spec.n_columns, spec.bins)
-    return StructureHistogram(
-        structure_id=d.structure_id,
-        tag=d.tag,
-        spec_checksum=spec.checksum,
-        counts=counts,
-        occupancy=counts > 0,
-    )
+    return counts.reshape(spec.n_columns, spec.bins)
 
 
-@dataclass(frozen=True)
-class DifferenceVector:
-    """Bit-packed fingerprint: one bit per (column, bin), 1 where the
-    structure's histogram differs from the reference's."""
-
-    structure_id: str
-    tag: str | None
-    reference_id: str
-    spec_checksum: str
-    n_bits: int
-    packed: np.ndarray      # uint8, ceil(n_bits / 8) bytes
-
-    def __post_init__(self):
-        packed = np.ascontiguousarray(self.packed, dtype=np.uint8)
-        packed.setflags(write=False)
-        object.__setattr__(self, "packed", packed)
-        if len(packed) != (self.n_bits + 7) // 8:
-            raise UserInputError(f"{len(packed)} packed bytes for {self.n_bits} bits")
-        # Zero padding makes every byte-level comparison (dedup keys, packed
-        # Hamming distances) agree with the n_bits-long bit string.
-        spare = 8 * len(packed) - self.n_bits
-        if spare and packed[-1] & ((1 << spare) - 1):
-            raise UserInputError(f"nonzero padding bits after bit {self.n_bits}")
-
-    def bits(self) -> np.ndarray:
-        """Unpacked bit array of length n_bits (column-major, bin-minor)."""
-        return np.unpackbits(self.packed)[: self.n_bits].astype(bool)
-
-    def key(self) -> bytes:
-        return self.packed.tobytes()
-
-
-def pack_bits(bits: np.ndarray, structure_id: str, tag: str | None,
-              reference_id: str, spec_checksum: str) -> DifferenceVector:
-    bits = np.asarray(bits).astype(np.uint8).ravel()
-    return DifferenceVector(
-        structure_id=structure_id,
-        tag=tag,
-        reference_id=reference_id,
-        spec_checksum=spec_checksum,
-        n_bits=len(bits),
-        packed=np.packbits(bits),
-    )
-
-
-def difference_vector(
-    cur: StructureHistogram,
-    ref: StructureHistogram,
-    spec: HistogramSpec,
-    mode: str = "occupancy",
-) -> DifferenceVector:
-    """XOR the two histograms into a fingerprint.
+def difference_vector(cur: np.ndarray, ref: np.ndarray, mode: str = "occupancy") -> np.ndarray:
+    """XOR two structures' bin counts into fingerprint bits: one bool per
+    (column, bin), column-major, bin-minor.
 
     ``occupancy`` compares which bins are populated at all; ``count-equality``
     flags any bin where the raw counts differ.
     """
     if mode not in XOR_MODES:
         raise UserInputError(f"mode must be one of {XOR_MODES}, got {mode!r}")
-    if cur.spec_checksum != spec.checksum or ref.spec_checksum != spec.checksum:
-        raise UserInputError("histograms were built under a different histogram spec")
     if mode == "occupancy":
-        diff = np.logical_xor(cur.occupancy, ref.occupancy)
+        diff = np.logical_xor(cur > 0, ref > 0)
     else:
-        diff = cur.counts != ref.counts
-    return pack_bits(
-        diff.ravel(), cur.structure_id, cur.tag, ref.structure_id, spec.checksum
-    )
+        diff = cur != ref
+    return diff.ravel()
 
 
-def packed_rows(fps: Sequence[DifferenceVector]) -> np.ndarray:
-    """Stack fingerprints of one spec into an (n, n_bytes) uint8 array, the
-    input of ``distance.hamming_cdist``.  Mixed specs or bit lengths are
-    rejected."""
-    checksums = {fp.spec_checksum for fp in fps}
-    if len(checksums) > 1:
-        raise UserInputError(f"fingerprints mix histogram specs: {sorted(checksums)}")
-    lengths = {fp.n_bits for fp in fps}
-    if len(lengths) > 1:
-        raise UserInputError(f"bit lengths differ: {sorted(lengths)}")
-    if not fps:
-        return np.zeros((0, 0), dtype=np.uint8)
-    return np.vstack([fp.packed for fp in fps])
-
-
-def hamming_distance(a: DifferenceVector, b: DifferenceVector) -> int:
-    """Number of differing bits between two fingerprints of the same spec."""
-    rows = packed_rows((a, b))
-    return int(np.bitwise_count(np.bitwise_xor(rows[0], rows[1])).sum())
+def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
+    """Number of differing bits between two packed fingerprint rows."""
+    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +170,45 @@ def hamming_distance(a: DifferenceVector, b: DifferenceVector) -> int:
 
 @dataclass(frozen=True)
 class FingerprintSet:
-    """A batch of fingerprints plus the spec and reference that define them."""
+    """A batch of fingerprints plus the spec and reference that define them.
+
+    ``fingerprints`` holds one read-only packed uint8 row of
+    ceil(n_bits / 8) bytes per structure, the input of
+    ``distance.hamming_cdist``.  Zero padding bits make every byte-level
+    comparison (dedup keys, packed Hamming distances) agree with the
+    n_bits-long bit strings.
+    """
 
     spec: HistogramSpec
     reference_id: str
     xor_mode: str
-    fingerprints: tuple[DifferenceVector, ...]
+    ids: tuple[str, ...]
+    tags: tuple[str | None, ...]
+    fingerprints: np.ndarray    # (n, ceil(n_bits / 8)) uint8
 
     def __post_init__(self):
-        object.__setattr__(self, "fingerprints", tuple(self.fingerprints))
+        rows = np.ascontiguousarray(self.fingerprints, dtype=np.uint8)
+        rows.setflags(write=False)
+        object.__setattr__(self, "fingerprints", rows)
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "tags", tuple(self.tags))
+        n_bits = self.spec.n_bits
+        if rows.ndim != 2 or rows.shape[1] != (n_bits + 7) // 8:
+            raise UserInputError(f"fingerprint rows of shape {rows.shape} for {n_bits} bits")
+        if not len(self.ids) == len(self.tags) == len(rows):
+            raise UserInputError(
+                f"{len(self.ids)} ids and {len(self.tags)} tags for {len(rows)} fingerprints"
+            )
+        spare = 8 * rows.shape[1] - n_bits
+        if spare and (rows[:, -1] & ((1 << spare) - 1)).any():
+            raise UserInputError(f"nonzero padding bits after bit {n_bits}")
 
     def __len__(self) -> int:
-        return len(self.fingerprints)
+        return len(self.ids)
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(fp.structure_id for fp in self.fingerprints)
+    def bits(self) -> np.ndarray:
+        """The unpacked (n, n_bits) bool array (column-major, bin-minor)."""
+        return np.unpackbits(self.fingerprints, axis=1, count=self.spec.n_bits).view(bool)
 
 
 def select_reference(ds: Dataset) -> Structure:
@@ -315,12 +253,15 @@ def batch_fingerprints(
         spec = determine_bin_edges(pool, k)
     elif spec.columns != sfset.column_layout():
         raise UserInputError("supplied histogram spec does not match the symmetry-function set")
-    ref_hist = build_histograms(ref_matrix, spec)
-    fps = [
-        difference_vector(build_histograms(m, spec), ref_hist, spec, mode=xor_mode)
-        for m in matrices
-    ]
-    return FingerprintSet(spec=spec, reference_id=ref.id, xor_mode=xor_mode, fingerprints=fps)
+    ref_counts = build_histograms(ref_matrix, spec)
+    rows = np.empty((len(matrices), (spec.n_bits + 7) // 8), dtype=np.uint8)
+    for row, m in zip(rows, matrices):
+        row[:] = np.packbits(difference_vector(build_histograms(m, spec), ref_counts, xor_mode))
+    return FingerprintSet(
+        spec=spec, reference_id=ref.id, xor_mode=xor_mode,
+        ids=tuple(m.structure_id for m in matrices), tags=tuple(m.tag for m in matrices),
+        fingerprints=rows,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +357,10 @@ def write_fingerprints(fpset: FingerprintSet, path: str | Path) -> None:
     head["reference_id"] = fpset.reference_id
     head["xor_mode"] = fpset.xor_mode
     lines = [_MAGIC, json.dumps(head, separators=(",", ":"))]
-    for fp in fpset.fingerprints:
-        ident = _check_record_text(fp.structure_id, "structure id")
-        tag = _check_record_text(fp.tag or "", "tag")
-        lines.append(f"{ident}\t{tag}\t{fp.packed.tobytes().hex()}")
+    for ident, tag, row in zip(fpset.ids, fpset.tags, fpset.fingerprints):
+        ident = _check_record_text(ident, "structure id")
+        tag = _check_record_text(tag or "", "tag")
+        lines.append(f"{ident}\t{tag}\t{row.tobytes().hex()}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -452,8 +393,9 @@ def read_fingerprints(path: str | Path, text: str | None = None) -> FingerprintS
     if not isinstance(reference_id, str):
         raise FormatError(f"{path}, line 2: reference_id must be a string, got {reference_id!r}")
     n_bits = spec.n_bits
-    checksum = spec.checksum
-    fps = []
+    n_bytes = (n_bits + 7) // 8
+    padding = (1 << (8 * n_bytes - n_bits)) - 1
+    ids, tags, rows = [], [], []
     for ln, line in enumerate(lines[2:], start=3):
         if not line:
             continue
@@ -462,22 +404,16 @@ def read_fingerprints(path: str | Path, text: str | None = None) -> FingerprintS
             raise FormatError(f"{path}, line {ln}: expected 3 tab-separated fields")
         ident, tag, hexbits = parts
         try:
-            packed = np.frombuffer(bytes.fromhex(hexbits), dtype=np.uint8)
+            row = bytes.fromhex(hexbits)
         except ValueError:
             raise FormatError(f"{path}, line {ln}: bad hex bit string") from None
-        try:
-            fps.append(
-                DifferenceVector(
-                    structure_id=ident,
-                    tag=tag or None,
-                    reference_id=reference_id,
-                    spec_checksum=checksum,
-                    n_bits=n_bits,
-                    packed=packed,
-                )
-            )
-        except UserInputError as exc:
-            raise FormatError(f"{path}, line {ln}: {exc}") from None
-    return FingerprintSet(
-        spec=spec, reference_id=reference_id, xor_mode=xor_mode, fingerprints=tuple(fps)
-    )
+        if len(row) != n_bytes:
+            raise FormatError(f"{path}, line {ln}: {len(row)} packed bytes for {n_bits} bits")
+        if row and row[-1] & padding:
+            raise FormatError(f"{path}, line {ln}: nonzero padding bits after bit {n_bits}")
+        ids.append(ident)
+        tags.append(tag or None)
+        rows.append(row)
+    matrix = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), n_bytes)
+    return FingerprintSet(spec=spec, reference_id=reference_id, xor_mode=xor_mode,
+                          ids=ids, tags=tags, fingerprints=matrix)

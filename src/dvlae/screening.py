@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .distance import euclidean_cdist, hamming_cdist
+from .distance import _words, euclidean_cdist, hamming_cdist
 from .errors import FormatError, UserInputError
-from .fingerprint import DifferenceVector, packed_rows
+from .fingerprint import FingerprintSet
 from .ioutil import atomic_write_text
 
 SCREENING_MODES = ("exact", "hamming", "novelty")
@@ -72,22 +72,22 @@ class ScreeningReport:
         return report
 
 
-def dedup_exact(fps: Sequence[DifferenceVector]) -> ScreeningReport:
+def dedup_exact(fpset: FingerprintSet) -> ScreeningReport:
     """Remove structures whose fingerprint bit pattern was seen earlier."""
     kept: list[str] = []
     removed: dict[str, str] = {}
     first_by_key: dict[bytes, str] = {}
-    for fp, row in zip(fps, packed_rows(fps)):
+    for ident, row in zip(fpset.ids, fpset.fingerprints):
         key = row.tobytes()
         if key in first_by_key:
-            removed[fp.structure_id] = first_by_key[key]
+            removed[ident] = first_by_key[key]
         else:
-            first_by_key[key] = fp.structure_id
-            kept.append(fp.structure_id)
-    return ScreeningReport(kept=tuple(kept), removed=removed, input_count=len(fps), mode="exact")
+            first_by_key[key] = ident
+            kept.append(ident)
+    return ScreeningReport(kept=tuple(kept), removed=removed, input_count=len(fpset), mode="exact")
 
 
-def dedup_hamming(fps: Sequence[DifferenceVector], radius: int) -> ScreeningReport:
+def dedup_hamming(fpset: FingerprintSet, radius: int) -> ScreeningReport:
     """Greedy leader clustering in dataset order.
 
     A structure is removed iff its Hamming distance to some already-kept
@@ -97,24 +97,25 @@ def dedup_hamming(fps: Sequence[DifferenceVector], radius: int) -> ScreeningRepo
     if radius < 0:
         raise UserInputError(f"radius must be >= 0, got {radius}")
     if radius == 0:
-        report = dedup_exact(fps)
+        report = dedup_exact(fpset)
         return ScreeningReport(
             kept=report.kept, removed=report.removed, input_count=report.input_count,
             mode="hamming:0",
         )
-    packed = packed_rows(fps)
-    leaders = np.empty_like(packed)     # packed rows of kept[0], kept[1], ...
+    # Rows padded to whole 64-bit words once, so no kernel call copies them.
+    rows = _words(fpset.fingerprints).view(np.uint8)
+    leaders = np.empty_like(rows)       # rows of kept[0], kept[1], ...
     kept: list[str] = []
     removed: dict[str, str] = {}
-    for i, fp in enumerate(fps):
-        near = np.flatnonzero(hamming_cdist(packed[i : i + 1], leaders[: len(kept)])[0] <= radius)
+    for i, ident in enumerate(fpset.ids):
+        near = np.flatnonzero(hamming_cdist(rows[i : i + 1], leaders[: len(kept)])[0] <= radius)
         if near.size:
-            removed[fp.structure_id] = kept[near[0]]
+            removed[ident] = kept[near[0]]
         else:
-            leaders[len(kept)] = packed[i]
-            kept.append(fp.structure_id)
+            leaders[len(kept)] = rows[i]
+            kept.append(ident)
     return ScreeningReport(
-        kept=tuple(kept), removed=removed, input_count=len(fps), mode=f"hamming:{radius}"
+        kept=tuple(kept), removed=removed, input_count=len(fpset), mode=f"hamming:{radius}"
     )
 
 
@@ -228,36 +229,21 @@ class OodScore:
     normalized: float       # min_hamming / total bit count, in [0, 1]
 
 
-def _ood_scores(
-    predictions: Sequence[DifferenceVector], training: Sequence[DifferenceVector]
-) -> list[OodScore]:
-    """Per prediction, in input order: the minimum Hamming distance to the
-    training store, normalized by the fingerprint bit length."""
-    if not training:
-        raise UserInputError("training fingerprint store is empty")
-    packed = packed_rows([*predictions, *training])
-    n = len(predictions)
-    best = hamming_cdist(packed[:n], packed[n:]).min(axis=1)
-    return [
-        OodScore(structure_id=fp.structure_id, min_hamming=int(b), normalized=int(b) / fp.n_bits)
-        for fp, b in zip(predictions, best)
-    ]
-
-
-def ood_score(fp: DifferenceVector, training: Sequence[DifferenceVector]) -> OodScore:
-    """Minimum Hamming distance from ``fp`` to the training store, normalized
-    by the fingerprint bit length."""
-    return _ood_scores([fp], training)[0]
-
-
-def rank_ood(
-    predictions: Sequence[DifferenceVector], training: Sequence[DifferenceVector]
-) -> list[OodScore]:
-    """Scores for every prediction fingerprint, most novel first (ties keep
+def rank_ood(predictions: FingerprintSet, training: FingerprintSet) -> list[OodScore]:
+    """Per prediction, the minimum Hamming distance to the training store,
+    normalized by the fingerprint bit length; most novel first (ties keep
     input order)."""
-    scores = _ood_scores(predictions, training)
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i].min_hamming, i))
-    return [scores[i] for i in order]
+    if training.spec.checksum != predictions.spec.checksum:
+        raise UserInputError(
+            "training and prediction fingerprints use different histogram specs "
+            f"({training.spec.checksum} vs {predictions.spec.checksum})"
+        )
+    if not len(training):
+        raise UserInputError("training fingerprint file holds no records")
+    best = hamming_cdist(predictions.fingerprints, training.fingerprints).min(axis=1)
+    n_bits = predictions.spec.n_bits
+    scores = [OodScore(ident, int(b), int(b) / n_bits) for ident, b in zip(predictions.ids, best)]
+    return sorted(scores, key=lambda s: -s.min_hamming)
 
 
 def write_report(report: ScreeningReport, path: str | Path) -> None:

@@ -4,12 +4,26 @@
 dyadic rationals, so supercell replication and neighbor arithmetic are exact
 in float64 and physically equivalent structures yield bit-identical
 descriptor values.
+
+``fingerprint_set`` builds a ``FingerprintSet`` straight from 0/1 rows.
 """
 
 import numpy as np
 import pytest
 
-from dvlae import Structure
+from dvlae import FingerprintSet, HistogramSpec, Structure
+
+
+def fingerprint_set(bit_rows, ids=None, spec=None):
+    """FingerprintSet of 0/1 rows (one per structure, all of one length),
+    under ``spec`` or else a one-column spec with one bin per bit; ids
+    default to s0, s1, ..."""
+    bits = np.asarray(bit_rows, dtype=np.uint8)
+    if spec is None:
+        spec = HistogramSpec(bins=bits.shape[1], columns=(("X", "c0"),), edges=[[0.0, 1.0]])
+    ids = tuple(ids) if ids is not None else tuple(f"s{i}" for i in range(len(bits)))
+    return FingerprintSet(spec=spec, reference_id="ref", xor_mode="occupancy", ids=ids,
+                          tags=(None,) * len(ids), fingerprints=np.packbits(bits, axis=1))
 
 
 def random_cell(rng, lo=2.5, hi=4.5, skew=0.4):

@@ -32,10 +32,10 @@ from dvlae import (
 from dvlae import NoveltyConfig, TsneConfig
 from dvlae.cli import main
 from dvlae.config import GridConfig, build_symmetry_functions
-from dvlae.fingerprint import pack_bits
 
 from conftest import (
     dyadic_structure,
+    fingerprint_set,
     permute_atoms,
     random_rotation,
     random_structure,
@@ -119,8 +119,7 @@ def test_criterion_2_rigid_motion_invariance():
         ds_b = make_dataset(moved)
         fa = batch_fingerprints(ds_a, originals[0], sfset, k=50)
         fb = batch_fingerprints(ds_b, moved[0], sfset, k=50)
-        for x, y in zip(fa.fingerprints, fb.fingerprints):
-            assert np.array_equal(x.packed, y.packed)
+        assert np.array_equal(fa.fingerprints, fb.fingerprints)
     report(2, t, f"max descriptor deviation {worst:.2e}; all 50 fingerprints bit-identical")
 
 
@@ -134,7 +133,7 @@ def test_criterion_3_permutation_invariance():
             shuffled = permute_atoms(s, rng.permutation(s.n_atoms))
             fa = batch_fingerprints(make_dataset([s]), s, sfset, k=40)
             fb = batch_fingerprints(make_dataset([shuffled]), shuffled, sfset, k=40)
-            assert np.array_equal(fa.fingerprints[0].packed, fb.fingerprints[0].packed)
+            assert np.array_equal(fa.fingerprints, fb.fingerprints)
     report(3, t, "50 shuffled structures keep bit-identical fingerprints")
 
 
@@ -196,15 +195,16 @@ def test_criterion_6_dedup_correctness():
                 build_supercell(u, (2, 1, 1)), id=f"u{i}sup"))
         ds = make_dataset(corpus)
         fpset = batch_fingerprints(ds, corpus[0], sfset, k=50)
-        assert len({fp.key() for fp in fpset.fingerprints}) == 20
-        rep = dedup_exact(fpset.fingerprints)
+        assert len({row.tobytes() for row in fpset.fingerprints}) == 20
+        rep = dedup_exact(fpset)
         assert rep.output_count == 20
-        kept = set(rep.kept)
-        again = dedup_exact([fp for fp in fpset.fingerprints if fp.structure_id in kept])
+        keep = [i for i, ident in enumerate(fpset.ids) if ident in set(rep.kept)]
+        again = dedup_exact(dataclasses.replace(
+            fpset, ids=[fpset.ids[i] for i in keep], tags=[fpset.tags[i] for i in keep],
+            fingerprints=fpset.fingerprints[keep]))
         assert again.removed == {}
 
-        fps = [pack_bits(rng.integers(0, 2, 64).astype(np.uint8), f"r{i}", None, "ref", "c")
-               for i in range(200)]
+        fps = fingerprint_set(rng.integers(0, 2, (200, 64)), ids=[f"r{i}" for i in range(200)])
         exact = dedup_exact(fps)
         radius0 = dedup_hamming(fps, 0)
         assert radius0.kept == exact.kept and radius0.removed == exact.removed

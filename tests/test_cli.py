@@ -1,5 +1,6 @@
 """End-to-end CLI pipelines over small synthetic extended-XYZ corpora."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -125,8 +126,7 @@ class TestFingerprintCommand:
         a = read_fingerprints(tmp_path / "out" / "fingerprints.txt")
         b = read_fingerprints(tmp_path / "out2" / "fingerprints.txt")
         assert a.spec.checksum == b.spec.checksum
-        for x, y in zip(a.fingerprints, b.fingerprints):
-            assert np.array_equal(x.packed, y.packed)
+        assert np.array_equal(a.fingerprints, b.fingerprints)
 
 
 class TestScreenCommand:
@@ -159,9 +159,11 @@ class TestScreenCommand:
         assert main(["screen", "--config", str(cfg), "--fingerprints", str(fps_path)]) == 0
         report = ScreeningReport.from_json((tmp_path / "out" / "screening_report.json").read_text())
         fpset = read_fingerprints(fps_path)
-        kept_set = set(report.kept)
+        keep = [i for i, ident in enumerate(fpset.ids) if ident in set(report.kept)]
         from dvlae import dedup_exact
-        again = dedup_exact([fp for fp in fpset.fingerprints if fp.structure_id in kept_set])
+        again = dedup_exact(dataclasses.replace(
+            fpset, ids=[fpset.ids[i] for i in keep], tags=[fpset.tags[i] for i in keep],
+            fingerprints=fpset.fingerprints[keep]))
         assert again.kept == report.kept
 
     def test_bins_mismatch_exits_one(self, rng, tmp_path, capsys):
@@ -359,7 +361,7 @@ class TestEmbedCommand:
         assert main(["fingerprint", "--config", str(cfg)]) == 0
         fps = tmp_path / "out" / "fingerprints.txt"
         fpset = read_fingerprints(fps)
-        bits = np.vstack([fp.bits() for fp in fpset.fingerprints])
+        bits = fpset.bits()
 
         reads, distance_inputs = [], []
         real_read, real_distances = cli_mod.read_input_text, emb_mod.pairwise_distances

@@ -5,7 +5,8 @@ import pytest
 
 import dvlae.distance as dist_mod
 from dvlae import UserInputError, euclidean_cdist, hamming_cdist, hamming_distance
-from dvlae.fingerprint import packed_rows, pack_bits
+
+from conftest import fingerprint_set
 
 
 def n_blocks(n_a, n_b, row_bytes):
@@ -28,10 +29,10 @@ def word_row_bytes(n_bits):
 def test_hamming_cdist_equals_hamming_distance(rng, monkeypatch, n_bits, n_a, n_b, budget):
     if budget is not None:
         monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", budget)
-    fa = [pack_bits(rng.integers(0, 2, n_bits), f"a{i}", None, "r", "c") for i in range(n_a)]
-    fb = [pack_bits(rng.integers(0, 2, n_bits), f"b{i}", None, "r", "c") for i in range(n_b)]
+    fa = fingerprint_set(rng.integers(0, 2, (n_a, n_bits))).fingerprints
+    fb = fingerprint_set(rng.integers(0, 2, (n_b, n_bits))).fingerprints
     assert n_blocks(n_a, n_b, word_row_bytes(n_bits)) >= 2
-    got = hamming_cdist(packed_rows(fa), packed_rows(fb))
+    got = hamming_cdist(fa, fb)
     want = np.array([[hamming_distance(a, b) for b in fb] for a in fa])
     assert got.dtype == np.int64
     assert np.array_equal(got, want)

@@ -10,6 +10,7 @@ from dvlae import (
     CutoffParams,
     DescriptorDef,
     DescriptorMatrix,
+    FingerprintSet,
     FormatError,
     HistogramSpec,
     RadialParams,
@@ -30,9 +31,9 @@ from dvlae import (
     write_fingerprints,
 )
 from dvlae.config import GridConfig, build_symmetry_functions
-from dvlae.fingerprint import pack_bits, spec_from_json, spec_to_json
+from dvlae.fingerprint import spec_from_json, spec_to_json
 
-from conftest import dyadic_structure, permute_atoms
+from conftest import dyadic_structure, fingerprint_set, permute_atoms
 
 
 def matrix_of(values_by_column, element="X", ident="m", tag=None):
@@ -48,8 +49,8 @@ class TestBinEdges:
         m = matrix_of([[3.0, 3.0, 3.0]])
         spec = determine_bin_edges([m], k=4)
         h = build_histograms(m, spec)
-        assert h.occupancy.sum() == 1
-        assert h.counts.sum() == 3
+        assert (h > 0).sum() == 1
+        assert h.sum() == 3
 
     def test_extremes_fall_strictly_inside(self):
         m = matrix_of([[0.0, 0.25, 0.5, 1.0]])
@@ -94,8 +95,8 @@ class TestHistograms:
         m = matrix_of([[0.1, 0.1, 0.9]])
         spec = HistogramSpec(bins=2, columns=(("X", "col0"),), edges=np.array([[0.0, 1.0]]))
         h = build_histograms(m, spec)
-        assert h.counts.tolist() == [[2, 1]]
-        assert h.occupancy.tolist() == [[True, True]]
+        assert h.tolist() == [[2, 1]]
+        assert h.dtype == np.int64
 
     def test_absent_element_all_zero(self, rng):
         s = dyadic_structure(rng, "fe", elements=("Fe",), n_atoms=3)
@@ -107,7 +108,7 @@ class TestHistograms:
         spec = determine_bin_edges([m, ref], k=8)
         h = build_histograms(m, spec)
         n_fe = len(sf.descriptors["Fe"])
-        assert not h.occupancy[n_fe:].any()
+        assert not h[n_fe:].any()
 
     def test_counts_sum_to_atom_counts(self, rng):
         sf = build_symmetry_functions(("Fe", "H"), GridConfig(
@@ -122,8 +123,8 @@ class TestHistograms:
             h = build_histograms(m, spec)
             fe_atoms = m.blocks["Fe"].shape[0]
             h_atoms = m.blocks["H"].shape[0]
-            assert (h.counts[:n_fe].sum(axis=1) == fe_atoms).all()
-            assert (h.counts[n_fe:].sum(axis=1) == h_atoms).all()
+            assert (h[:n_fe].sum(axis=1) == fe_atoms).all()
+            assert (h[n_fe:].sum(axis=1) == h_atoms).all()
 
     def test_bit_count_capped(self):
         cap = fp_mod._MAX_BITS
@@ -205,9 +206,8 @@ class TestBlockPaths:
         for m in mats:
             h = build_histograms(m, spec)
             want = naive_counts(m, spec)
-            assert h.counts.dtype == np.int64
-            assert np.array_equal(h.counts, want)
-            assert np.array_equal(h.occupancy, want > 0)
+            assert h.dtype == np.int64
+            assert np.array_equal(h, want)
         if supplied:
             lo, hi = spec.edges.T
             cols = {"Fe": slice(0, 3), "H": slice(3, 6)}
@@ -229,10 +229,10 @@ class TestBlockPaths:
         if not supplied:
             assert np.array_equal(fpset.spec.edges, naive_edges(mats))
         ref = naive_counts(mats[1], fpset.spec)
-        for fp, m in zip(fpset.fingerprints, mats):
+        for bits, m in zip(fpset.bits(), mats):
             cur = naive_counts(m, fpset.spec)
             diff = (cur > 0) ^ (ref > 0) if mode == "occupancy" else cur != ref
-            assert np.array_equal(fp.bits(), diff.ravel())
+            assert np.array_equal(bits, diff.ravel())
 
 
 class TestDifferenceVector:
@@ -241,47 +241,36 @@ class TestDifferenceVector:
         ref = matrix_of([ref_vals], ident="ref")
         spec = determine_bin_edges([cur, ref], k=k)
         return (
-            difference_vector(build_histograms(cur, spec), build_histograms(ref, spec),
-                              spec, mode=mode),
+            difference_vector(build_histograms(cur, spec), build_histograms(ref, spec), mode=mode),
             spec,
         )
 
     def test_identical_histograms_give_zero(self):
         d, _ = self._pair([0.1, 0.5, 0.9], [0.1, 0.5, 0.9])
-        assert not d.bits().any()
+        assert not d.any()
 
     def test_bitwise_definition(self):
-        spec = HistogramSpec(bins=3, columns=(("X", "col0"),), edges=np.array([[0.0, 1.0]]))
-        cur = fp_mod.StructureHistogram("c", None, spec.checksum,
-                                        counts=np.array([[1, 0, 1]]),
-                                        occupancy=np.array([[True, False, True]]))
-        ref = fp_mod.StructureHistogram("r", None, spec.checksum,
-                                        counts=np.array([[2, 1, 0]]),
-                                        occupancy=np.array([[True, True, False]]))
-        d = difference_vector(cur, ref, spec)
-        assert d.bits().tolist() == [False, True, True]
+        cur, ref = np.array([[1, 0, 1]]), np.array([[2, 1, 0]])
+        assert difference_vector(cur, ref).tolist() == [False, True, True]
+        assert difference_vector(cur, ref, mode="count-equality").tolist() == [True, True, True]
 
     def test_swap_is_symmetric(self):
         a, spec = self._pair([0.1, 0.9], [0.4, 0.6])
         cur = matrix_of([[0.4, 0.6]], ident="x")
         ref = matrix_of([[0.1, 0.9]], ident="y")
-        b = difference_vector(build_histograms(cur, spec), build_histograms(ref, spec), spec)
-        assert np.array_equal(a.bits(), b.bits())
+        b = difference_vector(build_histograms(cur, spec), build_histograms(ref, spec))
+        assert np.array_equal(a, b)
 
     def test_count_equality_mode_sees_count_changes(self):
         # same occupied bins, different counts
         d_occ, _ = self._pair([0.1, 0.1, 0.9], [0.1, 0.9, 0.9], k=2)
-        assert not d_occ.bits().any()
+        assert not d_occ.any()
         d_cnt, _ = self._pair([0.1, 0.1, 0.9], [0.1, 0.9, 0.9], k=2, mode="count-equality")
-        assert d_cnt.bits().tolist() == [True, True]
+        assert d_cnt.tolist() == [True, True]
 
-    def test_checksum_mismatch_rejected(self):
-        _, spec_a = self._pair([0.1], [0.2])
-        cur = matrix_of([[0.3]])
-        spec_b = determine_bin_edges([cur], k=5)
-        h = build_histograms(cur, spec_b)
-        with pytest.raises(UserInputError):
-            difference_vector(h, h, spec_a)
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(UserInputError, match="mode must be one of"):
+            difference_vector(np.zeros((1, 2)), np.zeros((1, 2)), mode="xor")
 
     def test_binary_system_bit_count(self, rng):
         # 5 columns for H, 3 for Fe, 20 bins -> 160 bits
@@ -296,7 +285,8 @@ class TestDifferenceVector:
         ds = make_dataset(structures)
         fpset = batch_fingerprints(ds, select_reference(ds), sf, k=20)
         assert fpset.spec.n_bits == 160
-        assert all(fp.n_bits == 160 for fp in fpset.fingerprints)
+        assert fpset.fingerprints.shape == (4, 20)
+        assert fpset.bits().shape == (4, 160)
 
 
 def both_elements(rng, ident, n_atoms=6):
@@ -317,7 +307,7 @@ class TestBatch:
         ds = make_dataset([s])
         fpset = batch_fingerprints(ds, s, self._sfset(), k=16)
         assert len(fpset) == 1
-        assert not fpset.fingerprints[0].bits().any()
+        assert not fpset.bits().any()
 
     def test_supercell_and_duplicates_share_fingerprint(self, rng):
         prim = both_elements(rng, "prim", n_atoms=3)
@@ -336,7 +326,7 @@ class TestBatch:
             shuffled = permute_atoms(s, rng.permutation(5))
             f1 = batch_fingerprints(make_dataset([s]), s, sf, k=16)
             f2 = batch_fingerprints(make_dataset([shuffled]), shuffled, sf, k=16)
-            assert np.array_equal(f1.fingerprints[0].packed, f2.fingerprints[0].packed)
+            assert np.array_equal(f1.fingerprints, f2.fingerprints)
 
     def test_missing_reference_element_rejected(self, rng):
         full = both_elements(rng, "full")
@@ -352,8 +342,8 @@ class TestBatch:
         mats = [compute_structure_descriptors(s, sf) for s in (prim, sup)]
         spec = determine_bin_edges(mats, k=16)
         h_prim, h_sup = (build_histograms(m, spec) for m in mats)
-        assert np.array_equal(h_sup.counts, 2 * h_prim.counts)
-        assert np.array_equal(h_sup.occupancy, h_prim.occupancy)
+        assert np.array_equal(h_sup, 2 * h_prim)
+        assert np.array_equal(h_sup > 0, h_prim > 0)
 
     def test_coarsening_monotonicity(self, rng):
         # if occupancies differ at k/2 (same edges), they differ at k too
@@ -369,67 +359,76 @@ class TestBatch:
         ref_f = build_histograms(mats[0], spec_fine)
         ref_c = build_histograms(mats[0], spec_coarse)
         for m in mats[1:]:
-            occ_f = np.logical_xor(build_histograms(m, spec_fine).occupancy, ref_f.occupancy)
-            occ_c = np.logical_xor(build_histograms(m, spec_coarse).occupancy, ref_c.occupancy)
+            occ_f = np.logical_xor(build_histograms(m, spec_fine) > 0, ref_f > 0)
+            occ_c = np.logical_xor(build_histograms(m, spec_coarse) > 0, ref_c > 0)
             for col in range(spec_fine.n_columns):
                 if occ_c[col].any():
                     assert occ_f[col].any()
 
 
 class TestHamming:
-    def _fp(self, bits, ident="a"):
-        return pack_bits(np.array(bits, dtype=np.uint8), ident, None, "ref", "spec")
-
     def test_identical_is_zero(self):
-        a = self._fp([1, 0, 1, 1, 0])
+        (a,) = fingerprint_set([[1, 0, 1, 1, 0]]).fingerprints
         assert hamming_distance(a, a) == 0
 
     def test_three_bit_difference(self):
-        a = self._fp([1, 0, 1, 1, 0, 0, 0, 0, 1])
-        b = self._fp([0, 0, 1, 0, 0, 0, 0, 0, 0], "b")
+        a, b = fingerprint_set([[1, 0, 1, 1, 0, 0, 0, 0, 1],
+                                [0, 0, 1, 0, 0, 0, 0, 0, 0]]).fingerprints
         assert hamming_distance(a, b) == 3
 
     def test_metric_properties_over_random_triples(self, rng):
         n_bits = 48
         for _ in range(1000):
-            a, b, c = (self._fp(rng.integers(0, 2, n_bits), ident) for ident in "abc")
+            a, b, c = fingerprint_set(rng.integers(0, 2, (3, n_bits))).fingerprints
             ab = hamming_distance(a, b)
             assert ab == hamming_distance(b, a)
             assert ab <= hamming_distance(a, c) + hamming_distance(c, b)
             assert ab >= 0
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(UserInputError):
-            hamming_distance(self._fp([1, 0]), self._fp([1, 0, 1], "b"))
-
-    def test_checksum_mismatch_rejected(self):
-        a = self._fp([1, 0])
-        b = pack_bits(np.array([1, 0], dtype=np.uint8), "b", None, "ref", "other")
-        with pytest.raises(UserInputError):
-            hamming_distance(a, b)
-
     def test_matrix_matches_pairwise(self, rng):
         from dvlae import hamming_cdist, pairwise_distances
-        from dvlae.fingerprint import packed_rows
 
-        fps = [self._fp(rng.integers(0, 2, 37), f"s{i}") for i in range(15)]
-        packed = packed_rows(fps)
+        fpset = fingerprint_set(rng.integers(0, 2, (15, 37)))
+        packed = fpset.fingerprints
         fast = hamming_cdist(packed, packed)
-        bits = np.vstack([fp.bits() for fp in fps])
+        bits = fpset.bits()
         assert np.array_equal(fast, pairwise_distances(bits, metric="hamming"))
-        assert np.array_equal(fast, [[hamming_distance(a, b) for b in fps] for a in fps])
+        assert np.array_equal(fast, [[hamming_distance(a, b) for b in packed] for a in packed])
         naive = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
         assert np.array_equal(pairwise_distances(bits, metric="hamming"), naive)
+
+
+class TestFingerprintSet:
+    spec = HistogramSpec(bins=13, columns=(("X", "c0"),), edges=[[0.0, 1.0]])
+
+    def _set(self, rows, n=None):
+        n = len(rows) if n is None else n
+        return FingerprintSet(self.spec, "r", "occupancy", [f"s{i}" for i in range(n)],
+                              [None] * n, np.array(rows, dtype=np.uint8))
 
     def test_nonzero_padding_bits_rejected(self):
         # 13 bits in 2 bytes: the low 3 bits of the last byte are padding
         for tail in (0b001, 0b100):
             with pytest.raises(UserInputError, match="padding"):
-                fp_mod.DifferenceVector("s", None, "r", "spec", 13,
-                                        np.array([0xFF, 0xF8 | tail], dtype=np.uint8))
-        ok = fp_mod.DifferenceVector("s", None, "r", "spec", 13,
-                                     np.array([0xFF, 0xF8], dtype=np.uint8))
+                self._set([[0xFF, 0xF8], [0xFF, 0xF8 | tail]])
+        ok = self._set([[0xFF, 0xF8]])
         assert ok.bits().sum() == 13
+
+    @pytest.mark.parametrize("rows", [[[0xFF]], [[0xFF, 0xF8, 0x00]], [0xFF, 0xF8], [[[0xFF, 0xF8]]]])
+    def test_wrong_row_width_rejected(self, rows):
+        with pytest.raises(UserInputError, match="for 13 bits"):
+            self._set(rows, n=1)
+
+    def test_ids_and_tags_must_match_rows(self):
+        with pytest.raises(UserInputError, match="1 ids and 1 tags for 2 fingerprints"):
+            self._set([[0xFF, 0xF8], [0x00, 0x00]], n=1)
+
+    def test_rows_are_read_only(self):
+        rows = np.array([[0xFF, 0xF8]], dtype=np.uint8)
+        fpset = self._set(rows)
+        with pytest.raises(ValueError):
+            fpset.fingerprints[0, 0] = 0
+        assert fpset.bits().dtype == bool and fpset.bits().shape == (1, 13)
 
 
 class TestFlatVectors:
@@ -487,10 +486,10 @@ class TestSerialization:
         assert back.spec.checksum == fpset.spec.checksum
         assert np.array_equal(back.spec.edges, fpset.spec.edges)
         assert back.reference_id == fpset.reference_id
-        assert back.ids() == fpset.ids()
-        for a, b in zip(fpset.fingerprints, back.fingerprints):
-            assert np.array_equal(a.packed, b.packed)
-            assert a.tag == b.tag
+        assert back.ids == fpset.ids
+        assert np.array_equal(back.fingerprints, fpset.fingerprints)
+        assert back.tags == fpset.tags
+        assert "alpha" in back.tags
 
     def test_rewrite_is_byte_identical(self, rng, tmp_path):
         fpset = self._fpset(rng)
@@ -506,11 +505,8 @@ class TestSerialization:
         assert np.array_equal(spec.edges, fpset.spec.edges)
 
     def test_padding_bits_in_file_rejected_with_line(self, rng, tmp_path):
-        spec = HistogramSpec(bins=13, columns=(("X", "c0"),), edges=[[0.0, 1.0]])
-        fps = [pack_bits(rng.integers(0, 2, 13), f"s{i}", None, "r", spec.checksum)
-               for i in range(3)]
         path = tmp_path / "fps.txt"
-        write_fingerprints(fp_mod.FingerprintSet(spec, "r", "occupancy", fps), path)
+        write_fingerprints(fingerprint_set(rng.integers(0, 2, (3, 13))), path)
         lines = path.read_text().splitlines()
         ident, tag, hexbits = lines[3].split("\t")
         last = int(hexbits[-2:], 16) | 1
@@ -571,5 +567,5 @@ class TestSerialization:
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=200))
 def test_pack_roundtrip_property(bits):
-    fp = pack_bits(np.array(bits, dtype=np.uint8), "s", None, "r", "c")
-    assert fp.bits().astype(int).tolist() == bits
+    fpset = fingerprint_set([bits])
+    assert fpset.bits()[0].astype(int).tolist() == bits

@@ -4,43 +4,47 @@ import numpy as np
 import pytest
 
 from dvlae import (
+    HistogramSpec,
     NoveltyConfig,
     ScreeningReport,
     UserInputError,
     dedup_exact,
     dedup_hamming,
     novelty_screen,
-    ood_score,
     rank_ood,
 )
 import dvlae.distance as dist_mod
 from dvlae import hamming_distance
-from dvlae.fingerprint import pack_bits
 from dvlae.screening import novelty_report
 
+from conftest import fingerprint_set
 
-def fp_of(bits, ident, checksum="spec"):
-    return pack_bits(np.asarray(bits, dtype=np.uint8), ident, None, "ref", checksum)
+
+def random_bits(rng, count, n_bits=64, n_patterns=None):
+    if n_patterns is None:
+        return rng.integers(0, 2, (count, n_bits))
+    patterns = rng.integers(0, 2, (n_patterns, n_bits))
+    return patterns[rng.integers(0, n_patterns, count)]
 
 
 def random_fps(rng, count, n_bits=64, n_patterns=None):
-    if n_patterns is None:
-        return [fp_of(rng.integers(0, 2, n_bits), f"s{i}") for i in range(count)]
-    patterns = rng.integers(0, 2, (n_patterns, n_bits))
-    picks = rng.integers(0, n_patterns, count)
-    return [fp_of(patterns[p], f"s{i}") for i, p in enumerate(picks)]
+    return fingerprint_set(random_bits(rng, count, n_bits, n_patterns))
+
+
+def rows_by_id(fps):
+    return dict(zip(fps.ids, fps.fingerprints))
 
 
 class TestDedupExact:
     def test_all_distinct_keeps_everything(self, rng):
-        fps = [fp_of(np.eye(8, dtype=np.uint8)[i], f"s{i}") for i in range(8)]
+        fps = fingerprint_set(np.eye(8, dtype=np.uint8))
         report = dedup_exact(fps)
         assert report.kept == tuple(f"s{i}" for i in range(8))
         assert report.reduction_ratio == 0.0
         assert report.removed == {}
 
     def test_duplicates_map_to_first_occurrence(self):
-        fps = [fp_of([1, 0], "a"), fp_of([1, 0], "b"), fp_of([0, 1], "c"), fp_of([1, 0], "d")]
+        fps = fingerprint_set([[1, 0], [1, 0], [0, 1], [1, 0]], ids="abcd")
         report = dedup_exact(fps)
         assert report.kept == ("a", "c")
         assert report.removed == {"b": "a", "d": "a"}
@@ -48,33 +52,28 @@ class TestDedupExact:
         assert report.reduction_ratio == 0.5
 
     def test_reordering_changes_representatives_not_count(self, rng):
-        fps = random_fps(rng, 60, n_patterns=15)
-        base = dedup_exact(fps)
+        bits = random_bits(rng, 60, n_patterns=15)
+        base = dedup_exact(fingerprint_set(bits))
         order = rng.permutation(60)
-        shuffled = dedup_exact([fps[i] for i in order])
+        shuffled = dedup_exact(fingerprint_set(bits[order], ids=[f"s{i}" for i in order]))
         assert shuffled.output_count == base.output_count
 
     def test_idempotent_on_kept_set(self, rng):
-        fps = random_fps(rng, 80, n_patterns=12)
-        report = dedup_exact(fps)
-        kept_fps = [fp for fp in fps if fp.structure_id in set(report.kept)]
-        again = dedup_exact(kept_fps)
+        bits = random_bits(rng, 80, n_patterns=12)
+        report = dedup_exact(fingerprint_set(bits))
+        keep = [i for i in range(80) if f"s{i}" in set(report.kept)]
+        again = dedup_exact(fingerprint_set(bits[keep], ids=[f"s{i}" for i in keep]))
         assert again.removed == {}
         assert again.kept == report.kept
 
     def test_partition_property(self, rng):
         fps = random_fps(rng, 50, n_patterns=9)
         report = dedup_exact(fps)
-        assert set(report.kept) | set(report.removed) == {fp.structure_id for fp in fps}
+        assert set(report.kept) | set(report.removed) == set(fps.ids)
         assert not (set(report.kept) & set(report.removed))
-        by_id = {fp.structure_id: fp for fp in fps}
-        from dvlae import hamming_distance
+        by_id = rows_by_id(fps)
         for removed, rep in report.removed.items():
             assert hamming_distance(by_id[removed], by_id[rep]) == 0
-
-    def test_mixed_specs_rejected(self):
-        with pytest.raises(UserInputError):
-            dedup_exact([fp_of([1, 0], "a", "x"), fp_of([1, 0], "b", "y")])
 
 
 class TestDedupHamming:
@@ -86,7 +85,7 @@ class TestDedupHamming:
         assert ham.removed == exact.removed
 
     def test_distance_one_merges_at_radius_one(self):
-        fps = [fp_of([1, 0, 0, 0], "a"), fp_of([1, 1, 0, 0], "b")]
+        fps = fingerprint_set([[1, 0, 0, 0], [1, 1, 0, 0]], ids="ab")
         report = dedup_hamming(fps, 1)
         assert report.kept == ("a",)
         assert report.removed == {"b": "a"}
@@ -95,43 +94,37 @@ class TestDedupHamming:
         fps = random_fps(rng, 30, n_bits=16)
         report = dedup_hamming(fps, 16)
         assert report.output_count == 1
-        assert report.kept == (fps[0].structure_id,)
+        assert report.kept == (fps.ids[0],)
 
     def test_removed_within_radius_of_representative(self, rng):
-        from dvlae import hamming_distance
         fps = random_fps(rng, 60, n_bits=24, n_patterns=25)
         radius = 5
         report = dedup_hamming(fps, radius)
-        by_id = {fp.structure_id: fp for fp in fps}
+        by_id = rows_by_id(fps)
         for removed, rep in report.removed.items():
             assert hamming_distance(by_id[removed], by_id[rep]) <= radius
 
+    @pytest.mark.parametrize("n_bits", [37, 64])   # 5 bytes, padded to a word; one whole word
     @pytest.mark.parametrize("radius", [3, 9, 14])
-    def test_greedy_leader_oracle_across_blocks(self, rng, monkeypatch, radius):
-        monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", 40)     # 8 leaders of 5 bytes per block
-        centers = rng.integers(0, 2, (30, 37))
-        fps = []
-        for i in range(150):
-            bits = centers[rng.integers(0, 30)].copy()
-            flip = rng.integers(0, 37, rng.integers(0, 6))
-            bits[flip] ^= 1
-            fps.append(fp_of(bits, f"s{i}"))
+    def test_greedy_leader_oracle_across_blocks(self, rng, monkeypatch, radius, n_bits):
+        monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", 40)     # 5 leaders of one 8-byte word per block
+        centers = rng.integers(0, 2, (30, n_bits))
+        bits = centers[rng.integers(0, 30, 150)]
+        for row in bits:
+            row[rng.integers(0, n_bits, rng.integers(0, 6))] ^= 1
+        fps = fingerprint_set(bits)
         kept, leaders, removed = [], [], {}
-        for fp in fps:
-            near = [ld for ld in leaders if hamming_distance(fp, ld) <= radius]
+        for ident, row in zip(fps.ids, fps.fingerprints):
+            near = [i for i, ld in enumerate(leaders) if hamming_distance(row, ld) <= radius]
             if near:
-                removed[fp.structure_id] = near[0].structure_id
+                removed[ident] = kept[near[0]]
             else:
-                leaders.append(fp)
-                kept.append(fp.structure_id)
+                leaders.append(row)
+                kept.append(ident)
         assert len(leaders) > 16
         report = dedup_hamming(fps, radius)
         assert report.kept == tuple(kept)
         assert report.removed == removed
-
-    def test_mixed_specs_rejected(self):
-        with pytest.raises(UserInputError):
-            dedup_hamming([fp_of([1, 0], "a", "x"), fp_of([1, 0], "b", "y")], 1)
 
     def test_negative_radius_rejected(self, rng):
         with pytest.raises(UserInputError):
@@ -202,66 +195,72 @@ class TestNoveltyScreen:
             NoveltyConfig(threshold=threshold)
 
 
+def ood_one(probe_bits, store):
+    """The OOD score of one probe, ranked as a one-row prediction set."""
+    (score,) = rank_ood(fingerprint_set([probe_bits], ids=["p"]), store)
+    return score
+
+
 class TestOod:
     def test_in_store_scores_zero(self, rng):
-        fps = random_fps(rng, 10, n_bits=40)
-        score = ood_score(fps[3], fps)
+        bits = random_bits(rng, 10, n_bits=40)
+        score = ood_one(bits[3], fingerprint_set(bits))
         assert score.min_hamming == 0
         assert score.normalized == 0.0
 
     def test_extreme_case_normalizes_to_one(self):
-        store = [fp_of([0] * 160, "zeros")]
-        probe = fp_of([1] * 160, "ones")
-        score = ood_score(probe, store)
+        score = ood_one([1] * 160, fingerprint_set([[0] * 160]))
         assert score.min_hamming == 160
         assert score.normalized == 1.0
 
     def test_growing_store_never_increases_score(self, rng):
-        probe = fp_of(rng.integers(0, 2, 48), "probe")
-        store = random_fps(rng, 1, n_bits=48)
-        last = ood_score(probe, store).min_hamming
+        probe = rng.integers(0, 2, 48)
+        store = random_bits(rng, 1, n_bits=48)
+        last = ood_one(probe, fingerprint_set(store)).min_hamming
         for i in range(100):
-            store.append(fp_of(rng.integers(0, 2, 48), f"extra{i}"))
-            now = ood_score(probe, store).min_hamming
+            store = np.vstack([store, rng.integers(0, 2, 48)])
+            now = ood_one(probe, fingerprint_set(store)).min_hamming
             assert now <= last
             last = now
 
     def test_score_is_lower_bound(self, rng):
-        from dvlae import hamming_distance
         store = random_fps(rng, 20, n_bits=32)
-        probe = fp_of(rng.integers(0, 2, 32), "p")
-        score = ood_score(probe, store)
-        for t in store:
-            assert score.normalized <= hamming_distance(probe, t) / probe.n_bits
+        probe = fingerprint_set([rng.integers(0, 2, 32)], ids=["p"])
+        (score,) = rank_ood(probe, store)
+        for t in store.fingerprints:
+            assert score.normalized <= hamming_distance(probe.fingerprints[0], t) / 32
 
     def test_empty_store_rejected(self, rng):
-        with pytest.raises(UserInputError):
-            ood_score(fp_of([1, 0], "p"), [])
+        with pytest.raises(UserInputError, match="holds no records"):
+            ood_one([1, 0], fingerprint_set(np.zeros((0, 2))))
 
     def test_row_min_oracle_across_blocks(self, rng, monkeypatch):
         monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", 64)
-        store = random_fps(rng, 70, n_bits=37)
-        preds = random_fps(rng, 25, n_bits=37, n_patterns=6) + store[5:9]
-        want = [min(hamming_distance(p, t) for t in store) for p in preds]
+        store = random_bits(rng, 70, n_bits=37)
+        pred_bits = np.vstack([random_bits(rng, 25, n_bits=37, n_patterns=6), store[5:9]])
+        store, preds = fingerprint_set(store), fingerprint_set(pred_bits)
+        want = [min(hamming_distance(p, t) for t in store.fingerprints)
+                for p in preds.fingerprints]
         order = sorted(range(len(preds)), key=lambda i: (-want[i], i))
         ranked = rank_ood(preds, store)
-        assert [s.structure_id for s in ranked] == [preds[i].structure_id for i in order]
+        assert [s.structure_id for s in ranked] == [preds.ids[i] for i in order]
         assert [s.min_hamming for s in ranked] == [want[i] for i in order]
         assert [s.normalized for s in ranked] == [want[i] / 37 for i in order]
         assert all(type(s.min_hamming) is int for s in ranked)
-        assert [ood_score(p, store).min_hamming for p in preds] == want
+        assert [ood_one(p, store).min_hamming for p in pred_bits] == want
 
     def test_prediction_spec_mismatch_rejected(self, rng):
         store = random_fps(rng, 4, n_bits=16)
-        with pytest.raises(UserInputError):
-            rank_ood([fp_of([1] * 16, "p", "other")], store)
-        with pytest.raises(UserInputError):
-            ood_score(fp_of([1] * 24, "p"), store)
+        other = HistogramSpec(bins=16, columns=(("X", "c0"),), edges=[[0.0, 2.0]])
+        with pytest.raises(UserInputError, match="different histogram specs"):
+            rank_ood(fingerprint_set([[1] * 16], spec=other), store)
+        with pytest.raises(UserInputError, match="different histogram specs"):
+            ood_one([1] * 24, store)
 
     def test_ranking_descending_with_stable_ties(self, rng):
-        store = [fp_of([0] * 16, "t")]
-        preds = [fp_of([1] * k + [0] * (16 - k), f"p{k}") for k in (2, 5, 2, 9)]
-        ranked = rank_ood(preds, store)
+        preds = fingerprint_set([[1] * k + [0] * (16 - k) for k in (2, 5, 2, 9)],
+                                ids=["p2", "p5", "p2", "p9"])
+        ranked = rank_ood(preds, fingerprint_set([[0] * 16]))
         assert [s.structure_id for s in ranked] == ["p9", "p5", "p2", "p2"]
         assert [s.min_hamming for s in ranked] == [9, 5, 2, 2]
 
