@@ -103,7 +103,6 @@ def cmd_screen(args) -> int:
         if cfg.training_manifest is None:
             raise ConfigError("novelty screening needs a training manifest "
                               "(config [screening] training_manifest or --training-manifest)")
-        novelty_cfg = scr_mod.NoveltyConfig(threshold=cfg.threshold, aggregate=cfg.aggregate)
         candidates = _load_run_dataset(cfg)
         training = load_dataset(read_manifest(cfg.training_manifest, "training manifest"))
         elements = cfg.elements if cfg.elements is not None else tuple(
@@ -117,9 +116,7 @@ def cmd_screen(args) -> int:
             compute_dataset_descriptors(training.structures, sfset)
         )
         result = scr_mod.novelty_screen(
-            candidates.ids(), cand_vecs, train_vecs,
-            novelty_cfg,
-            training_ids=training.ids(),
+            candidates.ids(), cand_vecs, train_vecs, cfg.novelty, training_ids=training.ids(),
         )
         report = scr_mod.novelty_report(result)
     else:

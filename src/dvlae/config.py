@@ -1,5 +1,7 @@
 """Run configuration: flat key-value text with sections (INI), versioned by a
-``format`` key.  See the README for the full grammar and an annotated example.
+``format`` key.  Every section and key is declared once, in ``SCHEMA``; a
+key's default is the default of the dataclass field it fills.  See the README
+for the full grammar and an annotated example.
 """
 
 from __future__ import annotations
@@ -20,16 +22,9 @@ from .embedding import EMBEDDING_METHODS, TsneConfig
 from .errors import ConfigError
 from .fingerprint import XOR_MODES, check_bin_count
 from .ioutil import read_input_text
-from .screening import NOVELTY_AGGREGATES, SCREENING_MODES
+from .screening import NOVELTY_AGGREGATES, SCREENING_MODES, NoveltyConfig
 
 CONFIG_FORMAT = 1
-
-_DEFAULT_RADIAL_ETA = (0.0, 0.5, 1.0, 2.0, 4.0)
-_DEFAULT_RADIAL_RS = (0.0,)
-_DEFAULT_ANGULAR_ETA = (0.0, 0.5)
-_DEFAULT_ZETA = (1.0, 4.0)
-_DEFAULT_LAMBDA = (-1, 1)
-_DEFAULT_KINDS = ("G4", "G5")
 
 
 @dataclass(frozen=True)
@@ -40,12 +35,12 @@ class GridConfig:
 
     cutoff: float = 6.0
     inner_cutoff: float | None = None
-    radial_eta: tuple[float, ...] = _DEFAULT_RADIAL_ETA
-    radial_rs: tuple[float, ...] = _DEFAULT_RADIAL_RS
-    angular_eta: tuple[float, ...] = _DEFAULT_ANGULAR_ETA
-    zeta: tuple[float, ...] = _DEFAULT_ZETA
-    lam: tuple[int, ...] = _DEFAULT_LAMBDA
-    kinds: tuple[str, ...] = _DEFAULT_KINDS
+    radial_eta: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, 4.0)
+    radial_rs: tuple[float, ...] = (0.0,)
+    angular_eta: tuple[float, ...] = (0.0, 0.5)
+    zeta: tuple[float, ...] = (1.0, 4.0)
+    lam: tuple[int, ...] = (-1, 1)
+    kinds: tuple[str, ...] = ("G4", "G5")
     overrides: dict[tuple[str, str], tuple[float, ...]] = field(default_factory=dict)
 
     def _get(self, key: str, elements: tuple[str, ...], base) -> tuple:
@@ -86,9 +81,11 @@ def build_symmetry_functions(elements: Sequence[str], grid: GridConfig) -> Symme
 
 @dataclass(frozen=True)
 class RunConfig:
-    manifests: tuple[Path, ...]
-    out_dir: Path
-    seed: int = 0
+    """One run's settings.  Relative paths, the default ``out`` too, are resolved
+    against the config file's directory."""
+
+    manifests: tuple[Path, ...] = ()
+    out_dir: Path = Path("out")
     keep_ids: Path | None = None        # id-list filter (e.g. a screening kept list)
     elements: tuple[str, ...] | None = None
     grid: GridConfig = GridConfig()
@@ -97,90 +94,140 @@ class RunConfig:
     xor_mode: str = "occupancy"
     screening_mode: str = "exact"       # exact | hamming | novelty
     radius: int = 0
-    threshold: float = 0.1
-    aggregate: str = "min"
     training_manifest: Path | None = None
     method: str = "tsne"                # tsne | pca
     tsne: TsneConfig = TsneConfig()
+    novelty: NoveltyConfig = NoveltyConfig()
+
+    def __post_init__(self):
+        if not self.manifests:
+            raise ConfigError("config needs a [data] section with a 'manifests' key")
+        check_bin_count(self.bins, 0)   # the column count, and so the bit cap, waits for the data
+        if self.radius < 0:
+            raise ConfigError(f"radius must be >= 0, got {self.radius}")
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in raw.split())
-    except ValueError:
-        raise ConfigError(f"expected numbers, got {raw!r}") from None
+# A parser takes a key's raw text and the config file's directory, which paths
+# are relative to.  Its ValueError says what is wrong; load_config names the key.
+
+def _number(kind):
+    def parse(raw: str, base: Path):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ValueError(f"must be a {kind.__name__}, got {raw!r}") from None
+    return parse
 
 
-def _ints(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in raw.split())
-    except ValueError:
-        raise ConfigError(f"expected integers, got {raw!r}") from None
+_int, _float = _number(int), _number(float)
 
 
-def _number(kind, section, key: str, default):
-    raw = section.get(key) if section else None
-    if raw is None:
-        return default
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a {kind.__name__}, got {raw!r}") from None
+def _split(kind, what: str):
+    def parse(raw: str, base: Path) -> tuple:
+        try:
+            return tuple(kind(v) for v in raw.split())
+        except ValueError:
+            raise ConfigError(f"expected {what}, got {raw!r}") from None
+    return parse
 
 
-def _choice(section, key: str, default: str, allowed: tuple[str, ...], what: str) -> str:
-    value = section.get(key, default).strip()
-    if value not in allowed:
-        listed = " or ".join(allowed) if len(allowed) < 3 else \
-            ", ".join(allowed[:-1]) + ", or " + allowed[-1]
-        raise ConfigError(f"{what} must be {listed}, got {value!r}")
-    return value
+_floats, _ints, _words = _split(float, "numbers"), _split(int, "integers"), _split(str, "words")
 
 
+def _path(raw: str, base: Path) -> Path:
+    return base / raw
+
+
+def _paths(raw: str, base: Path) -> tuple[Path, ...]:
+    return tuple(base / p for p in raw.split())
+
+
+def _choice(allowed: tuple[str, ...], what: str):
+    listed = ", ".join(allowed[:-1]) + ("," if len(allowed) > 2 else "") + " or " + allowed[-1]
+
+    def parse(raw: str, base: Path) -> str:
+        value = raw.strip()
+        if value not in allowed:
+            raise ConfigError(f"{what} must be {listed}, got {value!r}")
+        return value
+    return parse
+
+
+def _format(raw: str, base: Path) -> None:
+    fmt = _int(raw, base)
+    if fmt != CONFIG_FORMAT:
+        raise ConfigError(f"unsupported config format {fmt} (this build reads format {CONFIG_FORMAT})")
+
+
+def _grid(raw: str, base: Path) -> None:
+    if raw.strip() != "default":
+        raise ConfigError(f"[descriptors] grid must be 'default' if given, got {raw.strip()!r}")
+
+
+def _reference(raw: str, base: Path) -> str:
+    reference = raw.strip()
+    if reference.startswith("path:"):
+        return f"path:{base / reference[5:]}"
+    if reference != "auto" and not reference.startswith("id:"):
+        raise ConfigError(f"reference must be auto, id:<id>, or path:<file>, got {reference!r}")
+    return reference
+
+
+# section -> key -> (dataclass the value fills, or None for a check, its field, parser)
+SCHEMA = {
+    "run": {
+        "format": (None, None, _format),
+        "seed": (TsneConfig, "seed", _int),
+        "output": (RunConfig, "out_dir", _path),
+    },
+    "data": {
+        "manifests": (RunConfig, "manifests", _paths),
+        "elements": (RunConfig, "elements", _words),
+        "keep_ids": (RunConfig, "keep_ids", _path),
+    },
+    "descriptors": {
+        "grid": (None, None, _grid),
+        "cutoff": (GridConfig, "cutoff", _float),
+        "inner_cutoff": (GridConfig, "inner_cutoff", _float),
+        "radial_eta": (GridConfig, "radial_eta", _floats),
+        "radial_rs": (GridConfig, "radial_rs", _floats),
+        "angular_eta": (GridConfig, "angular_eta", _floats),
+        "zeta": (GridConfig, "zeta", _floats),
+        "lambda": (GridConfig, "lam", _ints),
+        "kinds": (GridConfig, "kinds", _words),
+    },
+    "fingerprint": {
+        "bins": (RunConfig, "bins", _int),
+        "reference": (RunConfig, "reference", _reference),
+        "xor_mode": (RunConfig, "xor_mode", _choice(XOR_MODES, "xor_mode")),
+    },
+    "screening": {
+        "mode": (RunConfig, "screening_mode", _choice(SCREENING_MODES, "screening mode")),
+        "radius": (RunConfig, "radius", _int),
+        "threshold": (NoveltyConfig, "threshold", _float),
+        "aggregate": (NoveltyConfig, "aggregate", _choice(NOVELTY_AGGREGATES, "aggregate")),
+        "training_manifest": (RunConfig, "training_manifest", _path),
+    },
+    "embedding": {
+        "method": (RunConfig, "method", _choice(EMBEDDING_METHODS, "embedding method")),
+        "perplexity": (TsneConfig, "perplexity", _float),
+        "iterations": (TsneConfig, "iterations", _int),
+        "learning_rate": (TsneConfig, "learning_rate", _float),
+    },
+}
+
+# [descriptors] keys that also take "<key>.<elements>" per-pair overrides
 _OVERRIDABLE = ("radial_eta", "radial_rs", "angular_eta", "zeta", "lambda")
-
-
-def _parse_grid(section: configparser.SectionProxy) -> GridConfig:
-    known = {"grid", "cutoff", "inner_cutoff", "kinds", *_OVERRIDABLE}
-    overrides: dict[tuple[str, str], tuple[float, ...]] = {}
-    for key in section:
-        base, dot, suffix = key.partition(".")
-        if base not in known:
-            raise ConfigError(f"unknown [descriptors] key {key!r}")
-        if dot:
-            if base not in _OVERRIDABLE:
-                raise ConfigError(f"[descriptors] key {base!r} does not take per-pair overrides")
-            values = _ints(section[key]) if base == "lambda" else _floats(section[key])
-            overrides[(base, suffix)] = values
-    mode = section.get("grid", "default").strip()
-    if mode != "default":
-        raise ConfigError(f"[descriptors] grid must be 'default' if given, got {mode!r}")
-    kwargs = {}
-    if "cutoff" in section:
-        kwargs["cutoff"] = _number(float, section, "cutoff", None)
-    if "inner_cutoff" in section:
-        kwargs["inner_cutoff"] = _number(float, section, "inner_cutoff", None)
-    if "radial_eta" in section:
-        kwargs["radial_eta"] = _floats(section["radial_eta"])
-    if "radial_rs" in section:
-        kwargs["radial_rs"] = _floats(section["radial_rs"])
-    if "angular_eta" in section:
-        kwargs["angular_eta"] = _floats(section["angular_eta"])
-    if "zeta" in section:
-        kwargs["zeta"] = _floats(section["zeta"])
-    if "lambda" in section:
-        kwargs["lam"] = _ints(section["lambda"])
-    if "kinds" in section:
-        kwargs["kinds"] = tuple(section["kinds"].split())
-    return GridConfig(overrides=overrides, **kwargs)
 
 
 def load_config(path: str | Path, overrides: Iterable[tuple[str, object]] = ()) -> RunConfig:
     """Parse and validate a run-configuration file, with ``overrides``
     ("section.key", value) pairs set into it first, so a command-line flag is
-    checked exactly as its key is.  Paths are checked when they are read."""
+    checked exactly as its key is.  A section or key not in ``SCHEMA`` is an
+    error.  Paths are checked when they are read."""
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name "", so [DEFAULT] is an ordinary (unknown) section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str    # element symbols in keys are case-sensitive
     try:
         parser.read_string(read_input_text(path, "config file"), source=str(path))
@@ -193,72 +240,26 @@ def load_config(path: str | Path, overrides: Iterable[tuple[str, object]] = ()) 
         parser[section][key] = str(value)
 
     base = path.parent
-
-    def resolve(p: str) -> Path:
-        q = Path(p)
-        return q if q.is_absolute() else base / q
-
-    run = parser["run"] if parser.has_section("run") else {}
-    fmt = _number(int, run, "format", CONFIG_FORMAT)
-    if fmt != CONFIG_FORMAT:
-        raise ConfigError(f"unsupported config format {fmt} (this build reads format {CONFIG_FORMAT})")
-
-    if not parser.has_section("data") or "manifests" not in parser["data"]:
-        raise ConfigError("config needs a [data] section with a 'manifests' key")
-    manifests = tuple(resolve(p) for p in parser["data"]["manifests"].split())
-    elements = None
-    if "elements" in parser["data"]:
-        elements = tuple(parser["data"]["elements"].split())
-    keep_ids = None
-    if "keep_ids" in parser["data"]:
-        keep_ids = resolve(parser["data"]["keep_ids"])
-
-    grid = _parse_grid(parser["descriptors"]) if parser.has_section("descriptors") \
-        else GridConfig()
-
-    fp = parser["fingerprint"] if parser.has_section("fingerprint") else {}
-    bins = _number(int, fp, "bins", 50)
-    check_bin_count(bins, 0)    # the column count, and so the bit cap, waits for the data
-    reference = fp.get("reference", "auto").strip()
-    if reference != "auto" and not (reference.startswith("id:") or reference.startswith("path:")):
-        raise ConfigError(f"reference must be auto, id:<id>, or path:<file>, got {reference!r}")
-    if reference.startswith("path:"):
-        reference = f"path:{resolve(reference[5:])}"
-    xor_mode = _choice(fp, "xor_mode", "occupancy", XOR_MODES, "xor_mode")
-
-    sc = parser["screening"] if parser.has_section("screening") else {}
-    mode = _choice(sc, "mode", "exact", SCREENING_MODES, "screening mode")
-    training_manifest = None
-    if "training_manifest" in sc:
-        training_manifest = resolve(sc["training_manifest"])
-    aggregate = _choice(sc, "aggregate", "min", NOVELTY_AGGREGATES, "aggregate")
-
-    emb = parser["embedding"] if parser.has_section("embedding") else {}
-    method = _choice(emb, "method", "tsne", EMBEDDING_METHODS, "embedding method")
-    seed = _number(int, run, "seed", 0)
-    tsne = TsneConfig(
-        perplexity=_number(float, emb, "perplexity", 30.0),
-        iterations=_number(int, emb, "iterations", 1000),
-        learning_rate=_number(float, emb, "learning_rate", 200.0),
-        seed=seed,
-    )
-
-    out_dir = resolve(run.get("output", "out")) if run else base / "out"
-    return RunConfig(
-        manifests=manifests,
-        out_dir=out_dir,
-        seed=seed,
-        keep_ids=keep_ids,
-        elements=elements,
-        grid=grid,
-        bins=bins,
-        reference=reference,
-        xor_mode=xor_mode,
-        screening_mode=mode,
-        radius=_number(int, sc, "radius", 0),
-        threshold=_number(float, sc, "threshold", 0.1),
-        aggregate=aggregate,
-        training_manifest=training_manifest,
-        method=method,
-        tsne=tsne,
-    )
+    found = {RunConfig: {}, GridConfig: {"overrides": {}}, TsneConfig: {}, NoveltyConfig: {}}
+    for name in parser.sections():
+        if name not in SCHEMA:
+            raise ConfigError(f"unknown config section [{name}]")
+        for key, raw in parser[name].items():
+            known, dot, pair = key.partition(".")
+            if known not in SCHEMA[name]:
+                raise ConfigError(f"unknown [{name}] key {key!r}")
+            if dot and known not in _OVERRIDABLE:
+                raise ConfigError(f"[{name}] key {known!r} does not take per-pair overrides")
+            into, field_name, parse = SCHEMA[name][known]
+            try:
+                value = parse(raw, base)
+            except ValueError as exc:
+                raise ConfigError(f"{key} {exc}") from None
+            if dot:
+                found[GridConfig]["overrides"][(known, pair)] = value
+            elif into is not None:
+                found[into][field_name] = value
+    found[RunConfig].setdefault("out_dir", base / RunConfig.out_dir)
+    return RunConfig(**found[RunConfig], grid=GridConfig(**found[GridConfig]),
+                     tsne=TsneConfig(**found[TsneConfig]),
+                     novelty=NoveltyConfig(**found[NoveltyConfig]))

@@ -57,6 +57,8 @@ class TsneConfig:
             raise UserInputError("perplexity and learning rate must be finite")
         if self.perplexity <= 0 or self.iterations < 1 or self.learning_rate <= 0:
             raise UserInputError("perplexity, iterations and learning rate must be positive")
+        if self.seed < 0:
+            raise UserInputError(f"seed must be >= 0, got {self.seed}")
 
     def validate_for(self, n_points: int) -> None:
         """Reject a run on ``n_points`` points before any n x n array exists."""

@@ -129,7 +129,7 @@ class NoveltyConfig:
     exceeds ``threshold``.  ``aggregate`` picks min or mean over the
     candidate's per-training-vector distances."""
 
-    threshold: float
+    threshold: float = 0.1
     aggregate: str = "min"
 
     def __post_init__(self):

@@ -450,6 +450,29 @@ class TestFailFast:
         assert main(["fingerprint", "--config", str(cfg)]) == 1
         assert "exceeds the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, message", [
+        ("threshold = nan", "threshold must be finite and >= 0, got nan"),
+        ("threshold = -1", "threshold must be finite and >= 0, got -1.0"),
+        ("radius = -1", "radius must be >= 0, got -1"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["fingerprint"],
+        ["screen", "--fingerprints", "out/fingerprints.txt"],
+        ["screen", "--mode", "novelty", "--training-manifest", "manifest.txt"],
+        ["embed", "--input", "out/fingerprints.txt"],
+        ["embed", "--source", "mean"],
+    ])
+    def test_screening_settings_at_load(self, rng, tmp_path, capsys, monkeypatch, argv,
+                                        setting, message):
+        cfg = make_corpus(rng, tmp_path, n=6)
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        monkeypatch.chdir(tmp_path)
+        _forbid_work(monkeypatch)
+        cfg.write_text(cfg.read_text().replace("mode = exact", f"mode = exact\n{setting}"))
+        assert main([argv[0], "--config", str(cfg), "--out", "o2"] + argv[1:]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o2").exists()
+
     def test_novelty_threshold_before_descriptors(self, rng, tmp_path, capsys, monkeypatch):
         cfg = make_corpus(rng, tmp_path, n=6)
         _forbid_work(monkeypatch)
@@ -647,6 +670,67 @@ class TestConfig:
         assert main(["fingerprint", "--config", str(cfg_path)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, line, named", [
+        ("run", "sed = 3", "sed"),
+        ("data", "element = Fe H", "element"),
+        ("descriptors", "Cutoff = 4.0", "Cutoff"),
+        ("fingerprint", "bin = 8", "bin"),
+        ("screening", "raduis = 3", "raduis"),     # once silently a radius-0 report
+        ("embedding", "perplexity.Fe = 2", "perplexity"),
+    ])
+    def test_unknown_key_in_each_section_exits_one(self, rng, tmp_path, capsys,
+                                                   section, line, named):
+        cfg = make_corpus(rng, tmp_path, n=6, duplicate_groups=1)
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        cfg.write_text(cfg.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        assert main(["screen", "--config", str(cfg), "--mode", "hamming",
+                     "--fingerprints", str(tmp_path / "out" / "fingerprints.txt")]) == 1
+        assert f"[{section}] key {named!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "screening_report.json").exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("[embedding]", "[embeding]"),
+        ("[run]", "[Run]"),
+        ("[run]", "[DEFAULT]\nseed = 3\n\n[run]"),
+    ])
+    def test_unknown_section_exits_one(self, rng, tmp_path, capsys, old, new):
+        cfg = make_corpus(rng, tmp_path, n=4)
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert main(["embed", "--config", str(cfg), "--source", "mean", "--method", "pca"]) == 1
+        section = new.split("]")[0] + "]"
+        assert f"error: unknown config section {section}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_flag_is_a_schema_key(self):
+        import argparse
+
+        from dvlae.cli import build_parser
+        from dvlae.config import SCHEMA
+
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for p in commands.choices.values() for a in p._actions if "." in a.dest}
+        assert {"run.output", "fingerprint.bins", "screening.radius"} <= dests
+        for dest in dests:
+            section, _, key = dest.partition(".")
+            assert key in SCHEMA.get(section, {}), dest
+
+    def test_readme_example_loads(self, tmp_path):
+        from pathlib import Path
+
+        from dvlae.config import load_config
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (tmp_path / "run.ini").write_text(readme.split("```ini\n")[1].split("```")[0])
+        cfg = load_config(tmp_path / "run.ini")
+        assert cfg.manifests == (tmp_path / "manifest.txt",)
+        assert cfg.elements == ("Fe", "H")
+        assert cfg.keep_ids == tmp_path / "out" / "kept_ids.txt"
+        assert cfg.grid.overrides == {("radial_eta", "Fe-H"): (0.0, 2.0),
+                                      ("zeta", "Fe-Fe-H"): (1.0,)}
+        assert (cfg.reference, cfg.xor_mode, cfg.screening_mode, cfg.method) == \
+            ("auto", "occupancy", "exact", "tsne")
+        assert cfg.training_manifest == tmp_path / "train.txt"
+
     def test_unsupported_format_rejected(self, rng, tmp_path):
         cfg_path = make_corpus(rng, tmp_path, n=4)
         cfg_path.write_text(cfg_path.read_text().replace("format = 1", "format = 2"))
@@ -665,6 +749,7 @@ class TestConfig:
         ("embed", ["--perplexity", "high"], "perplexity must be a float, got 'high'"),
         ("fingerprint", ["--bins", "0"], "bins must be >= 1, got 0"),
         ("fingerprint", ["--seed", "x"], "seed must be a int, got 'x'"),
+        ("embed", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_flag_validated_as_its_config_key(self, rng, tmp_path, capsys,
                                               command, flags, message):
@@ -677,9 +762,8 @@ class TestConfig:
         cfg_path = make_corpus(rng, tmp_path, n=4)
         cfg = load_config(cfg_path, [("run.seed", "11"), ("fingerprint.bins", 9),
                                      ("embedding.perplexity", "2.5"), ("screening.radius", "3")])
-        assert (cfg.seed, cfg.tsne.seed, cfg.bins, cfg.tsne.perplexity, cfg.radius) == \
-            (11, 11, 9, 2.5, 3)
-        assert load_config(cfg_path).seed == 7
+        assert (cfg.tsne.seed, cfg.bins, cfg.tsne.perplexity, cfg.radius) == (11, 9, 2.5, 3)
+        assert load_config(cfg_path).tsne.seed == 7
 
     def test_path_flags_relative_to_working_directory(self, rng, tmp_path, monkeypatch):
         project, work = tmp_path / "project", tmp_path / "work"

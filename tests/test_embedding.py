@@ -232,6 +232,11 @@ class TestTsne:
         with pytest.raises(UserInputError, match="finite"):
             TsneConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng raises ValueError on it, which would exit 2
+        with pytest.raises(UserInputError, match="seed must be >= 0, got -1"):
+            TsneConfig(seed=-1)
+
     def test_coordinates_finite(self, rng):
         points, _ = three_clusters(rng, per_cluster=8)
         d = pairwise_distances(points)
