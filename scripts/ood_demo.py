@@ -74,10 +74,10 @@ def main():
         print(f"{s.structure_id:12s} {s.min_hamming:11d} {s.normalized:10.4f}")
     top_ids = [s.structure_id for s in scores[: args.top_n]]
 
-    bits = np.vstack([train_fps.bits(), pred_fps.bits()])
+    rows = np.vstack([train_fps.fingerprints, pred_fps.fingerprints])
     # t-SNE needs perplexity < (n - 1) / 3; small runs get a smaller one.
-    perplexity = min(15.0, 0.9 * (len(bits) - 1) / 3)
-    coords, _ = tsne_embed(pairwise_distances(bits, metric="hamming"),
+    perplexity = min(15.0, 0.9 * (len(rows) - 1) / 3)
+    coords, _ = tsne_embed(pairwise_distances(rows, metric="packed-hamming"),
                            TsneConfig(perplexity=perplexity, iterations=800,
                                       learning_rate=50.0, seed=args.seed))
     emb = Embedding(

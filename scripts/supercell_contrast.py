@@ -70,15 +70,14 @@ def main():
     for s, vec in zip(ds, padded):
         print(f"  {s.id:12s} {np.linalg.norm(padded[0] - vec):.3f}")
 
-    bits = fpset.bits()
     ids, tags = ds.ids(), tuple(s.tag for s in ds)
     cfg = TsneConfig(perplexity=2.5, iterations=600, learning_rate=20.0, seed=args.seed)
     for name, vectors, metric in (
-        ("fingerprint", bits, "hamming"),
+        ("fingerprint", fpset.fingerprints, "packed-hamming"),
         ("baseline", padded, "euclidean"),
     ):
         d = pairwise_distances(vectors, metric=metric)
-        emb_pca = Embedding(ids=ids, tags=tags, coords=pca_project(vectors.astype(float)))
+        emb_pca = Embedding(ids=ids, tags=tags, coords=pca_project(vectors, metric=metric))
         write_scatter_svg(emb_pca, PlotSpec(), args.outdir / f"pca_{name}.svg")
         coords, _ = tsne_embed(d, cfg)
         emb_tsne = Embedding(ids=ids, tags=tags, coords=coords)

@@ -171,16 +171,14 @@ def write_vector_csv(ids, tags, vectors: np.ndarray, path: str | Path) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-def _read_embedding_input(path: str | Path, method: str):
+def _read_embedding_input(path: str | Path):
     """(ids, tags, vectors, metric) of an ``embed --input`` file, read once.
-    A fingerprint file gives its packed rows, since t-SNE needs only their
-    Hamming distances, and unpacks them for PCA; a vector CSV gives its rows."""
+    A fingerprint file gives its packed rows, which t-SNE and PCA both take
+    as they are; a vector CSV gives its rows."""
     text = read_input_text(path, "embedding input")
     if not fp_mod.is_fingerprint_text(text):
         return (*_read_vector_csv(path, text), "euclidean")
     fpset = fp_mod.read_fingerprints(path, text)
-    if method == "pca":
-        return fpset.ids, fpset.tags, fpset.bits(), "hamming"
     return fpset.ids, fpset.tags, fpset.fingerprints, "packed-hamming"
 
 
@@ -202,7 +200,7 @@ def cmd_embed(args) -> int:
 
     ids = tags = matrices = None
     if args.input is not None:
-        ids, tags, vectors, metric = _read_embedding_input(args.input, method)
+        ids, tags, vectors, metric = _read_embedding_input(args.input)
         embedding = emb_mod.embed_vectors(ids, tags, vectors, method=method,
                                           metric=metric, cfg=tsne_cfg)
     elif source in ("baseline", "mean"):

@@ -17,6 +17,7 @@ from .descriptors import (
     DescriptorDef,
     RadialParams,
     SymmetryFunctionSet,
+    check_parameter,
 )
 from .embedding import EMBEDDING_METHODS, TsneConfig
 from .errors import ConfigError
@@ -43,8 +44,29 @@ class GridConfig:
     kinds: tuple[str, ...] = ("G4", "G5")
     overrides: dict[tuple[str, str], tuple[float, ...]] = field(default_factory=dict)
 
+    def __post_init__(self):
+        """Every configured value, per-pair overrides too, meets the rule of
+        the parameter it becomes, so a bad one fails at load in every command."""
+        self.cutoff_params()
+        values = [("radial_eta", self.radial_eta), ("radial_rs", self.radial_rs),
+                  ("angular_eta", self.angular_eta), ("zeta", self.zeta), ("lambda", self.lam),
+                  ("kinds", self.kinds)]
+        values += [(key, v) for (key, _), v in self.overrides.items()]
+        for key, given in values:
+            for value in given:
+                check_parameter(_PARAMETER[key], value)
+
+    def cutoff_params(self) -> CutoffParams:
+        inner = self.inner_cutoff if self.inner_cutoff is not None else 0.9 * self.cutoff
+        return CutoffParams(inner=inner, outer=self.cutoff)
+
     def _get(self, key: str, elements: tuple[str, ...], base) -> tuple:
         return self.overrides.get((key, "-".join(elements)), base)
+
+
+# The symmetry-function parameter each [descriptors] list key sets
+_PARAMETER = {"radial_eta": "eta", "radial_rs": "r_s", "angular_eta": "eta", "zeta": "zeta",
+              "lambda": "lam", "kinds": "kind"}
 
 
 def build_symmetry_functions(elements: Sequence[str], grid: GridConfig) -> SymmetryFunctionSet:
@@ -52,8 +74,7 @@ def build_symmetry_functions(elements: Sequence[str], grid: GridConfig) -> Symme
     elements = tuple(elements)
     if not elements:
         raise ConfigError("element list is empty")
-    inner = grid.inner_cutoff if grid.inner_cutoff is not None else 0.9 * grid.cutoff
-    cut = CutoffParams(inner=inner, outer=grid.cutoff)
+    cut = grid.cutoff_params()
     pairs = [
         (a, b)
         for i, a in enumerate(elements)

@@ -17,6 +17,19 @@ from .errors import UserInputError
 from .structures import Structure, neighbor_list
 
 
+def check_parameter(name: str, value) -> None:
+    """The one range rule of each symmetry-function parameter: ``eta``,
+    ``r_s`` and ``zeta`` finite and >= 0, ``lam`` +1 or -1, ``kind`` G4 or G5."""
+    if name == "lam":
+        if value not in (+1, -1):
+            raise UserInputError(f"lam must be +1 or -1, got {value}")
+    elif name == "kind":
+        if value not in ("G4", "G5"):
+            raise UserInputError(f"kind must be G4 or G5, got {value!r}")
+    elif not np.isfinite(value) or value < 0:
+        raise UserInputError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class CutoffParams:
     """Taper radii: flat 1 inside ``inner``, smooth decay to 0 at ``outer``."""
@@ -40,10 +53,8 @@ class RadialParams:
     neighbor_element: str
 
     def __post_init__(self):
-        if not np.isfinite(self.eta) or self.eta < 0:
-            raise UserInputError(f"eta must be finite and >= 0, got {self.eta}")
-        if not np.isfinite(self.r_s) or self.r_s < 0:
-            raise UserInputError(f"r_s must be finite and >= 0, got {self.r_s}")
+        check_parameter("eta", self.eta)
+        check_parameter("r_s", self.r_s)
 
 
 @dataclass(frozen=True)
@@ -57,14 +68,10 @@ class AngularParams:
     element_pair: tuple[str, str]   # unordered; stored sorted
 
     def __post_init__(self):
-        if self.lam not in (+1, -1):
-            raise UserInputError(f"lam must be +1 or -1, got {self.lam}")
-        if not np.isfinite(self.zeta) or self.zeta < 0:
-            raise UserInputError(f"zeta must be finite and >= 0, got {self.zeta}")
-        if not np.isfinite(self.eta) or self.eta < 0:
-            raise UserInputError(f"eta must be finite and >= 0, got {self.eta}")
-        if self.kind not in ("G4", "G5"):
-            raise UserInputError(f"kind must be G4 or G5, got {self.kind!r}")
+        check_parameter("lam", self.lam)
+        check_parameter("zeta", self.zeta)
+        check_parameter("eta", self.eta)
+        check_parameter("kind", self.kind)
         object.__setattr__(self, "element_pair", tuple(sorted(self.element_pair)))
 
 
@@ -303,11 +310,14 @@ def compute_structure_descriptors(s: Structure, sfset: SymmetryFunctionSet) -> D
     for e in sfset.elements:
         centers = s.element_indices(e)
         block = np.empty((len(centers), len(sfset.descriptors[e])))
-        for row, i in zip(block, centers):
-            dist, disp = nlist.distances[i], nlist.displacements[i]
-            neighbors = species[nlist.indices[i]]
-            for group in sfset.groups[e]:
-                row[group.cols] = group.evaluate(dist, disp, neighbors, s.id)
+        # Huge parameters overflow to inf or nan; the check below reports
+        # them, so numpy's warnings would only print ahead of that error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, i in zip(block, centers):
+                dist, disp = nlist.distances[i], nlist.displacements[i]
+                neighbors = species[nlist.indices[i]]
+                for group in sfset.groups[e]:
+                    row[group.cols] = group.evaluate(dist, disp, neighbors, s.id)
         if not np.all(np.isfinite(block)):
             raise UserInputError(f"non-finite descriptor value in structure {s.id!r}, element {e}")
         block.setflags(write=False)

@@ -15,11 +15,11 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .distance import euclidean_cdist, hamming_cdist
+from .distance import _BLOCK_BYTES, euclidean_cdist, hamming_cdist
 from .errors import FormatError, UserInputError
 from .ioutil import atomic_write_text, read_input_text
 
@@ -33,7 +33,13 @@ _PROB_FLOOR = 1e-12
 # 2.4, thread pool included), plus an 8-byte KL entry per iteration.  With 7
 # arrays counted, a 4 GiB budget allows about 8,700 points at 1000 iterations.
 _TSNE_BYTES_PER_PAIR = 7 * 8
-_TSNE_MEMORY_BUDGET = 4 << 30
+# PCA's peak is its m x m eigenproblem, m = min(n, d): the Gram or covariance
+# matrix, and eigh's copy of it, workspace and eigenvectors.  Peak RSS grew by
+# 5.2-5.9 x 8m^2 bytes at m = 500-3000 (packed and float rows, both branches,
+# x86-64, numpy 2.4); with 6 arrays counted, 4 GiB allows m of about 9,450.
+_PCA_BYTES_PER_ELEMENT = 6 * 8
+# One budget bounds both methods.
+_MEMORY_BUDGET = 4 << 30
 # The t-SNE loop hands its elementwise passes to one thread per CPU, at most
 # _TSNE_MAX_WORKERS (only 2 CPUs were measured), in blocks of this many rows:
 # at n = 1000 on 2 cores, 32-128 rows ran equally fast and 16 slower.
@@ -69,10 +75,10 @@ class TsneConfig:
                 f"got {self.perplexity}"
             )
         need = _TSNE_BYTES_PER_PAIR * n_points**2 + 8 * self.iterations
-        if need > _TSNE_MEMORY_BUDGET:
+        if need > _MEMORY_BUDGET:
             raise UserInputError(
                 f"exact t-SNE of {n_points} points over {self.iterations} iterations needs "
-                f"about {need / 2**30:.1f} GiB, over the {_TSNE_MEMORY_BUDGET >> 30} GiB "
+                f"about {need / 2**30:.1f} GiB, over the {_MEMORY_BUDGET >> 30} GiB "
                 "budget; use --method pca, fewer points or fewer iterations"
             )
 
@@ -100,56 +106,156 @@ class Embedding:
 def pairwise_distances(vectors: np.ndarray, metric: str = "euclidean") -> np.ndarray:
     """Symmetric zero-diagonal distance matrix.
 
-    ``euclidean`` expects real row vectors; ``hamming`` expects 0/1 rows and
-    counts differing positions; ``packed-hamming`` expects those rows already
-    bit-packed, uint8 with zero padding bits (``FingerprintSet.fingerprints``),
-    and gives the same distances from an eighth of the input.
+    ``euclidean`` expects real row vectors; ``packed-hamming`` expects
+    bit-packed 0/1 rows, uint8 with zero padding bits
+    (``FingerprintSet.fingerprints``), and counts the differing bits.
     """
+    x = _metric_rows(vectors, metric)
+    out = euclidean_cdist(x, x) if metric == "euclidean" else hamming_cdist(x, x).astype(float)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _metric_rows(vectors: np.ndarray, metric: str) -> np.ndarray:
+    """``vectors`` as the rows ``metric`` reads: float for ``euclidean``,
+    packed uint8 for ``packed-hamming``."""
     x = np.asarray(vectors)
     if x.ndim != 2:
         raise UserInputError("vectors must form a 2-D array (one row per point)")
     if metric == "euclidean":
-        out = euclidean_cdist(x, x)
-    elif metric in ("hamming", "packed-hamming"):
-        if metric == "hamming":
-            if not np.isin(x, (0, 1)).all():
-                raise UserInputError("hamming metric requires 0/1 bit vectors")
-            x = np.packbits(x.astype(bool), axis=1)
-        elif x.dtype != np.uint8:
-            raise UserInputError(f"packed-hamming metric requires uint8 rows, got {x.dtype}")
-        out = hamming_cdist(x, x).astype(float)
-    else:
+        return x.astype(float, copy=False)
+    if metric != "packed-hamming":
         raise UserInputError(f"unknown metric {metric!r}")
-    np.fill_diagonal(out, 0.0)
-    return out
+    if x.dtype != np.uint8:
+        raise UserInputError(f"packed-hamming metric requires uint8 rows, got {x.dtype}")
+    return x
 
 
 # ---------------------------------------------------------------------------
 # PCA
 # ---------------------------------------------------------------------------
 
-def pca_project(vectors: np.ndarray, dims: int = 2) -> np.ndarray:
-    """Project mean-centered data onto the top principal axes.
+def pca_project(vectors: np.ndarray, dims: int = 2, metric: str = "euclidean") -> np.ndarray:
+    """Project mean-centered rows onto their top principal axes.
 
-    Axes are covariance eigenvectors in descending-eigenvalue order; each
-    axis's sign is fixed by making its largest-magnitude loading positive.
-    ``vectors`` is not modified: one float copy is centered in place.
+    ``metric`` names the rows as ``pairwise_distances`` does: ``euclidean``
+    takes real vectors, ``packed-hamming`` bit-packed 0/1 rows, which are
+    projected as their unpacked bits without ever being unpacked whole.
+    With n rows of d features (8 per packed byte; zero padding bits add
+    nothing), PCA solves the smaller eigenproblem: for n <= d the n x n Gram
+    matrix X_c X_c^T, whose eigenpairs (lambda, v) give the coordinates
+    sqrt(lambda) v; for packed rows that matrix is -1/2 J D J over their
+    Hamming matrix D, since squared Euclidean distance between 0/1 rows is
+    Hamming distance (classical MDS).  For d < n it is the d x d covariance
+    X_c^T X_c, and the coordinates are X_c times its eigenvectors.
+
+    Axes come in descending-eigenvalue order; each axis's sign makes its
+    largest-magnitude loading positive.  An axis whose eigenvalue is at most
+    max(n, d) * eps * lambda_1 (numpy's ``matrix_rank`` tolerance) holds only
+    roundoff and gets zero coordinates, as does an axis beyond the d-th.
+    ``vectors`` is not modified.
     """
-    x = np.array(vectors, dtype=float)
-    if x.ndim != 2:
-        raise UserInputError("vectors must form a 2-D array")
-    if len(x) < dims:
-        raise UserInputError(f"need at least {dims} points for a {dims}-D projection, got {len(x)}")
-    x -= x.mean(axis=0)
-    _, _, vt = np.linalg.svd(x, full_matrices=False)
-    axes = vt[:dims]
-    if axes.shape[0] < dims:   # fewer features than dims: pad with zero axes
-        axes = np.vstack([axes, np.zeros((dims - axes.shape[0], x.shape[1]))])
-    for row in range(dims):
-        lead = np.argmax(np.abs(axes[row]))
-        if axes[row, lead] < 0:
-            axes[row] = -axes[row]
-    return x @ axes.T
+    x = _metric_rows(vectors, metric)
+    packed = metric == "packed-hamming"
+    n, d = x.shape[0], x.shape[1] * (8 if packed else 1)
+    if n < dims:
+        raise UserInputError(f"need at least {dims} points for a {dims}-D projection, got {n}")
+    check_pca_memory(n, d)
+    if n <= d:
+        lam, vec = _top_eigenpairs(_hamming_gram(x) if packed else _gram(x), dims)
+        coords = vec * np.sqrt(np.maximum(lam, 0.0))
+        lead = _lead_loadings(x, packed, vec)
+    else:
+        mean = sum(block.sum(axis=0) for _, block in _row_blocks(x, packed, 0.0)) / n
+        cov = np.zeros((d, d))
+        for _, block in _row_blocks(x, packed, mean):
+            cov += block.T @ block
+        lam, axes = _top_eigenpairs(cov, dims)
+        del cov
+        coords = np.empty((n, dims))
+        for rows, block in _row_blocks(x, packed, mean):
+            coords[rows] = block @ axes
+        lead = axes[np.abs(axes).argmax(axis=0), np.arange(dims)]
+    coords[:, lam <= max(n, d) * np.finfo(float).eps * max(lam[0], 0.0)] = 0.0
+    coords[:, lead < 0] *= -1.0
+    return coords
+
+
+def check_pca_memory(n_points: int, n_features: int) -> None:
+    """Reject a PCA of ``n_points`` rows of ``n_features`` before its n x n or
+    d x d eigenproblem exists."""
+    size = min(n_points, n_features)
+    need = _PCA_BYTES_PER_ELEMENT * size**2 + 2 * _BLOCK_BYTES
+    if need > _MEMORY_BUDGET:
+        raise UserInputError(
+            f"PCA of {n_points} points with {n_features} features needs about "
+            f"{need / 2**30:.1f} GiB for its {size} x {size} eigenproblem, over the "
+            f"{_MEMORY_BUDGET >> 30} GiB budget; use fewer points or features"
+        )
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """X_c X_c^T of real rows, summed over column blocks."""
+    gram = np.zeros((len(x), len(x)))
+    for block in _column_blocks(x, packed=False):
+        gram += block @ block.T
+    return gram
+
+
+def _hamming_gram(x: np.ndarray) -> np.ndarray:
+    """-1/2 J D J over the Hamming matrix D of packed rows: the Gram matrix of
+    their centered bits.  With row sums s, 2 n^2 times it is
+    -(n^2 D - n s_i - n s_j + sum(s)), exact in int64 (|.| <= 2 n^2 d), so
+    the result is exactly symmetric and rounded once."""
+    n = len(x)
+    g = hamming_cdist(x, x)
+    s = g.sum(axis=1)
+    g *= n * n
+    g -= n * s[:, None]
+    g -= n * s[None, :]
+    g += s.sum()
+    return g / (-2.0 * n * n)
+
+
+def _top_eigenpairs(matrix: np.ndarray, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``dims`` largest eigenvalues of a symmetric matrix, descending, and
+    their eigenvectors as columns; zero pairs pad a matrix smaller than dims."""
+    lam, vec = np.linalg.eigh(matrix)
+    lam, vec = lam[::-1][:dims], vec[:, ::-1][:, :dims]
+    pad = dims - len(lam)
+    return np.pad(lam, (0, pad)), np.pad(vec, ((0, 0), (0, pad)))
+
+
+def _lead_loadings(x: np.ndarray, packed: bool, vec: np.ndarray) -> np.ndarray:
+    """Per column of ``vec``, the largest-magnitude entry (the first of equals)
+    of the loadings X_c^T vec, which are found one column block at a time."""
+    lead = np.zeros(vec.shape[1])
+    for block in _column_blocks(x, packed):
+        loadings = block.T @ vec
+        best = loadings[np.abs(loadings).argmax(axis=0), np.arange(vec.shape[1])]
+        np.copyto(lead, best, where=np.abs(best) > np.abs(lead))
+    return lead
+
+
+def _column_blocks(x: np.ndarray, packed: bool) -> Iterator[np.ndarray]:
+    """Mean-centered float column blocks of ``x`` (packed bytes unpacked to
+    0/1), each within the distance kernels' block budget."""
+    step = max(1, _BLOCK_BYTES // (8 * len(x) * (8 if packed else 1)))
+    for j in range(0, x.shape[1], step):
+        block = x[:, j : j + step]
+        block = (np.unpackbits(block, axis=1) if packed else block).astype(float)
+        block -= block.mean(axis=0)
+        yield block
+
+
+def _row_blocks(x: np.ndarray, packed: bool, mean) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, those rows as floats minus ``mean``) over row blocks of ``x``
+    (packed bytes unpacked to 0/1), each within the block budget."""
+    step = max(1, _BLOCK_BYTES // (8 * x.shape[1] * (8 if packed else 1)))
+    for i in range(0, len(x), step):
+        rows = slice(i, i + step)
+        block = np.unpackbits(x[rows], axis=1) if packed else x[rows]
+        yield rows, block - mean
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +463,7 @@ def embed_vectors(
 ) -> Embedding:
     """End-to-end: distance matrix (if needed), reduction, Embedding."""
     if method == "pca":
-        coords = pca_project(vectors, dims=2)
+        coords = pca_project(vectors, dims=2, metric=metric)
     elif method == "tsne":
         cfg.validate_for(len(vectors))
         coords, _ = tsne_embed(pairwise_distances(vectors, metric=metric), cfg)

@@ -206,10 +206,6 @@ class FingerprintSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def bits(self) -> np.ndarray:
-        """The unpacked (n, n_bits) bool array (column-major, bin-minor)."""
-        return np.unpackbits(self.fingerprints, axis=1, count=self.spec.n_bits).view(bool)
-
 
 def select_reference(ds: Dataset) -> Structure:
     """Default reference: the first structure containing every dataset element."""

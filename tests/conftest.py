@@ -5,7 +5,8 @@ dyadic rationals, so supercell replication and neighbor arithmetic are exact
 in float64 and physically equivalent structures yield bit-identical
 descriptor values.
 
-``fingerprint_set`` builds a ``FingerprintSet`` straight from 0/1 rows.
+``fingerprint_set`` builds a ``FingerprintSet`` straight from 0/1 rows, and
+``fingerprint_bits`` unpacks one back to them.
 """
 
 import numpy as np
@@ -24,6 +25,11 @@ def fingerprint_set(bit_rows, ids=None, spec=None):
     ids = tuple(ids) if ids is not None else tuple(f"s{i}" for i in range(len(bits)))
     return FingerprintSet(spec=spec, reference_id="ref", xor_mode="occupancy", ids=ids,
                           tags=(None,) * len(ids), fingerprints=np.packbits(bits, axis=1))
+
+
+def fingerprint_bits(fpset):
+    """The (n, n_bits) bool rows of a ``FingerprintSet``."""
+    return np.unpackbits(fpset.fingerprints, axis=1, count=fpset.spec.n_bits).view(bool)
 
 
 def random_cell(rng, lo=2.5, hi=4.5, skew=0.4):

@@ -1,7 +1,11 @@
 """End-to-end CLI pipelines over small synthetic extended-XYZ corpora."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,9 @@ from dvlae.cli import main
 from dvlae.screening import ScreeningReport
 from dvlae.svgplot import PlotSpec
 
-from conftest import dyadic_structure, permute_atoms
+from conftest import dyadic_structure, fingerprint_bits, permute_atoms
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CONFIG_TEMPLATE = """\
 [run]
@@ -116,6 +122,18 @@ class TestFingerprintCommand:
             assert "data.xyz#0': one atom has 557162271 Fe-Fe neighbor pairs" in err
             assert time.perf_counter() - start < 5.0
         assert (tmp_path / "out" / "fingerprints.txt").exists() == (code == 0)
+
+    def test_overflowing_parameters_print_only_the_error(self, rng, tmp_path):
+        # eta and zeta of 1e308 overflow the descriptor terms to inf and nan:
+        # the finiteness check reports it, with no numpy warning ahead of it
+        cfg = make_corpus(rng, tmp_path, n=6)
+        cfg.write_text(cfg.read_text().replace("radial_eta = 0.0 1.0", "radial_eta = 1e308")
+                       .replace("zeta = 1", "zeta = 1e308"))
+        proc = subprocess.run([sys.executable, "-m", "dvlae.cli", "fingerprint", "--config",
+                               str(cfg)], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: non-finite descriptor value"), proc.stderr
 
     def test_spec_reuse_gives_comparable_bits(self, rng, tmp_path):
         cfg = make_corpus(rng, tmp_path)
@@ -361,10 +379,11 @@ class TestEmbedCommand:
         assert main(["fingerprint", "--config", str(cfg)]) == 0
         fps = tmp_path / "out" / "fingerprints.txt"
         fpset = read_fingerprints(fps)
-        bits = fpset.bits()
+        bits = fingerprint_bits(fpset)
 
-        reads, distance_inputs = [], []
+        reads, distance_inputs, unpacked = [], [], []
         real_read, real_distances = cli_mod.read_input_text, emb_mod.pairwise_distances
+        real_unpack = np.unpackbits
 
         def counting_read(path, what):
             reads.append(str(path))
@@ -374,9 +393,18 @@ class TestEmbedCommand:
             distance_inputs.append((vectors.dtype, vectors.shape, metric))
             return real_distances(vectors, metric)
 
+        def recording_unpack(packed, *args, **kwargs):
+            out = real_unpack(packed, *args, **kwargs)
+            unpacked.append(out.shape)
+            return out
+
         monkeypatch.setattr(cli_mod, "read_input_text", counting_read)
         monkeypatch.setattr(fp_mod, "read_input_text", counting_read)
         monkeypatch.setattr(emb_mod, "pairwise_distances", recording_distances)
+        # A 4 kB block budget: PCA may unpack the bits only in float blocks
+        # within it, never the whole (n, n_bits) matrix.
+        monkeypatch.setattr(emb_mod, "_BLOCK_BYTES", 4096)
+        monkeypatch.setattr(np, "unpackbits", recording_unpack)
         assert main(["embed", "--config", str(cfg), "--input", str(fps),
                      "--method", method]) == 0
         assert reads == [str(fps)]
@@ -384,11 +412,13 @@ class TestEmbedCommand:
         if method == "tsne":
             assert distance_inputs == [(np.uint8, (14, (fpset.spec.n_bits + 7) // 8),
                                         "packed-hamming")]
-            want, _ = emb_mod.tsne_embed(real_distances(bits, metric="hamming"),
-                                         load_config(cfg).tsne)
+            assert unpacked == []
+            naive = (bits[:, None, :] != bits[None, :, :]).sum(axis=2).astype(float)
+            want, _ = emb_mod.tsne_embed(naive, load_config(cfg).tsne)
         else:
             assert distance_inputs == []
-            want = emb_mod.pca_project(bits)
+            assert unpacked and all(8 * rows * cols <= 4096 for rows, cols in unpacked)
+            want = emb_mod.pca_project(fpset.fingerprints, metric="packed-hamming")
         assert np.array_equal(got, want)
 
     def test_empty_fingerprint_file_exits_one(self, rng, tmp_path, capsys):
@@ -403,7 +433,7 @@ class TestEmbedCommand:
 
 
 def _forbid_work(monkeypatch):
-    """Make every descriptor, distance and t-SNE computation an error."""
+    """Make every descriptor, distance, t-SNE and PCA computation an error."""
     import dvlae.descriptors as desc_mod
     import dvlae.embedding as emb_mod
 
@@ -412,6 +442,7 @@ def _forbid_work(monkeypatch):
     monkeypatch.setattr(desc_mod, "compute_structure_descriptors", fail)
     monkeypatch.setattr(emb_mod, "pairwise_distances", fail)
     monkeypatch.setattr(emb_mod, "tsne_embed", fail)
+    monkeypatch.setattr(emb_mod, "pca_project", fail)
 
 
 class TestFailFast:
@@ -469,6 +500,34 @@ class TestFailFast:
         monkeypatch.chdir(tmp_path)
         _forbid_work(monkeypatch)
         cfg.write_text(cfg.read_text().replace("mode = exact", f"mode = exact\n{setting}"))
+        assert main([argv[0], "--config", str(cfg), "--out", "o2"] + argv[1:]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o2").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("zeta = 1", "zeta = -1", "zeta must be finite and >= 0, got -1.0"),
+        ("radial_eta = 0.0 1.0", "radial_eta = -1", "eta must be finite and >= 0, got -1.0"),
+        ("lambda = -1 1", "lambda = 2", "lam must be +1 or -1, got 2"),
+        ("zeta = 1", "zeta = 1\nzeta.Fe-H-H = -1", "zeta must be finite and >= 0, got -1.0"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["fingerprint"],
+        ["screen", "--fingerprints", "out/fingerprints.txt"],
+        ["screen", "--mode", "novelty", "--training-manifest", "manifest.txt"],
+        ["embed", "--input", "out/fingerprints.txt"],
+        ["embed", "--input", "out/fingerprints.txt", "--method", "pca"],
+        ["embed", "--source", "mean"],
+        ["ood", "--training", "out/fingerprints.txt", "--predictions", "out/fingerprints.txt"],
+    ])
+    def test_descriptor_parameters_at_load(self, rng, tmp_path, capsys, monkeypatch, argv,
+                                           old, new, message):
+        # the grid is checked without an element list, so commands that
+        # build no descriptors reject it too
+        cfg = make_corpus(rng, tmp_path, n=6)
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        monkeypatch.chdir(tmp_path)
+        _forbid_work(monkeypatch)
+        cfg.write_text(cfg.read_text().replace(old, new))
         assert main([argv[0], "--config", str(cfg), "--out", "o2"] + argv[1:]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o2").exists()

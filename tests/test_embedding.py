@@ -56,21 +56,22 @@ class TestPairwiseDistances:
         assert np.array_equal(d, d.T)
         assert not d.diagonal().any()
 
-    def test_hamming_counts_differing_bits(self, rng):
+    def test_packed_hamming_counts_differing_bits(self, rng):
         bits = rng.integers(0, 2, (20, 33))
-        d = pairwise_distances(bits, metric="hamming")
+        d = pairwise_distances(np.packbits(bits.astype(bool), axis=1), metric="packed-hamming")
         i, j = 3, 11
         assert d[i, j] == np.count_nonzero(bits[i] != bits[j])
 
-    def test_hamming_rejects_non_binary(self):
-        with pytest.raises(UserInputError):
-            pairwise_distances(np.array([[0.5, 1.0]]), metric="hamming")
+    def test_unpacked_hamming_metric_is_gone(self):
+        # 0/1 rows are packed first; only packed-hamming counts bits
+        with pytest.raises(UserInputError, match="unknown metric 'hamming'"):
+            pairwise_distances(np.array([[0, 1], [1, 1]]), metric="hamming")
 
-    def test_packed_hamming_equals_bit_hamming(self, rng):
+    def test_packed_hamming_equals_bit_counts(self, rng):
         bits = rng.integers(0, 2, (20, 37))     # 37 bits: three padding bits per row
         packed = np.packbits(bits.astype(bool), axis=1)
-        assert np.array_equal(pairwise_distances(packed, metric="packed-hamming"),
-                              pairwise_distances(bits, metric="hamming"))
+        naive = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
+        assert np.array_equal(pairwise_distances(packed, metric="packed-hamming"), naive)
 
     def test_packed_hamming_rejects_unpacked_rows(self):
         with pytest.raises(UserInputError, match="uint8"):
@@ -79,6 +80,88 @@ class TestPairwiseDistances:
     def test_unknown_metric_rejected(self):
         with pytest.raises(UserInputError):
             pairwise_distances(np.zeros((2, 2)), metric="cosine")
+
+
+def reference_pca(x, dims=2):
+    """PCA by a thin SVD of the centered float matrix, each axis's largest
+    loading made positive: the oracle for ``pca_project``'s eigenproblems."""
+    x = np.array(x, dtype=float)
+    x -= x.mean(axis=0)
+    _, _, vt = np.linalg.svd(x, full_matrices=False)
+    axes = np.zeros((dims, x.shape[1]))
+    axes[: len(vt)] = vt[:dims]
+    for axis in axes:
+        if axis[np.argmax(np.abs(axis))] < 0:
+            axis *= -1.0
+    return x @ axes.T
+
+
+def pca_input(rng, kind, n, d, rank):
+    """(rows for ``pca_project``, metric, the same rows as floats): ``n``
+    random rows of ``d`` features, or rank-1 ones.  Rank-1 bits are two
+    distinct rows, one a subset of the other, so every largest loading has
+    one sign and the sign rule has one answer."""
+    if kind == "float":
+        if rank == 1:
+            x = np.outer(rng.normal(0, 2, n), rng.normal(0, 1, d)) + rng.normal(0, 5, d)
+        else:
+            x = rng.normal(0, 1, (n, d)) * rng.uniform(0.1, 5.0, d) + rng.normal(0, 5, d)
+        return x, "euclidean", x
+    if rank == 1:
+        a = rng.random(d) < 0.5
+        b = a & (rng.random(d) < 0.5)
+        bits = np.where((np.arange(n) % 3 == 0)[:, None], a, b)
+    else:
+        bits = rng.random((n, d)) < 0.3
+    return np.packbits(bits, axis=1), "packed-hamming", bits.astype(float)
+
+
+class TestPcaMatchesSvd:
+    """The Gram (n <= d) and covariance (d < n) forms agree with the SVD."""
+
+    @pytest.mark.parametrize("kind", ["float", "packed"])
+    @pytest.mark.parametrize("d", [37, 64])         # padded and whole-word bit widths
+    @pytest.mark.parametrize("n", [20, 100])        # n <= d, and d < n
+    @pytest.mark.parametrize("rank", [1, None])
+    def test_against_svd(self, rng, kind, n, d, rank):
+        rows, metric, x = pca_input(rng, kind, n, d, rank)
+        y = pca_project(rows, metric=metric)
+        want = reference_pca(x)
+        assert y.shape == (n, 2)
+        assert np.abs(y - want).max() <= 1e-9 * np.abs(want).max()
+        if rank == 1:
+            assert np.abs(y[:, 0]).max() > 0 and not y[:, 1].any()
+        if kind == "float":
+            assert np.array_equal(pca_project(-x), -y)
+        assert np.array_equal(pca_project(rows, metric=metric), y)
+
+    def test_fewer_features_than_dims(self, rng):
+        x = rng.normal(0, 1, (10, 1))
+        y = pca_project(x)
+        assert np.abs(y - reference_pca(x)).max() <= 1e-12 * np.abs(x).max()
+        assert not y[:, 1].any()
+
+    def test_packed_rows_must_be_uint8(self):
+        with pytest.raises(UserInputError, match="uint8"):
+            pca_project(np.zeros((3, 8)), metric="packed-hamming")
+
+    def test_memory_guard_allocates_nothing(self):
+        # a million points of a million features: a 10^6 x 10^6 eigenproblem
+        with pytest.raises(UserInputError, match=r"needs about 44703\.5 GiB .* over the 4 GiB"):
+            emb_mod.check_pca_memory(10**6, 10**6)
+        emb_mod.check_pca_memory(1000, 5800)        # the map workload's size fits
+
+    def test_guard_runs_before_any_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the PCA memory check")
+        monkeypatch.setattr(emb_mod, "hamming_cdist", fail)
+        monkeypatch.setattr(emb_mod, "_row_blocks", fail)
+        monkeypatch.setattr(emb_mod, "_column_blocks", fail)
+        monkeypatch.setattr(emb_mod, "_MEMORY_BUDGET", 1000)
+        for rows, metric, features in ((np.zeros((40, 3)), "euclidean", 3),
+                                       (np.zeros((40, 30), dtype=np.uint8), "packed-hamming", 240)):
+            with pytest.raises(UserInputError, match=f"PCA of 40 points with {features} features"):
+                pca_project(rows, metric=metric)
 
 
 class TestPca:
@@ -296,7 +379,7 @@ class TestTsneMatchesReference:
         centres = rng.integers(0, 2, (4, 120))
         bits = centres[rng.integers(0, 4, n)]
         bits[rng.random(bits.shape) < 0.05] ^= 1
-        return pairwise_distances(bits, metric="hamming")
+        return pairwise_distances(np.packbits(bits.astype(bool), axis=1), metric="packed-hamming")
 
     @staticmethod
     def _assert_same(d, cfg):
@@ -305,7 +388,7 @@ class TestTsneMatchesReference:
         assert np.array_equal(y, y_ref)
         assert np.array_equal(kl, kl_ref)
 
-    @pytest.mark.parametrize("metric", ["euclidean", "hamming"])
+    @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
     @pytest.mark.parametrize("n, perplexity", [(12, 3.0), (37, 10.0), (257, 30.0)])
     @pytest.mark.parametrize("iterations, switch", [(40, 250), (90, 30)])
     def test_bit_identical(self, rng, metric, n, perplexity, iterations, switch):
@@ -319,10 +402,12 @@ class TestTsneMatchesReference:
         self._assert_same(pairwise_distances(points),
                           TsneConfig(perplexity=4, iterations=60, switch_iteration=20))
 
-    @pytest.mark.parametrize("metric", ["euclidean", "hamming"])
+    @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
     def test_all_rows_identical(self, metric):
         # every distance zero: each row takes the uniform calibration branch
-        d = pairwise_distances(np.ones((12, 9), dtype=int), metric=metric)
+        rows = np.ones((12, 9), dtype=np.uint8)
+        d = pairwise_distances(rows if metric == "euclidean" else np.packbits(rows, axis=1),
+                               metric=metric)
         with pytest.warns(UserWarning, match="uniform row"):
             self._assert_same(d, TsneConfig(perplexity=3, iterations=40, switch_iteration=15))
 
@@ -343,7 +428,7 @@ class TestTsneMatchesReference:
         return sizes
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("metric", ["euclidean", "hamming"])
+    @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
     @pytest.mark.parametrize("n, block", [
         (12, 1),        # one row per block
         (35, 7),        # 5 blocks of 7 rows
@@ -373,7 +458,7 @@ class TestTsneMatchesReference:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            self._assert_same(self._distances(rng, 45, "hamming"),
+            self._assert_same(self._distances(rng, 45, "packed-hamming"),
                               TsneConfig(perplexity=5, iterations=60, switch_iteration=25))
         finally:
             sys.setswitchinterval(interval)
