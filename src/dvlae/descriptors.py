@@ -156,8 +156,8 @@ def radial_g2(distances: np.ndarray, p: RadialParams, cut: CutoffParams) -> floa
     ``distances`` must already be filtered to the target neighbor element and
     given in canonical neighbor order.
     """
-    group = _Group(cut, p.neighbor_element, [(0, p)])
-    return float(group.radial(np.asarray(distances, dtype=float))[0])
+    d = np.asarray(distances, dtype=float)
+    return float(_Group(cut, p.neighbor_element, [(0, p)]).radial(d, cutoff_value(d, cut))[0])
 
 
 def angular_g4(
@@ -165,8 +165,7 @@ def angular_g4(
     p: AngularParams, cut: CutoffParams,
 ) -> float:
     """G4 sum over unordered neighbor pairs (each pair counted once)."""
-    group = _Group(cut, p.element_pair, [(0, p)])
-    return float(group.angular(*(np.asarray(v, float) for v in (r_ij, r_ik, r_jk, cos_theta)))[0])
+    return _angular_sum(r_ij, r_ik, r_jk, cos_theta, p, cut)
 
 
 def angular_g5(
@@ -174,75 +173,105 @@ def angular_g5(
     p: AngularParams, cut: CutoffParams,
 ) -> float:
     """G5 sum: like G4 but without the j-k distance factors."""
-    group = _Group(cut, p.element_pair, [(0, p)])
     r_jk = np.zeros(np.shape(r_ij))     # G5 rows take no r_jk factors
-    return float(group.angular(*(np.asarray(v, float) for v in (r_ij, r_ik, r_jk, cos_theta)))[0])
+    return _angular_sum(r_ij, r_ik, r_jk, cos_theta, p, cut)
+
+
+def _angular_sum(r_ij, r_ik, r_jk, cos_theta, p: AngularParams, cut: CutoffParams) -> float:
+    """One angular column through a one-column group, tapers computed here."""
+    r_ij, r_ik, r_jk, cos_theta = (np.asarray(v, dtype=float) for v in (r_ij, r_ik, r_jk, cos_theta))
+    fc = cutoff_value(r_ij, cut) * cutoff_value(r_ik, cut)
+    return float(_Group(cut, p.element_pair, [(0, p)]).angular(r_ij, r_ik, r_jk, cos_theta, fc)[0])
+
+
+def _distinct(keys: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct ``keys`` in first-seen order, and each key's index into them."""
+    values = list(dict.fromkeys(keys))
+    return values, np.array([values.index(k) for k in keys])
 
 
 class _Group:
     """The columns of one center element that share a cutoff and a neighbor
-    element (G2) or an element pair (G4 and G5 together), evaluated at once:
-    parameters are (columns, 1) arrays broadcast against the (terms,)
-    geometry."""
+    element (G2) or an element pair (G4 and G5 together), evaluated at once.
+
+    Radial parameters are (columns, 1) arrays broadcast against the (terms,)
+    geometry.  An angular column's terms are the product of three factor
+    rows: the angle ``(1 + lam cos)^zeta``, the Gaussian of ``(eta, kind)``
+    and the taper of ``kind``.  Each distinct factor row is evaluated once,
+    and the column rows are gathered from them (the default grid's 16
+    columns per group need 4, 4 and 2 rows)."""
 
     def __init__(self, cut: CutoffParams, neighbors, members):
         cols, params = zip(*members)
         self.cut, self.neighbors, self.cols = cut, neighbors, np.array(cols)
         self.is_radial = isinstance(params[0], RadialParams)
-        self.eta = np.array([[p.eta] for p in params], dtype=float)
         if self.is_radial:
+            self.eta = np.array([[p.eta] for p in params], dtype=float)
             self.r_s = np.array([[p.r_s] for p in params], dtype=float)
             return
-        self.g4 = np.array([[p.kind == "G4"] for p in params])
-        self.lam = np.array([[p.lam] for p in params], dtype=float)
-        zetas = [p.zeta for p in params]
-        self.zeta_rows = [(z, [k for k, x in enumerate(zetas) if x == z])
-                          for z in dict.fromkeys(zetas)]
-        self.scale = np.array([2.0 ** (1.0 - z) for z in zetas])
+        lams = list(dict.fromkeys(p.lam for p in params))
+        self.lam = np.array([[lam] for lam in lams], dtype=float)
+        # The distinct (lam, zeta) rows, those of one zeta adjacent, so each
+        # zeta is one np.power call on the ``base`` rows of its lams.
+        used = {(p.lam, p.zeta) for p in params}
+        zetas = list(dict.fromkeys(p.zeta for p in params))
+        angles = [(lam, z) for z in zetas for lam in lams if (lam, z) in used]
+        self.powers = [(z, np.array([k for k, lam in enumerate(lams) if (lam, z) in used]))
+                       for z in zetas]
+        self.ang_row = np.array([angles.index((p.lam, p.zeta)) for p in params])
+        gaussians, self.gauss_row = _distinct([(p.eta, p.kind) for p in params])
+        self.eta = np.array([[eta] for eta, _ in gaussians], dtype=float)
+        self.gauss_g4 = np.array([[kind == "G4"] for _, kind in gaussians])
+        kinds, self.taper_row = _distinct([p.kind for p in params])
+        self.taper_g4 = np.array([[kind == "G4"] for kind in kinds])
+        self.scale = np.array([2.0 ** (1.0 - p.zeta) for p in params])
 
-    def evaluate(self, dist, disp, species, structure_id: str) -> np.ndarray:
-        """Every column of the group for one center's canonical neighbors."""
-        within = dist < self.cut.outer
+    def evaluate(self, dist, disp, species, fc, structure_id: str) -> np.ndarray:
+        """Every column of the group for one center's canonical neighbors
+        inside the group's cutoff, with their tapers ``fc``."""
         if self.is_radial:
-            return self.radial(dist[within & (species == self.neighbors)])
-        return self.angular(*_pair_geometry(dist[within], disp[within], species[within],
-                                            self.neighbors, structure_id))
+            mine = species == self.neighbors
+            return self.radial(dist[mine], fc[mine])
+        return self.angular(*_pair_geometry(dist, disp, species, fc, self.neighbors,
+                                            structure_id))
 
-    def radial(self, d: np.ndarray) -> np.ndarray:
-        """G2 over neighbor distances ``d`` in canonical order.  Each row is
-        contiguous, so ``sum(axis=1)`` adds it exactly as ``np.sum`` would."""
-        return (np.exp(-self.eta * (d - self.r_s) ** 2) * cutoff_value(d, self.cut)).sum(axis=1)
+    def radial(self, d: np.ndarray, fc: np.ndarray) -> np.ndarray:
+        """G2 over neighbor distances ``d`` in canonical order, with their
+        tapers ``fc``.  Each row is contiguous, so ``sum(axis=1)`` adds it
+        exactly as ``np.sum`` would."""
+        return (np.exp(-self.eta * (d - self.r_s) ** 2) * fc).sum(axis=1)
 
-    def angular(self, r_ij, r_ik, r_jk, cos_theta) -> np.ndarray:
-        """G4 rows with the ``r_jk`` factors, G5 rows without them."""
+    def angular(self, r_ij, r_ik, r_jk, cos_theta, fc) -> np.ndarray:
+        """G4 rows with the ``r_jk`` factors, G5 rows without them; ``fc`` is
+        fc(r_ij) * fc(r_ik) per pair."""
         base = 1.0 + self.lam * cos_theta
         # One scalar exponent per call: numpy evaluates some scalar powers
         # (2, 0.5) as squares and roots, which array exponents do not match.
         # 0^0 -> 1 (numpy's convention), so zeta = 0 keeps degenerate angles.
-        ang = np.empty_like(base)
-        for z, rows in self.zeta_rows:
-            ang[rows] = np.power(base[rows], z)
+        ang = np.concatenate([np.power(base[rows], z) for z, rows in self.powers])
         r2 = r_ij ** 2 + r_ik ** 2
-        fc = cutoff_value(r_ij, self.cut) * cutoff_value(r_ik, self.cut)
-        gauss = np.exp(-self.eta * np.where(self.g4, r2 + r_jk ** 2, r2))
-        taper = np.where(self.g4, fc * cutoff_value(r_jk, self.cut), fc)
-        terms = ang * gauss * taper
+        gauss = np.exp(-self.eta * np.where(self.gauss_g4, r2 + r_jk ** 2, r2))
+        taper = np.where(self.taper_g4, fc * cutoff_value(r_jk, self.cut), fc)
+        terms = ang[self.ang_row] * gauss[self.gauss_row]
+        terms *= taper[self.taper_row]
         # Value-sorted summation: the term multiset is identical for physically
         # equivalent environments (supercell images, permuted atoms), so sorting
         # makes the sum bit-identical across them.
-        return np.sort(terms, axis=1).sum(axis=1) * self.scale
+        terms.sort(axis=1)
+        return terms.sum(axis=1) * self.scale
 
 
 # Most unordered neighbor pairs one center may form for one angular group.
-# With the default 16-column G4+G5 group a pair costs about 0.8 KB of
-# temporaries (measured: a one-atom 1.0 Å cell at 6 Å, 399,171 pairs, 330 MB),
-# so the cap keeps one center within a 1 GB budget.
+# With the default 16-column G4+G5 group a pair costs about 0.4 KB of
+# temporaries (measured: a one-atom 1.0 Å cell at 6 Å, 399,171 pairs, peak RSS
+# 165 MB above its level before the call), so the cap keeps one center within
+# about 0.5 GB.
 _MAX_CENTER_PAIRS = 1_000_000
 
 
-def _pair_geometry(dist, disp, species, pair, structure_id: str):
-    """(r_ij, r_ik, r_jk, cos_theta) over the unordered neighbor pairs of one
-    center whose elements match ``pair``."""
+def _pair_geometry(dist, disp, species, fc, pair, structure_id: str):
+    """(r_ij, r_ik, r_jk, cos_theta, fc_ij * fc_ik) over the unordered neighbor
+    pairs of one center whose elements match ``pair``."""
     e1, e2 = pair
     ia, ib = np.flatnonzero(species == e1), np.flatnonzero(species == e2)
     n_pairs = len(ia) * (len(ia) - 1) // 2 if e1 == e2 else len(ia) * len(ib)
@@ -251,19 +280,25 @@ def _pair_geometry(dist, disp, species, pair, structure_id: str):
             f"structure {structure_id!r}: one atom has {n_pairs} {e1}-{e2} neighbor pairs, "
             f"more than {_MAX_CENTER_PAIRS}; the cell is too dense for the cutoff"
         )
-    if e1 == e2:
-        a, b = np.triu_indices(len(ia), k=1)
-        a, b = ia[a], ia[b]
-    else:
-        a = np.repeat(ia, len(ib))
-        b = np.tile(ib, len(ia))
+    a, b = _pair_indices(ia, ib, e1 == e2)
     r_ij = dist[a]
     r_ik = dist[b]
     da, db = disp[a], disp[b]
     r_jk = np.linalg.norm(db - da, axis=1)
     with np.errstate(invalid="ignore"):
         cos = np.einsum("ij,ij->i", da, db) / (r_ij * r_ik)
-    return r_ij, r_ik, r_jk, np.clip(cos, -1.0, 1.0)
+    return r_ij, r_ik, r_jk, np.clip(cos, -1.0, 1.0), fc[a] * fc[b]
+
+
+def _pair_indices(ia: np.ndarray, ib: np.ndarray, same: bool):
+    """Neighbor indices (a, b) of the pairs of ``ia`` x ``ib`` in row-major
+    order; for one element (``ia`` is ``ib``) only those with a < b, as
+    np.triu_indices orders them."""
+    if same:
+        k = np.arange(len(ia))
+        a, b = np.nonzero(k[:, None] < k)
+        return ia[a], ia[b]
+    return np.repeat(ia, len(ib)), np.tile(ib, len(ia))
 
 
 def _group_columns(defs: Sequence[DescriptorDef]) -> tuple[_Group, ...]:
@@ -310,14 +345,21 @@ def compute_structure_descriptors(s: Structure, sfset: SymmetryFunctionSet) -> D
     for e in sfset.elements:
         centers = s.element_indices(e)
         block = np.empty((len(centers), len(sfset.descriptors[e])))
+        cuts = tuple(dict.fromkeys(g.cut for g in sfset.groups[e]))
         # Huge parameters overflow to inf or nan; the check below reports
         # them, so numpy's warnings would only print ahead of that error.
         with np.errstate(over="ignore", invalid="ignore"):
             for row, i in zip(block, centers):
                 dist, disp = nlist.distances[i], nlist.displacements[i]
                 neighbors = species[nlist.indices[i]]
+                # Neighbors come sorted by distance, so those inside a cutoff
+                # are a prefix; each is tapered once per cutoff.
+                inside = {}
+                for cut in cuts:
+                    k = np.searchsorted(dist, cut.outer)
+                    inside[cut] = (dist[:k], disp[:k], neighbors[:k], cutoff_value(dist[:k], cut))
                 for group in sfset.groups[e]:
-                    row[group.cols] = group.evaluate(dist, disp, neighbors, s.id)
+                    row[group.cols] = group.evaluate(*inside[group.cut], s.id)
         if not np.all(np.isfinite(block)):
             raise UserInputError(f"non-finite descriptor value in structure {s.id!r}, element {e}")
         block.setflags(write=False)

@@ -365,10 +365,10 @@ _SEARCH_MARGIN = 1e-9
 # image shifts; a block holds at least one shift.
 _BLOCK_BYTES = 1 << 22
 
-# Most image shifts one neighbor search may enumerate, about 30 times what a
-# 2 Å cell needs at a 12 Å cutoff.  A cell far smaller than the cutoff needs
-# millions (a 0.05 Å cell at 6 Å: about 14M), so such a structure is
-# rejected before any shift array is allocated.
+# Most image shifts one neighbor search may enumerate, about 30 times the
+# 15^3 = 3,375 a 2 Å cubic cell needs at a 12 Å cutoff.  A cell far smaller
+# than the cutoff needs millions (a 0.05 Å cell at 6 Å: 243^3, about 14.3M),
+# so such a structure is rejected before any shift array is allocated.
 _MAX_IMAGE_SHIFTS = 100_000
 
 
@@ -379,8 +379,8 @@ def neighbor_list(s: Structure, r_c: float) -> NeighborList:
     larger than the cell stay correct.  Reported displacements are computed
     from the original (unwrapped) positions.
     """
-    if r_c <= 0:
-        raise UserInputError(f"cutoff must be positive, got {r_c}")
+    if not 0 < r_c < math.inf:
+        raise UserInputError(f"cutoff must be positive and finite, got {r_c}")
     n = s.n_atoms
     pos = s.positions
     per = s.periodic
@@ -396,9 +396,12 @@ def neighbor_list(s: Structure, r_c: float) -> NeighborList:
         frac = pos @ inv
         frac_wrap = np.where(per, np.floor(frac), 0.0).astype(int)
         wrapped = (frac - frac_wrap) @ cell
-        # |frac component of any displacement shorter than r| <= r * ||inv[:, k]||
-        reach = np.ceil((r_c + _SEARCH_MARGIN) * np.linalg.norm(inv, axis=0))
-        half = np.where(per, reach + 1, 0.0)
+        # Component k of a candidate displacement shorter than r = r_c + margin
+        # is at most reach = r * ||inv[:, k]|| in fractional units, and wrapped
+        # fractional differences lie in [-1, 1], so its image shift has
+        # |shift| <= reach + 1, that is |shift| <= floor(reach) + 1.
+        reach = (r_c + _SEARCH_MARGIN) * np.linalg.norm(inv, axis=0)
+        half = np.where(per, np.floor(reach) + 1, 0.0)
     # Counted in floats, before any integer cast can overflow.
     n_shifts = math.prod(2 * half + 1)
     if n_shifts > _MAX_IMAGE_SHIFTS:

@@ -22,6 +22,7 @@ from dvlae import (
     radial_g2,
 )
 from dvlae.config import GridConfig, build_symmetry_functions
+from dvlae.descriptors import _Group, _pair_indices
 
 from conftest import dyadic_structure, permute_atoms, random_rotation, random_structure, rigid_transform
 
@@ -336,7 +337,9 @@ class TestGroupedKernel:
             for g in groups:
                 assert g.cols.tolist() == want[(g.cut, g.neighbors)]
                 kinds = [sf.descriptors[e][c].params.kind for c in g.cols]
-                assert g.g4.ravel().tolist() == [k == "G4" for k in kinds]
+                is_g4 = [k == "G4" for k in kinds]
+                assert g.gauss_g4[g.gauss_row].ravel().tolist() == is_g4
+                assert g.taper_g4[g.taper_row].ravel().tolist() == is_g4
                 mixed += set(kinds) == {"G4", "G5"}
             assert mixed == 3       # every pair at the long cutoff has both families
 
@@ -349,7 +352,7 @@ class TestGroupedKernel:
         monkeypatch.setattr(desc, "_MAX_CENTER_PAIRS", 6)
         compute_structure_descriptors(s, sf)
         monkeypatch.setattr(desc, "_MAX_CENTER_PAIRS", 5)
-        monkeypatch.setattr(desc.np, "triu_indices", None)     # never reached
+        monkeypatch.setattr(desc, "_pair_indices", None)       # never reached
         with pytest.raises(UserInputError, match="'mol': one atom has 6 Fe-Fe neighbor pairs"):
             compute_structure_descriptors(s, sf)
 
@@ -388,6 +391,179 @@ class TestGroupedKernel:
             want = per_column_reference(s, sf)
             for e in sf.elements:
                 assert np.array_equal(m.blocks[e], want[e]), (s.id, e)
+
+
+class ReferenceGroup:
+    """The grouped kernel as first written, kept literally as an oracle: one
+    broadcast row of every factor per column, parameters as (columns, 1)
+    arrays, pair geometry and tapers built inside the call."""
+
+    def __init__(self, cut, params):
+        self.cut = cut
+        self.eta = np.array([[p.eta] for p in params], dtype=float)
+        if isinstance(params[0], RadialParams):
+            self.r_s = np.array([[p.r_s] for p in params], dtype=float)
+            return
+        self.g4 = np.array([[p.kind == "G4"] for p in params])
+        self.lam = np.array([[p.lam] for p in params], dtype=float)
+        zetas = [p.zeta for p in params]
+        self.zeta_rows = [(z, [k for k, x in enumerate(zetas) if x == z])
+                          for z in dict.fromkeys(zetas)]
+        self.scale = np.array([2.0 ** (1.0 - z) for z in zetas])
+
+    def radial(self, d):
+        return (np.exp(-self.eta * (d - self.r_s) ** 2) * cutoff_value(d, self.cut)).sum(axis=1)
+
+    def angular(self, r_ij, r_ik, r_jk, cos_theta):
+        base = 1.0 + self.lam * cos_theta
+        ang = np.empty_like(base)
+        for z, rows in self.zeta_rows:
+            ang[rows] = np.power(base[rows], z)
+        r2 = r_ij ** 2 + r_ik ** 2
+        fc = cutoff_value(r_ij, self.cut) * cutoff_value(r_ik, self.cut)
+        gauss = np.exp(-self.eta * np.where(self.g4, r2 + r_jk ** 2, r2))
+        taper = np.where(self.g4, fc * cutoff_value(r_jk, self.cut), fc)
+        terms = ang * gauss * taper
+        return np.sort(terms, axis=1).sum(axis=1) * self.scale
+
+
+def reference_pair_geometry(dist, disp, species, pair):
+    e1, e2 = pair
+    ia, ib = np.flatnonzero(species == e1), np.flatnonzero(species == e2)
+    if e1 == e2:
+        a, b = np.triu_indices(len(ia), k=1)
+        a, b = ia[a], ia[b]
+    else:
+        a = np.repeat(ia, len(ib))
+        b = np.tile(ib, len(ia))
+    r_ij = dist[a]
+    r_ik = dist[b]
+    da, db = disp[a], disp[b]
+    r_jk = np.linalg.norm(db - da, axis=1)
+    with np.errstate(invalid="ignore"):
+        cos = np.einsum("ij,ij->i", da, db) / (r_ij * r_ik)
+    return r_ij, r_ik, r_jk, np.clip(cos, -1.0, 1.0)
+
+
+def reference_blocks(s, sf):
+    """Descriptor blocks through ``ReferenceGroup``, grouped by (cutoff,
+    neighbor element or element pair) and masked by cutoff per group."""
+    nl = neighbor_list(s, sf.max_cutoff)
+    species = np.array(s.species, dtype=str)
+    blocks = {}
+    for e in sf.elements:
+        groups = {}
+        for col, dd in enumerate(sf.descriptors[e]):
+            p = dd.params
+            key = (dd.cutoff, p.neighbor_element if isinstance(p, RadialParams) else p.element_pair)
+            groups.setdefault(key, []).append((col, p))
+        centers = s.element_indices(e)
+        block = np.empty((len(centers), len(sf.descriptors[e])))
+        for row, i in zip(block, centers):
+            dist, disp = nl.distances[i], nl.displacements[i]
+            neighbors = species[nl.indices[i]]
+            for (cut, nb), members in groups.items():
+                cols, params = (list(x) for x in zip(*members))
+                ref = ReferenceGroup(cut, params)
+                within = dist < cut.outer
+                if isinstance(params[0], RadialParams):
+                    row[cols] = ref.radial(dist[within & (neighbors == nb)])
+                else:
+                    row[cols] = ref.angular(*reference_pair_geometry(
+                        dist[within], disp[within], neighbors[within], nb))
+        blocks[e] = block
+    return blocks
+
+
+ORACLE_ZETAS = (0.0, 0.5, 1.0, 2.0, 4.0, 16.0)
+
+
+def angular_members(pair, etas=(0.0, 0.3), zetas=ORACLE_ZETAS, lams=(-1, 1), kinds=("G4", "G5")):
+    return [AngularParams(eta, z, lam, kind, pair)
+            for kind in kinds for eta in etas for z in zetas for lam in lams]
+
+
+class TestKernelMatchesReference:
+    """The shared-factor kernel against ``ReferenceGroup``, byte for byte."""
+
+    CUT = CutoffParams(inner=1.0, outer=4.0)
+    PARAMETER_SETS = {
+        "full grid": angular_members(("Fe", "H")),
+        "duplicate columns": (angular_members(("Fe", "H"), etas=(0.3,), zetas=(2.0, 0.5))
+                              + angular_members(("Fe", "H"), etas=(0.3, 0.0), zetas=(0.5,))
+                              + angular_members(("Fe", "H"), etas=(0.3,), zetas=(2.0,))),
+        "G4 only": angular_members(("H", "H"), kinds=("G4",)),
+        "G5 only": angular_members(("H", "H"), kinds=("G5",)),
+        "one column": [AngularParams(0.7, 16.0, -1, "G5", ("H", "H"))],
+        "zeta order": [AngularParams(0.1, z, lam, kind, ("Fe", "H"))
+                       for z, lam, kind in ((4.0, 1, "G5"), (0.0, -1, "G4"), (4.0, -1, "G4"),
+                                            (0.5, 1, "G4"), (0.0, 1, "G5"), (4.0, 1, "G5"))],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PARAMETER_SETS))
+    def test_random_geometries(self, name, rng):
+        params = self.PARAMETER_SETS[name]
+        group = _Group(self.CUT, params[0].element_pair, list(enumerate(params)))
+        ref = ReferenceGroup(self.CUT, params)
+        for n in (0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 64, 100, 1000):
+            r_ij, r_ik, r_jk = rng.uniform(0.5, 4.5, (3, n))
+            cos = rng.uniform(-1.0, 1.0, n)
+            cos[rng.random(n) < 0.2] = rng.choice([-1.0, 0.0, 1.0])   # degenerate angles
+            fc = cutoff_value(r_ij, self.CUT) * cutoff_value(r_ik, self.CUT)
+            got = group.angular(r_ij, r_ik, r_jk, cos, fc)
+            assert got.tobytes() == ref.angular(r_ij, r_ik, r_jk, cos).tobytes(), (name, n)
+
+    def test_random_radial_distances(self, rng):
+        params = [RadialParams(eta, r_s, "H") for eta in (0.0, 0.5, 4.0, 0.5)
+                  for r_s in (0.0, 1.5)]
+        group = _Group(self.CUT, "H", list(enumerate(params)))
+        ref = ReferenceGroup(self.CUT, params)
+        for n in (0, 1, 5, 8, 17, 200):
+            d = np.sort(rng.uniform(0.5, 4.5, n))
+            got = group.radial(d, cutoff_value(d, self.CUT))
+            assert got.tobytes() == ref.radial(d).tobytes()
+
+    def test_pair_indices_follow_triu_order(self, rng):
+        for n in range(12):
+            ia = np.sort(rng.choice(40, n, replace=False))
+            a, b = np.triu_indices(n, k=1)
+            got = _pair_indices(ia, ia, True)
+            assert [x.tolist() for x in got] == [ia[a].tolist(), ia[b].tolist()]
+
+    def symmetry_functions(self):
+        # Per-pair overrides, two cutoffs, duplicate columns, and G4-only and
+        # G5-only groups at the short cutoff.
+        grid = GridConfig(
+            cutoff=4.5, inner_cutoff=1.0, radial_eta=(0.0, 0.7), radial_rs=(0.0, 1.5),
+            angular_eta=(0.0, 0.3), zeta=ORACLE_ZETAS, lam=(-1, 1),
+            overrides={("radial_eta", "H-Fe"): (0.5, 0.5), ("zeta", "Fe-H-H"): (2.0, 16.0),
+                       ("angular_eta", "H-Fe-H"): (0.1, 0.2, 0.1)})
+        base = build_symmetry_functions(("Fe", "H"), grid)
+        short = CutoffParams(inner=0.5, outer=2.5)
+        extra = tuple(DescriptorDef(p, short) for p in (
+            RadialParams(1.0, 0.5, "Fe"),
+            AngularParams(0.2, 2.0, 1, "G4", ("Fe", "H")),
+            AngularParams(0.2, 0.5, -1, "G5", ("H", "H")),
+            AngularParams(0.2, 2.0, 1, "G4", ("Fe", "H")),
+            AngularParams(0.0, 0.0, 1, "G4", ("Fe", "Fe")),
+        ))
+        return SymmetryFunctionSet(elements=("Fe", "H"), descriptors={
+            e: base.descriptors[e] + extra for e in ("Fe", "H")})
+
+    def test_random_structures(self, rng):
+        sf = self.symmetry_functions()
+        kinds = {e: {(g.cut, g.neighbors): {sf.descriptors[e][c].params.kind for c in g.cols}
+                     for g in sf.groups[e] if not g.is_radial} for e in sf.elements}
+        assert {"G4"} in kinds["Fe"].values() and {"G5"} in kinds["Fe"].values()
+        structures = [random_structure(rng, f"s{k}", n_atoms=int(rng.integers(1, 7)),
+                                       unwrapped=True) for k in range(150)]
+        structures += [isolated(("Fe", "H", "H", "Fe"),
+                                [[0, 0, 0], [0.9, 0, 0], [0, 1.1, 0.3], [0, 0, 9.0]])]
+        for s in structures:
+            m = compute_structure_descriptors(s, sf)
+            want = reference_blocks(s, sf)
+            for e in sf.elements:
+                assert m.blocks[e].tobytes() == want[e].tobytes(), (s.id, e)
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dvlae.structures as structures
 from dvlae import (
     ParseError,
     Structure,
@@ -19,7 +20,7 @@ from dvlae import (
     to_extxyz,
 )
 
-from conftest import random_structure
+from conftest import random_cell, random_structure
 
 TWO_H_FRAME = """2
 Lattice="5 0 0 0 5 0 0 0 5" Properties=species:S:1:pos:R:3
@@ -339,6 +340,100 @@ class TestNeighborList:
     def test_bad_cutoff(self, rng):
         with pytest.raises(UserInputError):
             neighbor_list(random_structure(rng, "s"), 0.0)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("r_c", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_cutoff(self, rng, r_c, periodic):
+        s = random_structure(rng, "s")
+        s = Structure(cell=s.cell, species=s.species, positions=s.positions,
+                      periodic=(periodic,) * 3, id="s")
+        with pytest.raises(UserInputError, match=f"cutoff must be positive and finite, got {r_c}$"):
+            neighbor_list(s, r_c)
+
+
+def image_reach(s: Structure, r_c: float) -> np.ndarray:
+    """Per lattice direction, the fractional extent of the cutoff sphere as
+    the neighbor search computes it."""
+    return (r_c + structures._SEARCH_MARGIN) * np.linalg.norm(np.linalg.inv(s.cell), axis=0)
+
+
+def cutoffs_around_integer_reach(s: Structure, axis: int, m: int) -> dict[str, float]:
+    """Cutoffs whose reach along ``axis`` is one float step below the integer
+    ``m``, exactly ``m`` (when the float grid has such a cutoff) and one step
+    above it."""
+    def reach(r):
+        return image_reach(s, r)[axis]
+
+    r = m / np.linalg.norm(np.linalg.inv(s.cell), axis=0)[axis] - structures._SEARCH_MARGIN
+    while reach(r) >= m:
+        r = np.nextafter(r, 0.0)
+    while reach(np.nextafter(r, np.inf)) < m:
+        r = np.nextafter(r, np.inf)
+    out = {"below": float(r)}
+    r = np.nextafter(r, np.inf)
+    if reach(r) == m:
+        out["on"] = float(r)
+    while reach(r) <= m:
+        r = np.nextafter(r, np.inf)
+    out["above"] = float(r)
+    return out
+
+
+def edge_structure(rng, ident: str) -> Structure:
+    """A skewed cell with random periodic directions (at least one) and atoms
+    on the wrap boundaries: fractional 0, 1 - 1e-16 and -1e-17."""
+    cell = random_cell(rng, lo=2.0, hi=4.0, skew=1.5)
+    periodic = tuple(bool(x) for x in rng.integers(0, 2, 3))
+    if not any(periodic):
+        periodic = (True, False, True)
+    n = int(rng.integers(1, 4))
+    frac = rng.choice([0.0, 1.0 - 1e-16, -1e-17, rng.uniform()], (n, 3))
+    return Structure(cell=cell, species=("H",) * n, positions=frac @ cell,
+                     periodic=periodic, id=ident)
+
+
+class TestImageRange:
+    """The image search covers floor(reach) + 1 shells per periodic direction."""
+
+    def edge_cases(self, rng, n_cells):
+        for trial in range(n_cells):
+            s = edge_structure(rng, f"e{trial}")
+            axis = int(rng.choice(np.flatnonzero(s.periodic)))
+            m = 1 if trial % 4 else 2
+            yield s, cutoffs_around_integer_reach(s, axis, m)
+
+    def test_against_oracle_at_integer_reach(self, rng):
+        seen = set()
+        for s, cutoffs in self.edge_cases(rng, 150):
+            seen.update(cutoffs)
+            for where, r_c in cutoffs.items():
+                nl = neighbor_list(s, r_c)
+                want = oracle_neighbors(s, r_c)
+                for i in range(s.n_atoms):
+                    got = {(j, sh): d for j, sh, d in nl.entries(i)}
+                    expected = {(j, sh): d for j, sh, d in want[i]}
+                    assert got.keys() == expected.keys(), (s.id, where, i)
+                    for key, d in got.items():
+                        assert d == pytest.approx(expected[key], abs=1e-12)
+        assert seen == {"below", "on", "above"}
+
+    def test_shift_count_in_cap_message(self, rng, monkeypatch):
+        monkeypatch.setattr(structures, "_MAX_IMAGE_SHIFTS", 0)
+        for s, cutoffs in self.edge_cases(rng, 150):
+            for r_c in cutoffs.values():
+                reach = image_reach(s, r_c)
+                want = math.prod(2 * (math.floor(x) + 1) + 1
+                                 for x, per in zip(reach, s.periodic) if per)
+                with pytest.raises(UserInputError, match=f"needs {want} periodic images"):
+                    neighbor_list(s, r_c)
+
+    def test_bulk_supercell_needs_one_shell(self, monkeypatch):
+        # The benchmark's 250-atom cell (5 x 5 x 5 of 2.65 Å) at 6 Å.
+        monkeypatch.setattr(structures, "_MAX_IMAGE_SHIFTS", 0)
+        s = Structure(cell=13.25 * np.eye(3), species=("Fe",), positions=[[0, 0, 0]],
+                      periodic=(True,) * 3, id="bulk")
+        with pytest.raises(UserInputError, match="needs 27 periodic images"):
+            neighbor_list(s, 6.0)
 
 
 @settings(max_examples=25, deadline=None)
