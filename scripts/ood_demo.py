@@ -16,14 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from dvlae import (
-    Embedding,
     Structure,
     TsneConfig,
     batch_fingerprints,
+    embed_vectors,
     make_dataset,
-    pairwise_distances,
     rank_ood,
-    tsne_embed,
 )
 from dvlae.config import GridConfig, build_symmetry_functions
 from dvlae.svgplot import PlotSpec, write_scatter_svg
@@ -77,14 +75,10 @@ def main():
     rows = np.vstack([train_fps.fingerprints, pred_fps.fingerprints])
     # t-SNE needs perplexity < (n - 1) / 3; small runs get a smaller one.
     perplexity = min(15.0, 0.9 * (len(rows) - 1) / 3)
-    coords, _ = tsne_embed(pairwise_distances(rows, metric="packed-hamming"),
-                           TsneConfig(perplexity=perplexity, iterations=800,
-                                      learning_rate=50.0, seed=args.seed))
-    emb = Embedding(
-        ids=train_fps.ids + pred_fps.ids,
-        tags=train_fps.tags + pred_fps.tags,
-        coords=coords,
-    )
+    emb = embed_vectors(train_fps.ids + pred_fps.ids, train_fps.tags + pred_fps.tags, rows,
+                        metric="packed-hamming",
+                        cfg=TsneConfig(perplexity=perplexity, iterations=800,
+                                       learning_rate=50.0, seed=args.seed))
     out = args.outdir / "ood_map.svg"
     write_scatter_svg(emb, PlotSpec(highlight=tuple(top_ids)), out)
     print(f"wrote {out} with the top {args.top_n} structures highlighted")

@@ -13,18 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from dvlae import (
-    Embedding,
     Structure,
     TsneConfig,
     baseline_padded_descriptor,
     batch_fingerprints,
     build_supercell,
     compute_dataset_descriptors,
-    hamming_distance,
+    embed_vectors,
+    hamming_cdist,
     make_dataset,
-    pairwise_distances,
-    pca_project,
-    tsne_embed,
 )
 from dvlae.config import GridConfig, build_symmetry_functions
 from dvlae.svgplot import PlotSpec, write_scatter_svg
@@ -61,8 +58,8 @@ def main():
 
     fpset = batch_fingerprints(ds, prim, sfset, k=args.bins)
     print("pairwise Hamming distances to the primitive fingerprint:")
-    for ident, row in zip(fpset.ids, fpset.fingerprints):
-        print(f"  {ident:12s} {hamming_distance(fpset.fingerprints[0], row)}")
+    for ident, d in zip(fpset.ids, hamming_cdist(fpset.fingerprints[:1], fpset.fingerprints)[0]):
+        print(f"  {ident:12s} {d}")
 
     matrices = compute_dataset_descriptors(ds.structures, sfset)
     padded = baseline_padded_descriptor(matrices)
@@ -76,12 +73,9 @@ def main():
         ("fingerprint", fpset.fingerprints, "packed-hamming"),
         ("baseline", padded, "euclidean"),
     ):
-        d = pairwise_distances(vectors, metric=metric)
-        emb_pca = Embedding(ids=ids, tags=tags, coords=pca_project(vectors, metric=metric))
-        write_scatter_svg(emb_pca, PlotSpec(), args.outdir / f"pca_{name}.svg")
-        coords, _ = tsne_embed(d, cfg)
-        emb_tsne = Embedding(ids=ids, tags=tags, coords=coords)
-        write_scatter_svg(emb_tsne, PlotSpec(), args.outdir / f"tsne_{name}.svg")
+        for method in ("pca", "tsne"):
+            emb = embed_vectors(ids, tags, vectors, method=method, metric=metric, cfg=cfg)
+            write_scatter_svg(emb, PlotSpec(), args.outdir / f"{method}_{name}.svg")
     print(f"wrote pca_*.svg and tsne_*.svg under {args.outdir}")
 
 

@@ -15,12 +15,9 @@ from .descriptors import (
     DescriptorMatrix,
     RadialParams,
     SymmetryFunctionSet,
-    angular_g4,
-    angular_g5,
     compute_dataset_descriptors,
     compute_structure_descriptors,
     cutoff_value,
-    radial_g2,
 )
 from .distance import euclidean_cdist, hamming_cdist
 from .embedding import (
@@ -43,7 +40,6 @@ from .fingerprint import (
     build_histograms,
     determine_bin_edges,
     difference_vector,
-    hamming_distance,
     mean_descriptor_vectors,
     read_fingerprints,
     select_reference,

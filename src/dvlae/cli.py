@@ -162,15 +162,6 @@ def _read_vector_csv(path: str | Path, text: str | None = None):
     return ids, tags, np.array(vecs, dtype=float)
 
 
-def write_vector_csv(ids, tags, vectors: np.ndarray, path: str | Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "tag"] + [f"v{i}" for i in range(vectors.shape[1])])
-    for ident, tag, row in zip(ids, tags, vectors):
-        writer.writerow([ident, tag or ""] + [repr(float(v)) for v in row])
-    atomic_write_text(path, buf.getvalue())
-
-
 def _read_embedding_input(path: str | Path):
     """(ids, tags, vectors, metric) of an ``embed --input`` file, read once.
     A fingerprint file gives its packed rows, which t-SNE and PCA both take

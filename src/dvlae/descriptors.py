@@ -134,7 +134,7 @@ class SymmetryFunctionSet:
 # Elementary evaluations
 # ---------------------------------------------------------------------------
 
-def cutoff_value(r, cut: CutoffParams):
+def cutoff_value(r: np.ndarray, cut: CutoffParams) -> np.ndarray:
     """Smooth taper: 1 below ``inner``, 0 at and beyond ``outer``.
 
     Between the radii it follows the quintic smoothstep complement
@@ -144,44 +144,7 @@ def cutoff_value(r, cut: CutoffParams):
     arr = np.asarray(r, dtype=float)
     x = (arr - cut.inner) / (cut.outer - cut.inner)
     f = ((15.0 - 6.0 * x) * x - 10.0) * x * x * x + 1.0
-    out = np.where(arr < cut.inner, 1.0, np.where(arr >= cut.outer, 0.0, f))
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
-
-
-def radial_g2(distances: np.ndarray, p: RadialParams, cut: CutoffParams) -> float:
-    """Sum of exp(-eta (R - r_s)^2) fc(R) over the given neighbor distances.
-
-    ``distances`` must already be filtered to the target neighbor element and
-    given in canonical neighbor order.
-    """
-    d = np.asarray(distances, dtype=float)
-    return float(_Group(cut, p.neighbor_element, [(0, p)]).radial(d, cutoff_value(d, cut))[0])
-
-
-def angular_g4(
-    r_ij: np.ndarray, r_ik: np.ndarray, r_jk: np.ndarray, cos_theta: np.ndarray,
-    p: AngularParams, cut: CutoffParams,
-) -> float:
-    """G4 sum over unordered neighbor pairs (each pair counted once)."""
-    return _angular_sum(r_ij, r_ik, r_jk, cos_theta, p, cut)
-
-
-def angular_g5(
-    r_ij: np.ndarray, r_ik: np.ndarray, cos_theta: np.ndarray,
-    p: AngularParams, cut: CutoffParams,
-) -> float:
-    """G5 sum: like G4 but without the j-k distance factors."""
-    r_jk = np.zeros(np.shape(r_ij))     # G5 rows take no r_jk factors
-    return _angular_sum(r_ij, r_ik, r_jk, cos_theta, p, cut)
-
-
-def _angular_sum(r_ij, r_ik, r_jk, cos_theta, p: AngularParams, cut: CutoffParams) -> float:
-    """One angular column through a one-column group, tapers computed here."""
-    r_ij, r_ik, r_jk, cos_theta = (np.asarray(v, dtype=float) for v in (r_ij, r_ik, r_jk, cos_theta))
-    fc = cutoff_value(r_ij, cut) * cutoff_value(r_ik, cut)
-    return float(_Group(cut, p.element_pair, [(0, p)]).angular(r_ij, r_ik, r_jk, cos_theta, fc)[0])
+    return np.where(arr < cut.inner, 1.0, np.where(arr >= cut.outer, 0.0, f))
 
 
 def _distinct(keys: Sequence) -> tuple[list, np.ndarray]:

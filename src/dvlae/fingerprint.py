@@ -24,8 +24,8 @@ import numpy as np
 
 from .descriptors import DescriptorMatrix, SymmetryFunctionSet, compute_dataset_descriptors
 from .errors import FormatError, UserInputError
-from .ioutil import atomic_write_text, read_input_text
-from .structures import Dataset, Structure
+from .ioutil import atomic_write_text, is_one_line, read_input_text
+from .structures import Dataset, Structure, check_unique_ids
 
 XOR_MODES = ("occupancy", "count-equality")
 
@@ -159,11 +159,6 @@ def difference_vector(cur: np.ndarray, ref: np.ndarray, mode: str = "occupancy")
     return diff.ravel()
 
 
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of differing bits between two packed fingerprint rows."""
-    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
-
-
 # ---------------------------------------------------------------------------
 # Whole-dataset pipeline
 # ---------------------------------------------------------------------------
@@ -199,6 +194,7 @@ class FingerprintSet:
             raise UserInputError(
                 f"{len(self.ids)} ids and {len(self.tags)} tags for {len(rows)} fingerprints"
             )
+        check_unique_ids(self.ids, "fingerprint set")
         spare = 8 * rows.shape[1] - n_bits
         if spare and (rows[:, -1] & ((1 << spare) - 1)).any():
             raise UserInputError(f"nonzero padding bits after bit {n_bits}")
@@ -341,8 +337,8 @@ def spec_from_json(text: str) -> HistogramSpec:
 
 
 def _check_record_text(value: str, what: str) -> str:
-    if "\t" in value or "\n" in value:
-        raise UserInputError(f"{what} may not contain tabs or newlines: {value!r}")
+    if "\t" in value or not is_one_line(value):
+        raise UserInputError(f"{what} may not contain tabs or line breaks: {value!r}")
     return value
 
 
@@ -411,5 +407,8 @@ def read_fingerprints(path: str | Path, text: str | None = None) -> FingerprintS
         tags.append(tag or None)
         rows.append(row)
     matrix = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), n_bytes)
-    return FingerprintSet(spec=spec, reference_id=reference_id, xor_mode=xor_mode,
-                          ids=ids, tags=tags, fingerprints=matrix)
+    try:
+        return FingerprintSet(spec=spec, reference_id=reference_id, xor_mode=xor_mode,
+                              ids=ids, tags=tags, fingerprints=matrix)
+    except UserInputError as exc:   # a repeated id; the lines above check all else
+        raise FormatError(f"{path}: {exc}") from None

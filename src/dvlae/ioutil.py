@@ -31,6 +31,12 @@ def read_input_text(path: str | Path, what: str) -> str:
         raise UserInputError(f"cannot read {what} {path}: {_reason(exc)}") from None
 
 
+def is_one_line(text: str) -> bool:
+    """Whether ``text`` holds none of the characters that ``str.splitlines``,
+    the line split of every reader here, breaks a line on."""
+    return len((text + ".").splitlines()) == 1
+
+
 def read_id_list(path: str | Path, what: str) -> list[str]:
     """Structure ids, one per line; blank lines and '#' comment lines skipped."""
     return [line.strip() for line in read_input_text(path, what).splitlines()

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .distance import _words, euclidean_cdist, hamming_cdist
-from .errors import FormatError, UserInputError
+from .errors import UserInputError
 from .fingerprint import FingerprintSet
 from .ioutil import atomic_write_text
 
@@ -56,20 +56,6 @@ class ScreeningReport:
             },
             indent=2,
         ) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "ScreeningReport":
-        try:
-            data = json.loads(text)
-            report = ScreeningReport(
-                kept=tuple(data["kept"]),
-                removed=dict(data["removed"]),
-                input_count=int(data["input_count"]),
-                mode=data.get("mode", "exact"),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise FormatError(f"bad screening report JSON: {exc}") from None
-        return report
 
 
 def dedup_exact(fpset: FingerprintSet) -> ScreeningReport:

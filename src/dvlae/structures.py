@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .errors import ParseError, UserInputError
-from .ioutil import read_input_text
+from .ioutil import is_one_line, read_input_text
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -69,11 +69,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "structures", tuple(self.structures))
-        seen: set[str] = set()
-        for s in self.structures:
-            if s.id in seen:
-                raise UserInputError(f"duplicate structure id {s.id!r} in dataset")
-            seen.add(s.id)
+        check_unique_ids((s.id for s in self.structures), "dataset")
         present = _species_union(self.structures)
         declared = tuple(self.elements)
         if set(declared) != present:
@@ -100,6 +96,15 @@ class Dataset:
         kept = tuple(s for s in self.structures if s.id in wanted)
         elements = tuple(e for e in self.elements if e in _species_union(kept))
         return Dataset(kept, elements)
+
+
+def check_unique_ids(ids: Iterable[str], where: str) -> None:
+    """The one rule for structure ids: none appears twice in ``where``."""
+    seen: set[str] = set()
+    for ident in ids:
+        if ident in seen:
+            raise UserInputError(f"duplicate structure id {ident!r} in {where}")
+        seen.add(ident)
 
 
 def _species_union(structures: Sequence[Structure]) -> set[str]:
@@ -257,7 +262,11 @@ def to_extxyz(structures: Iterable[Structure]) -> str:
                 key_parts.append('pbc="' + " ".join("T" if p else "F" for p in s.periodic) + '"')
         key_parts.append("Properties=species:S:1:pos:R:3")
         if s.tag is not None:
-            key_parts.append(f'tag="{s.tag}"')
+            # Bare when the tag holds a '"', which a quoted value cannot.
+            key = f"tag={s.tag}" if '"' in s.tag else f'tag="{s.tag}"'
+            if not is_one_line(s.tag) or _parse_comment_keys(key).get("tag") != s.tag:
+                raise UserInputError(f"tag {s.tag!r} cannot be written to extended XYZ and read back")
+            key_parts.append(key)
         body = "\n".join(
             f"{sym} {repr(float(p[0]))} {repr(float(p[1]))} {repr(float(p[2]))}"
             for sym, p in zip(s.species, s.positions)
@@ -345,16 +354,6 @@ class NeighborList:
     shifts: tuple[np.ndarray, ...]
     distances: tuple[np.ndarray, ...]
     displacements: tuple[np.ndarray, ...]
-
-    def n_neighbors(self, i: int) -> int:
-        return len(self.indices[i])
-
-    def entries(self, i: int) -> list[tuple[int, tuple[int, int, int], float]]:
-        """(j, shift, distance) triples for center i — convenience for tests."""
-        return [
-            (int(j), tuple(int(c) for c in s), float(d))
-            for j, s, d in zip(self.indices[i], self.shifts[i], self.distances[i])
-        ]
 
 
 # Margin absorbing float disagreement between the wrapped candidate search and

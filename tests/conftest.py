@@ -6,8 +6,14 @@ in float64 and physically equivalent structures yield bit-identical
 descriptor values.
 
 ``fingerprint_set`` builds a ``FingerprintSet`` straight from 0/1 rows, and
-``fingerprint_bits`` unpacks one back to them.
+``fingerprint_bits`` unpacks one back to them.  ``naive_hamming``,
+``neighbor_entries`` and ``write_vector_csv`` are the oracles and writers the
+tests need that the program itself does not.
 """
+
+import csv
+import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +36,28 @@ def fingerprint_set(bit_rows, ids=None, spec=None):
 def fingerprint_bits(fpset):
     """The (n, n_bits) bool rows of a ``FingerprintSet``."""
     return np.unpackbits(fpset.fingerprints, axis=1, count=fpset.spec.n_bits).view(bool)
+
+
+def naive_hamming(a, b):
+    """Differing bits of two packed fingerprint rows, counted unpacked."""
+    return int(np.count_nonzero(np.unpackbits(a) != np.unpackbits(b)))
+
+
+def neighbor_entries(nl, i):
+    """(j, shift, distance) triples of center ``i`` of a ``NeighborList``,
+    in its order, as plain Python values."""
+    return [(int(j), tuple(int(c) for c in s), float(d))
+            for j, s, d in zip(nl.indices[i], nl.shifts[i], nl.distances[i])]
+
+
+def write_vector_csv(ids, tags, vectors, path):
+    """The ``id,tag,v0,...`` vector CSV that ``embed --input`` reads."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "tag"] + [f"v{i}" for i in range(vectors.shape[1])])
+    for ident, tag, row in zip(ids, tags, vectors):
+        writer.writerow([ident, tag or ""] + [repr(float(v)) for v in row])
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
 def random_cell(rng, lo=2.5, hi=4.5, skew=0.4):

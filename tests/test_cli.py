@@ -1,6 +1,7 @@
 """End-to-end CLI pipelines over small synthetic extended-XYZ corpora."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -12,12 +13,17 @@ import pytest
 
 from dvlae import Embedding, Structure, read_embedding, read_fingerprints, to_extxyz
 from dvlae.cli import main
-from dvlae.screening import ScreeningReport
 from dvlae.svgplot import PlotSpec
 
-from conftest import dyadic_structure, fingerprint_bits, permute_atoms
+from conftest import dyadic_structure, fingerprint_bits, permute_atoms, write_vector_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def read_report(tmp_path):
+    """The screening report a command wrote to ``tmp_path / "out"``."""
+    return json.loads((tmp_path / "out" / "screening_report.json").read_text())
+
 
 CONFIG_TEMPLATE = """\
 [run]
@@ -154,35 +160,47 @@ class TestScreenCommand:
         assert main(["fingerprint", "--config", str(cfg)]) == 0
         fps = tmp_path / "out" / "fingerprints.txt"
         assert main(["screen", "--config", str(cfg), "--fingerprints", str(fps)]) == 0
-        report = ScreeningReport.from_json((tmp_path / "out" / "screening_report.json").read_text())
-        assert report.input_count == 25
-        assert report.output_count == 10
-        assert report.reduction_ratio == pytest.approx(0.6)
+        report = read_report(tmp_path)
+        assert report["input_count"] == 25
+        assert report["output_count"] == 10
+        assert report["reduction_ratio"] == pytest.approx(0.6)
         kept = (tmp_path / "out" / "kept_ids.txt").read_text().split()
-        assert kept == list(report.kept)
+        assert kept == report["kept"]
 
     def test_no_duplicates_ratio_zero(self, rng, tmp_path):
         cfg = make_corpus(rng, tmp_path, n=8)
         assert main(["fingerprint", "--config", str(cfg)]) == 0
         fps = tmp_path / "out" / "fingerprints.txt"
         assert main(["screen", "--config", str(cfg), "--fingerprints", str(fps)]) == 0
-        report = ScreeningReport.from_json((tmp_path / "out" / "screening_report.json").read_text())
-        if report.reduction_ratio == 0.0:
-            assert report.removed == {}
+        report = read_report(tmp_path)
+        if report["reduction_ratio"] == 0.0:
+            assert report["removed"] == {}
 
     def test_reapplying_report_is_idempotent(self, rng, tmp_path):
         cfg = make_corpus(rng, tmp_path, n=10, duplicate_groups=4)
         assert main(["fingerprint", "--config", str(cfg)]) == 0
         fps_path = tmp_path / "out" / "fingerprints.txt"
         assert main(["screen", "--config", str(cfg), "--fingerprints", str(fps_path)]) == 0
-        report = ScreeningReport.from_json((tmp_path / "out" / "screening_report.json").read_text())
+        report = read_report(tmp_path)
         fpset = read_fingerprints(fps_path)
-        keep = [i for i, ident in enumerate(fpset.ids) if ident in set(report.kept)]
+        keep = [i for i, ident in enumerate(fpset.ids) if ident in set(report["kept"])]
         from dvlae import dedup_exact
         again = dedup_exact(dataclasses.replace(
             fpset, ids=[fpset.ids[i] for i in keep], tags=[fpset.tags[i] for i in keep],
             fingerprints=fpset.fingerprints[keep]))
-        assert again.kept == report.kept
+        assert again.kept == tuple(report["kept"])
+
+    def test_repeated_id_exits_one(self, rng, tmp_path, capsys):
+        cfg = make_corpus(rng, tmp_path, n=4)
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        fps = tmp_path / "out" / "fingerprints.txt"
+        lines = fps.read_text().splitlines()
+        first = lines[2].split("\t")[0]
+        lines[4] = first + lines[4][lines[4].index("\t"):]
+        fps.write_text("\n".join(lines) + "\n")
+        assert main(["screen", "--config", str(cfg), "--fingerprints", str(fps)]) == 1
+        assert f"{fps}: duplicate structure id {first!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "screening_report.json").exists()
 
     def test_bins_mismatch_exits_one(self, rng, tmp_path, capsys):
         cfg = make_corpus(rng, tmp_path, n=6)
@@ -199,10 +217,10 @@ class TestScreenCommand:
         # training manifest = the same corpus: nothing is novel at threshold 0.1
         assert main(["screen", "--config", str(cfg), "--mode", "novelty",
                      "--training-manifest", str(tmp_path / "manifest.txt")]) == 0
-        report = ScreeningReport.from_json((tmp_path / "out" / "screening_report.json").read_text())
-        assert report.mode == "novelty"
-        assert report.output_count == 0
-        assert len(report.removed) == 6
+        report = read_report(tmp_path)
+        assert report["mode"] == "novelty"
+        assert report["output_count"] == 0
+        assert len(report["removed"]) == 6
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_threshold_exits_one(self, rng, tmp_path, capsys, threshold):
@@ -634,9 +652,8 @@ class TestMoreCliPaths:
         assert main(["screen", "--config", str(cfg),
                      "--fingerprints", str(tmp_path / "out" / "fingerprints.txt"),
                      "--mode", "hamming", "--radius", "0"]) == 0
-        report = ScreeningReport.from_json(
-            (tmp_path / "out" / "screening_report.json").read_text())
-        assert report.output_count == 10
+        report = read_report(tmp_path)
+        assert report["output_count"] == 10
 
     def test_source_baseline(self, rng, tmp_path):
         cfg = make_corpus(rng, tmp_path, n=7)
@@ -672,7 +689,7 @@ class TestMoreCliPaths:
         capsys.readouterr()
 
     def test_vector_csv_roundtrip(self, rng, tmp_path):
-        from dvlae.cli import _read_vector_csv, write_vector_csv
+        from dvlae.cli import _read_vector_csv
 
         ids = [f"v{i}" for i in range(5)]
         tags = ["a", None, "b", None, "a"]
@@ -847,7 +864,6 @@ class TestConfig:
         assert f"training manifest not found: {tmp_path / 'gone.txt'}" in capsys.readouterr().err
 
     def test_bins_cap_exits_one(self, rng, tmp_path, capsys):
-        import json
         cfg = make_corpus(rng, tmp_path, n=4)
         assert main(["fingerprint", "--config", str(cfg)]) == 0
         spec = json.loads((tmp_path / "out" / "histogram_spec.json").read_text())

@@ -13,13 +13,10 @@ from dvlae import (
     Structure,
     SymmetryFunctionSet,
     UserInputError,
-    angular_g4,
-    angular_g5,
     build_supercell,
     compute_structure_descriptors,
     cutoff_value,
     neighbor_list,
-    radial_g2,
 )
 from dvlae.config import GridConfig, build_symmetry_functions
 from dvlae.descriptors import _Group, _pair_indices
@@ -78,11 +75,11 @@ class TestCutoff:
 class TestRadial:
     def test_dimer_flat_gaussian(self):
         p = RadialParams(eta=0.0, r_s=0.0, neighbor_element="A")
-        assert radial_g2(np.array([1.0]), p, WIDE) == 1.0
+        assert ReferenceGroup(WIDE, [p]).radial(np.array([1.0]))[0] == 1.0
 
     def test_dimer_centered_gaussian(self):
         p = RadialParams(eta=4.0, r_s=1.0, neighbor_element="A")
-        assert radial_g2(np.array([1.0]), p, WIDE) == 1.0
+        assert ReferenceGroup(WIDE, [p]).radial(np.array([1.0]))[0] == 1.0
 
     def test_simple_cubic_coordination(self):
         s = Structure(cell=np.eye(3), species=("A",), positions=[[0, 0, 0]],
@@ -95,7 +92,7 @@ class TestRadial:
 
     def test_empty_neighborhood(self):
         p = RadialParams(eta=1.0, r_s=0.0, neighbor_element="A")
-        assert radial_g2(np.array([]), p, WIDE) == 0.0
+        assert ReferenceGroup(WIDE, [p]).radial(np.array([]))[0] == 0.0
 
     @pytest.mark.parametrize("r_s", [float("nan"), float("inf"), -1.0])
     def test_bad_center_rejected(self, r_s):
@@ -174,8 +171,8 @@ class TestAngular:
         sf = SymmetryFunctionSet(elements=("A",), descriptors={
             "A": (DescriptorDef(p, WIDE),)})
         via_structure = compute_structure_descriptors(tri, sf).blocks["A"][0, 0]
-        direct = angular_g4(np.array([1.0]), np.array([1.0]), np.array([1.0]),
-                            np.array([0.5]), p, WIDE)
+        direct = ReferenceGroup(WIDE, [p]).angular(np.array([1.0]), np.array([1.0]),
+                                                   np.array([1.0]), np.array([0.5]))[0]
         assert via_structure == pytest.approx(direct, abs=1e-12)
 
 
@@ -255,13 +252,14 @@ class TestStructureMatrices:
         # eta = 0, r_s = 0: moving the only neighbor outward never increases G2
         p = RadialParams(0.0, 0.0, "A")
         cut = CutoffParams(inner=1.0, outer=4.0)
-        values = [radial_g2(np.array([r]), p, cut) for r in np.linspace(0.5, 4.5, 50)]
+        values = [ReferenceGroup(cut, [p]).radial(np.array([r]))[0]
+                  for r in np.linspace(0.5, 4.5, 50)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
 def per_column_reference(s, sf):
-    """Descriptor blocks column by column through the scalar reference
-    functions, with each center's pairs enumerated one by one."""
+    """Descriptor blocks column by column, each through a one-column
+    ``ReferenceGroup``, with each center's pairs enumerated one by one."""
     nl = neighbor_list(s, sf.max_cutoff)
     blocks = {}
     for e in sf.elements:
@@ -275,7 +273,7 @@ def per_column_reference(s, sf):
                 sp = [s.species[j] for j in nl.indices[i][idx]]
                 if isinstance(p, RadialParams):
                     d = np.array([r for r, x in zip(dist, sp) if x == p.neighbor_element])
-                    row.append(radial_g2(d, p, cut))
+                    row.append(ReferenceGroup(cut, [p]).radial(d)[0])
                     continue
                 e1, e2 = p.element_pair
                 n = len(idx)
@@ -290,10 +288,7 @@ def per_column_reference(s, sf):
                 r_ij, r_ik = dist[a], dist[b]
                 r_jk = np.linalg.norm(disp[b] - disp[a], axis=1)
                 cos = np.clip(np.einsum("ij,ij->i", disp[a], disp[b]) / (r_ij * r_ik), -1.0, 1.0)
-                if p.kind == "G4":
-                    row.append(angular_g4(r_ij, r_ik, r_jk, cos, p, cut))
-                else:
-                    row.append(angular_g5(r_ij, r_ik, cos, p, cut))
+                row.append(ReferenceGroup(cut, [p]).angular(r_ij, r_ik, r_jk, cos)[0])
             rows.append(row)
         blocks[e] = np.array(rows, dtype=float).reshape(len(rows), len(sf.descriptors[e]))
     return blocks
@@ -368,13 +363,16 @@ class TestGroupedKernel:
             g4 = ang * np.exp(-eta * ((r_ij ** 2 + r_ik ** 2) + r_jk ** 2)) * ((fc_ij * fc_ik) * fc_jk)
             g5 = ang * np.exp(-eta * (r_ij ** 2 + r_ik ** 2)) * (fc_ij * fc_ik)
             scale = 2.0 ** (1.0 - zeta)
-            p4, p5 = (AngularParams(eta, zeta, lam, k, ("Fe", "H")) for k in ("G4", "G5"))
-            assert angular_g4(r_ij, r_ik, r_jk, cos, p4, cut) == np.sort(g4).sum() * scale
-            assert angular_g5(r_ij, r_ik, cos, p5, cut) == np.sort(g5).sum() * scale
-            for k in range(len(cos)):       # one term at a time: no sum hides a last bit
-                one = slice(k, k + 1)
-                assert angular_g4(r_ij[one], r_ik[one], r_jk[one], cos[one], p4, cut) == g4[k] * scale
-                assert angular_g5(r_ij[one], r_ik[one], cos[one], p5, cut) == g5[k] * scale
+            for kind, terms in (("G4", g4), ("G5", g5)):
+                p = AngularParams(eta, zeta, lam, kind, ("Fe", "H"))
+                group = _Group(cut, p.element_pair, [(0, p)])
+                got = group.angular(r_ij, r_ik, r_jk, cos, fc_ij * fc_ik)
+                assert got[0] == np.sort(terms).sum() * scale
+                for k in range(len(cos)):   # one term at a time: no sum hides a last bit
+                    one = slice(k, k + 1)
+                    got = group.angular(r_ij[one], r_ik[one], r_jk[one], cos[one],
+                                        fc_ij[one] * fc_ik[one])
+                    assert got[0] == terms[k] * scale
 
     def test_equals_per_column_reference_functions(self, rng):
         sf = self.symmetry_functions()
@@ -383,7 +381,7 @@ class TestGroupedKernel:
                             [-1.0, -0.8, 0.5], [0, 0, -9.0], [0, 0, -11.0], [20.0, 0, 0]])
         nl = neighbor_list(cluster, sf.max_cutoff)
         assert [cluster.species[j] for j in nl.indices[5]] == ["Fe"]     # no H neighbor
-        assert nl.n_neighbors(7) == 0
+        assert len(nl.indices[7]) == 0
         structures = [cluster] + [random_structure(rng, f"s{k}", n_atoms=int(rng.integers(2, 7)),
                                                    unwrapped=True) for k in range(12)]
         for s in structures:

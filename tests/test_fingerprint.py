@@ -1,5 +1,7 @@
 """Histogram binning, XOR fingerprints, and their serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from dvlae import (
     compute_structure_descriptors,
     determine_bin_edges,
     difference_vector,
-    hamming_distance,
+    hamming_cdist,
     make_dataset,
     mean_descriptor_vectors,
     read_fingerprints,
@@ -33,7 +35,7 @@ from dvlae import (
 from dvlae.config import GridConfig, build_symmetry_functions
 from dvlae.fingerprint import spec_from_json, spec_to_json
 
-from conftest import dyadic_structure, fingerprint_bits, fingerprint_set, permute_atoms
+from conftest import dyadic_structure, fingerprint_bits, fingerprint_set, naive_hamming, permute_atoms
 
 
 def matrix_of(values_by_column, element="X", ident="m", tag=None):
@@ -316,8 +318,8 @@ class TestBatch:
         ds = make_dataset([prim, sup, other])
         fpset = batch_fingerprints(ds, prim, self._sfset(), k=32)
         a, b, c = fpset.fingerprints
-        assert hamming_distance(a, b) == 0
-        assert hamming_distance(a, c) > 0
+        assert naive_hamming(a, b) == 0
+        assert naive_hamming(a, c) > 0
 
     def test_permutation_leaves_fingerprint_unchanged(self, rng):
         sf = self._sfset()
@@ -367,33 +369,35 @@ class TestBatch:
 
 
 class TestHamming:
+    """The packed Hamming kernel the pipeline uses, ``hamming_cdist``."""
+
     def test_identical_is_zero(self):
-        (a,) = fingerprint_set([[1, 0, 1, 1, 0]]).fingerprints
-        assert hamming_distance(a, a) == 0
+        rows = fingerprint_set([[1, 0, 1, 1, 0]]).fingerprints
+        assert hamming_cdist(rows, rows)[0, 0] == 0
 
     def test_three_bit_difference(self):
-        a, b = fingerprint_set([[1, 0, 1, 1, 0, 0, 0, 0, 1],
+        rows = fingerprint_set([[1, 0, 1, 1, 0, 0, 0, 0, 1],
                                 [0, 0, 1, 0, 0, 0, 0, 0, 0]]).fingerprints
-        assert hamming_distance(a, b) == 3
+        assert hamming_cdist(rows[:1], rows[1:])[0, 0] == 3
 
     def test_metric_properties_over_random_triples(self, rng):
         n_bits = 48
         for _ in range(1000):
-            a, b, c = fingerprint_set(rng.integers(0, 2, (3, n_bits))).fingerprints
-            ab = hamming_distance(a, b)
-            assert ab == hamming_distance(b, a)
-            assert ab <= hamming_distance(a, c) + hamming_distance(c, b)
-            assert ab >= 0
+            rows = fingerprint_set(rng.integers(0, 2, (3, n_bits))).fingerprints
+            d = hamming_cdist(rows, rows)
+            assert d[0, 1] == d[1, 0]
+            assert d[0, 1] <= d[0, 2] + d[2, 1]
+            assert d[0, 1] >= 0
 
     def test_matrix_matches_pairwise(self, rng):
-        from dvlae import hamming_cdist, pairwise_distances
+        from dvlae import pairwise_distances
 
         fpset = fingerprint_set(rng.integers(0, 2, (15, 37)))
         packed = fpset.fingerprints
         fast = hamming_cdist(packed, packed)
         bits = fingerprint_bits(fpset)
         assert np.array_equal(fast, pairwise_distances(packed, metric="packed-hamming"))
-        assert np.array_equal(fast, [[hamming_distance(a, b) for b in packed] for a in packed])
+        assert np.array_equal(fast, [[naive_hamming(a, b) for b in packed] for a in packed])
         naive = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
         assert np.array_equal(fast, naive)
 
@@ -422,6 +426,11 @@ class TestFingerprintSet:
     def test_ids_and_tags_must_match_rows(self):
         with pytest.raises(UserInputError, match="1 ids and 1 tags for 2 fingerprints"):
             self._set([[0xFF, 0xF8], [0x00, 0x00]], n=1)
+
+    def test_repeated_id_rejected(self):
+        rows = np.zeros((4, 2), dtype=np.uint8)
+        with pytest.raises(UserInputError, match="duplicate structure id 'a' in fingerprint set"):
+            FingerprintSet(self.spec, "r", "occupancy", ["a", "b", "a", "c"], [None] * 4, rows)
 
     def test_rows_are_read_only(self):
         rows = np.array([[0xFF, 0xF8]], dtype=np.uint8)
@@ -469,8 +478,6 @@ class TestFlatVectors:
 
 class TestSerialization:
     def _fpset(self, rng):
-        import dataclasses
-
         sf = build_symmetry_functions(("Fe", "H"), GridConfig(
             cutoff=4.0, radial_eta=(0.0, 1.0), angular_eta=(0.0,), zeta=(1.0,)))
         structures = [both_elements(rng, f"s{i}") for i in range(6)]
@@ -490,6 +497,17 @@ class TestSerialization:
         assert np.array_equal(back.fingerprints, fpset.fingerprints)
         assert back.tags == fpset.tags
         assert "alpha" in back.tags
+
+    # A tab, and every character on which str.splitlines, the reader's split, breaks.
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("field", ["ids", "tags"])
+    def test_unreadable_record_text_rejected(self, tmp_path, field, char):
+        fpset = fingerprint_set([[1, 0, 1]], ids=["s0"])
+        bad = dataclasses.replace(fpset, **{field: (f"x{char}y",)})
+        with pytest.raises(UserInputError, match="may not contain tabs or line breaks"):
+            write_fingerprints(bad, tmp_path / "fps.txt")
+        assert not (tmp_path / "fps.txt").exists()
 
     def test_rewrite_is_byte_identical(self, rng, tmp_path):
         fpset = self._fpset(rng)

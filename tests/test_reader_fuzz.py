@@ -17,7 +17,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dvlae import Structure, to_extxyz
-from dvlae.cli import main, write_vector_csv
+from dvlae.cli import main
+
+from conftest import write_vector_csv
 
 RUN_INI = """\
 [run]

@@ -1,5 +1,6 @@
 """Parsing, supercells, and neighbor lists against brute-force oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from dvlae import (
     to_extxyz,
 )
 
-from conftest import random_cell, random_structure
+from conftest import neighbor_entries, random_cell, random_structure
 
 TWO_H_FRAME = """2
 Lattice="5 0 0 0 5 0 0 0 5" Properties=species:S:1:pos:R:3
@@ -87,6 +88,28 @@ class TestParseExtxyz:
             assert back.species == orig.species
             assert np.array_equal(back.positions, orig.positions)
             assert np.array_equal(back.cell, orig.cell)
+
+    @pytest.mark.parametrize("tag", ['a"b', '"ab', 'a"', 'x="y', "", "alpha phase", " pad ", "a\tb"])
+    def test_tag_roundtrip(self, tag):
+        s = dataclasses.replace(parse_extxyz(TWO_H_FRAME).structures[0], tag=tag)
+        text = to_extxyz([s])
+        assert parse_extxyz(text).structures[0].tag == tag
+        if '"' not in tag:
+            assert f'tag="{tag}"' in text
+        assert to_extxyz(parse_extxyz(text).structures) == text
+
+    def test_bare_tag_with_quote_is_written_as_read(self):
+        text = '1\nLattice="4 0 0 0 4 0 0 0 4" Properties=species:S:1:pos:R:3 tag=a"b\nH 0.0 0.0 0.0\n'
+        s = parse_extxyz(text).structures[0]
+        assert s.tag == 'a"b'
+        assert to_extxyz([s]).splitlines()[1].endswith(' tag=a"b')
+
+    @pytest.mark.parametrize("tag", ['a "b', '"a"b', '"a"', 'a"\tb', "a\nb", "a\rb", "ab\x85",
+                                     "a\u2028b"])
+    def test_tag_that_cannot_round_trip_rejected(self, tag):
+        s = dataclasses.replace(parse_extxyz(TWO_H_FRAME).structures[0], tag=tag)
+        with pytest.raises(UserInputError, match="cannot be written to extended XYZ"):
+            to_extxyz([s])
 
     def test_pbc_flags_set_periodic_directions(self):
         text = '1\nLattice="4 0 0 0 4 0 0 0 20" pbc="T T F"\nH 0 0 0\n'
@@ -217,14 +240,14 @@ class TestNeighborList:
         s = Structure(cell=np.eye(3), species=("X",), positions=[[0, 0, 0]],
                       periodic=(True,) * 3, id="sc")
         nl = neighbor_list(s, 1.1)
-        assert nl.n_neighbors(0) == 6
+        assert len(nl.indices[0]) == 6
         assert np.allclose(nl.distances[0], 1.0)
 
     def test_simple_cubic_two_shells(self):
         s = Structure(cell=np.eye(3), species=("X",), positions=[[0, 0, 0]],
                       periodic=(True,) * 3, id="sc")
         nl = neighbor_list(s, 1.5)
-        assert nl.n_neighbors(0) == 18
+        assert len(nl.indices[0]) == 18
         d = nl.distances[0]
         assert (np.isclose(d, 1.0).sum(), np.isclose(d, np.sqrt(2)).sum()) == (6, 12)
 
@@ -232,7 +255,7 @@ class TestNeighborList:
         s = random_structure(rng, "s", n_atoms=4)
         nl = neighbor_list(s, 4.0)
         for i in range(s.n_atoms):
-            entries = nl.entries(i)
+            entries = neighbor_entries(nl, i)
             assert entries == sorted(entries, key=lambda e: (e[2], e[0], e[1]))
 
     def test_against_oracle_random_triclinic(self, rng):
@@ -243,7 +266,7 @@ class TestNeighborList:
             nl = neighbor_list(s, r_c)
             want = oracle_neighbors(s, r_c)
             for i in range(s.n_atoms):
-                got = {(j, shift, d) for j, shift, d in nl.entries(i)}
+                got = {(j, shift, d) for j, shift, d in neighbor_entries(nl, i)}
                 got_keys = {(j, shift) for j, shift, _ in got}
                 want_keys = {(j, shift) for j, shift, _ in want[i]}
                 assert got_keys == want_keys, f"structure {trial} center {i}"
@@ -257,7 +280,7 @@ class TestNeighborList:
             nl = neighbor_list(s, 3.5)
             pairs = set()
             for i in range(s.n_atoms):
-                for j, shift, d in nl.entries(i):
+                for j, shift, d in neighbor_entries(nl, i):
                     pairs.add((i, j, shift, round(d, 9)))
             for i, j, shift, d in pairs:
                 mirror = (j, i, tuple(-c for c in shift), d)
@@ -293,13 +316,13 @@ class TestNeighborList:
                       periodic=(True,) * 3, id="sc")
         nl = neighbor_list(s, 2.05)
         want = oracle_neighbors(s, 2.05)
-        assert nl.n_neighbors(0) == len(want[0])
+        assert len(nl.indices[0]) == len(want[0])
 
     def test_nonperiodic(self):
         s = Structure(cell=np.zeros((3, 3)), species=("A", "B"),
                       positions=[[0, 0, 0], [0, 0, 2.0]], periodic=(False,) * 3, id="dim")
         nl = neighbor_list(s, 3.0)
-        assert nl.entries(0) == [(1, (0, 0, 0), 2.0)]
+        assert neighbor_entries(nl, 0) == [(1, (0, 0, 0), 2.0)]
 
     def test_slab_has_no_neighbors_across_nonperiodic_axis(self):
         text = '2\nLattice="3 0 0 0 3 0 0 0 3" pbc="T T F"\nH 0 0 0.5\nH 1.5 1.5 2.5\n'
@@ -309,7 +332,7 @@ class TestNeighborList:
         assert any(np.any(sh[:, 2] != 0) for sh in neighbor_list(bulk, 4.0).shifts)
         nl = neighbor_list(slab, 4.0)
         assert all(np.all(sh[:, 2] == 0) for sh in nl.shifts)
-        assert {(j, sh) for j, sh, _ in nl.entries(0)} == \
+        assert {(j, sh) for j, sh, _ in neighbor_entries(nl, 0)} == \
             {(j, sh) for j, sh, _ in oracle_neighbors(slab, 4.0)[0]}
 
     def test_image_shift_count_capped(self):
@@ -319,7 +342,7 @@ class TestNeighborList:
             neighbor_list(tiny, 6.0)
         chain = Structure(cell=0.05 * np.eye(3), species=("H",), positions=[[0, 0, 0]],
                           periodic=(True, False, False), id="chain")
-        assert neighbor_list(chain, 6.0).n_neighbors(0) == 2 * 119
+        assert len(neighbor_list(chain, 6.0).indices[0]) == 2 * 119
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_zero_and_one_atom_structures(self, periodic):
@@ -333,9 +356,9 @@ class TestNeighborList:
         nl = neighbor_list(one, 1.1)
         for per_center in (nl.indices, nl.shifts, nl.distances, nl.displacements):
             assert len(per_center) == 1
-        assert nl.n_neighbors(0) == (6 if periodic else 0)
-        assert nl.shifts[0].shape == (nl.n_neighbors(0), 3)
-        assert nl.displacements[0].shape == (nl.n_neighbors(0), 3)
+        assert len(nl.indices[0]) == (6 if periodic else 0)
+        assert nl.shifts[0].shape == (len(nl.indices[0]), 3)
+        assert nl.displacements[0].shape == (len(nl.indices[0]), 3)
 
     def test_bad_cutoff(self, rng):
         with pytest.raises(UserInputError):
@@ -410,7 +433,7 @@ class TestImageRange:
                 nl = neighbor_list(s, r_c)
                 want = oracle_neighbors(s, r_c)
                 for i in range(s.n_atoms):
-                    got = {(j, sh): d for j, sh, d in nl.entries(i)}
+                    got = {(j, sh): d for j, sh, d in neighbor_entries(nl, i)}
                     expected = {(j, sh): d for j, sh, d in want[i]}
                     assert got.keys() == expected.keys(), (s.id, where, i)
                     for key, d in got.items():
@@ -444,4 +467,4 @@ def test_neighbor_oracle_property(seed, r_c):
     nl = neighbor_list(s, r_c)
     want = oracle_neighbors(s, r_c)
     for i in range(s.n_atoms):
-        assert {(j, sh) for j, sh, _ in nl.entries(i)} == {(j, sh) for j, sh, _ in want[i]}
+        assert {(j, sh) for j, sh, _ in neighbor_entries(nl, i)} == {(j, sh) for j, sh, _ in want[i]}
