@@ -109,12 +109,12 @@ def cmd_screen(args) -> int:
             dict.fromkeys(candidates.elements + training.elements)
         )
         sfset = build_symmetry_functions(elements, cfg.grid)
-        cand_vecs = fp_mod.mean_descriptor_vectors(
-            compute_dataset_descriptors(candidates.structures, sfset)
+        # One call, so one pool, over both sets; candidates first, as their
+        # errors came first when each set was described on its own.
+        vecs = fp_mod.mean_descriptor_vectors(
+            compute_dataset_descriptors(candidates.structures + training.structures, sfset)
         )
-        train_vecs = fp_mod.mean_descriptor_vectors(
-            compute_dataset_descriptors(training.structures, sfset)
-        )
+        cand_vecs, train_vecs = vecs[: len(candidates)], vecs[len(candidates):]
         result = scr_mod.novelty_screen(
             candidates.ids(), cand_vecs, train_vecs, cfg.novelty, training_ids=training.ids(),
         )

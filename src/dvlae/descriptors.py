@@ -8,11 +8,16 @@ repeated evaluation is bit-reproducible.
 
 from __future__ import annotations
 
+import contextlib
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import parallel
 from .errors import UserInputError
 from .structures import Structure, neighbor_list
 
@@ -335,9 +340,184 @@ def compute_structure_descriptors(s: Structure, sfset: SymmetryFunctionSet) -> D
     )
 
 
+# Structures are described by forked worker processes, one per CPU this
+# process may use, at most _POOL_MAX_WORKERS (only 2 CPUs were measured) and at
+# most one per structure, once they hold _POOL_MIN_ATOMS atoms in all.  Below
+# that, starting the workers costs more than they save.  Measured in-process,
+# start-up included (2 cores, median of 7, two runs): bulk's smallest 3 and 4
+# cells (21, 45 atoms) took 54-56 and 96-110 ms serial, 61-66 and 64-73 ms on
+# workers; curate's first 4, 6 and 8 structures (20, 32, 39 atoms) took 33-41,
+# 50-53 and 60-69 ms serial, 36-43, 45-47 and 46-50 ms on workers.  The
+# break-even lies between 21 and 32 atoms; 40 leaves a margin for a host where
+# a fork costs more.
+_POOL_MIN_ATOMS = 40
+_POOL_MAX_WORKERS = 8
+
+# The (structures, sfset) being described; workers inherit it by the fork, so
+# only indices and results cross the pipes.
+_pool_job: tuple | None = None
+
+
 def compute_dataset_descriptors(
     structures: Sequence[Structure],
     sfset: SymmetryFunctionSet,
 ) -> list[DescriptorMatrix]:
-    """Descriptor matrices for many structures, in input order."""
+    """Descriptor matrices for many structures, in input order.
+
+    Each structure is described whole by one process, so every block is
+    bit-identical for any worker count.  An error is the one a serial loop
+    raises: that of the first failing structure in input order."""
+    workers = min(parallel.cpu_count(), _POOL_MAX_WORKERS, len(structures))
+    if workers > 1 and sum(s.n_atoms for s in structures) >= _POOL_MIN_ATOMS and _can_fork():
+        return [DescriptorMatrix(structure_id=s.id, tag=s.tag, blocks=blocks, columns=sfset.labels)
+                for s, blocks in zip(structures, _pool_blocks(structures, sfset, workers))]
     return [compute_structure_descriptors(s, sfset) for s in structures]
+
+
+def _can_fork() -> bool:
+    # Imported here and below: multiprocessing and its connection module add
+    # about 16 ms to the start-up of every command, and only workers use them.
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _pool_blocks(structures: Sequence[Structure], sfset: SymmetryFunctionSet,
+                 workers: int) -> list[dict]:
+    """The descriptor blocks of every structure, computed by ``workers``
+    forked processes and returned in input order."""
+    from multiprocessing.connection import wait
+
+    global _pool_job
+    n = len(structures)
+    # Largest first, so that a few big cells do not finish last on one
+    # worker; a free worker takes the next chunk.
+    order = sorted(range(n), key=lambda i: -structures[i].n_atoms)
+    size = max(1, n // (8 * workers))
+    todo = iter([order[k:k + size] for k in range(0, n, size)])
+    results: dict[int, object] = {}
+    first_failed = n
+    _pool_job = (structures, sfset)
+    try:
+        with _forked_workers(workers) as free:
+            busy = {}   # pipe -> process, for the workers with a chunk out
+            # Once every structure before the first failure is in, the rest
+            # cannot change the outcome.
+            while first_failed == n or any(k not in results for k in range(first_failed)):
+                while free and (chunk := next(todo, None)) is not None:
+                    conn, proc = free.pop()
+                    conn.send(chunk)
+                    busy[conn] = proc
+                if not busy:
+                    break
+                for conn in wait(list(busy)):
+                    proc = busy.pop(conn)
+                    try:
+                        chunk = conn.recv()
+                    except (EOFError, OSError):
+                        # The worker died (killed, out of memory) with its chunk.
+                        proc.join()
+                        raise RuntimeError(f"descriptor worker {proc.pid} exited with "
+                                           f"code {proc.exitcode}") from None
+                    free.append((conn, proc))
+                    for i, out in chunk:
+                        results[i] = out
+                        if out is None or isinstance(out, Exception):
+                            first_failed = min(first_failed, i)
+    finally:
+        _pool_job = None
+    out_blocks = []
+    for i in range(n):
+        out = results[i]
+        if out is None:     # an exception that could not be pickled: raise it here
+            out = compute_structure_descriptors(structures[i], sfset).blocks
+        if isinstance(out, Exception):
+            raise out
+        for block in out.values():
+            block.setflags(write=False)     # unpickled arrays come back writeable
+        out_blocks.append(out)
+    return out_blocks
+
+
+def _describe(indices: list[int]) -> list[tuple[int, object]]:
+    """Per structure index i, (i, the blocks of structure i) or (i, the
+    exception it raised); (i, None) if that exception cannot be pickled."""
+    structures, sfset = _pool_job
+    out = []
+    for i in indices:
+        try:
+            # Looked up in this module at call time, so a patch made before
+            # the fork applies in the workers too.
+            out.append((i, compute_structure_descriptors(structures[i], sfset).blocks))
+        except Exception as exc:    # noqa: BLE001 - the parent raises it in input order
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:       # noqa: BLE001
+                exc = None
+            out.append((i, exc))
+    return out
+
+
+_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+@contextlib.contextmanager
+def _forked_workers(workers: int):
+    """``workers`` forked processes serving ``_describe``, as a list of
+    (pipe, process) pairs; leaving the block kills and reaps every one.
+
+    Each worker has a pipe of its own, so that no worker, killed at any
+    point, can hold a lock the others or the clean-up wait for.  Workers
+    ignore SIGINT and die silently on SIGTERM.  While they live, SIGTERM
+    unwinds this process as SIGINT does, so that the clean-up runs.  Both
+    signals are blocked while workers start and while they are reaped, and
+    are delivered once they are gone."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _SIGNALS)
+    handler = None
+    procs: list = []
+    try:
+        for _ in range(workers):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_serve, args=(child, [c for c, _ in procs] + [conn]),
+                               daemon=True)
+            proc.start()
+            child.close()
+            procs.append((conn, proc))
+        if (threading.current_thread() is threading.main_thread()
+                and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL):
+            handler = signal.signal(signal.SIGTERM, _exit_on_signal)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield list(procs)
+    finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, _SIGNALS)
+        for conn, proc in procs:
+            proc.kill()
+            proc.join()
+            conn.close()
+        if handler is not None:
+            signal.signal(signal.SIGTERM, handler)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _serve(conn, parent_ends) -> None:
+    """Worker: answer each chunk of indices that arrives on ``conn`` with
+    ``_describe``'s results, until the parent's end closes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _SIGNALS)
+    # The copies of the parent's ends this fork made: closed, so that a
+    # parent that dies leaves this worker at the end of its pipe.
+    for end in parent_ends:
+        end.close()
+    try:
+        while True:
+            conn.send(_describe(conn.recv()))
+    except (EOFError, BrokenPipeError):
+        pass
+
+
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)

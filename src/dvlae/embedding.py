@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import parallel
 from .distance import _BLOCK_BYTES, euclidean_cdist, hamming_cdist
 from .errors import FormatError, UserInputError
 from .ioutil import atomic_write_text, read_input_text
@@ -369,7 +369,7 @@ def tsne_embed(
     q = np.empty((n, n))
     w = np.empty((n, n))
     blocks = [slice(i, min(i + _TSNE_BLOCK_ROWS, n)) for i in range(0, n, _TSNE_BLOCK_ROWS)]
-    workers = max(1, min(_cpu_count(), _TSNE_MAX_WORKERS, len(blocks)))
+    workers = max(1, min(parallel.cpu_count(), _TSNE_MAX_WORKERS, len(blocks)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
 
         def each_block(step, *args):
@@ -401,13 +401,6 @@ def tsne_embed(
             y = y - y.mean(axis=0)
 
     return y, kl_trace
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _inverse_rows(rows: slice, cols: np.ndarray, inv: np.ndarray, scratch: np.ndarray) -> None:

@@ -133,9 +133,15 @@ def make_dataset(structures: Sequence[Structure], elements: Sequence[str] | None
 _KEY_VALUE_RE = re.compile(r'(\S+?)=(?:"([^"]*)"|(\S+))')
 
 
-def _parse_comment_keys(line: str) -> dict[str, str]:
+def _parse_comment_keys(line: str, frame: int = 0, lineno: int = 2) -> dict[str, str]:
+    """The key=value pairs of a comment line; a quoted value must end at
+    whitespace or the end of the line."""
     out = {}
     for m in _KEY_VALUE_RE.finditer(line):
+        after = line[m.end():m.end() + 1]
+        if m.group(2) is not None and after and not after.isspace():
+            raise ParseError(f"frame {frame}, line {lineno}: text after the closing quote "
+                             f"of {m.group(1)}")
         out[m.group(1)] = m.group(2) if m.group(2) is not None else m.group(3)
     return out
 
@@ -190,7 +196,7 @@ def parse_extxyz(text: str | TextIO, source: str = "<stream>") -> Dataset:
             raise ParseError(f"frame {frame}, line {i + 1}: negative atom count")
         if i + 1 >= len(lines):
             raise ParseError(f"frame {frame}, line {i + 2}: missing comment line")
-        keys = _parse_comment_keys(lines[i + 1])
+        keys = _parse_comment_keys(lines[i + 1], frame, i + 2)
 
         cell = np.zeros((3, 3))
         periodic = (False, False, False)
@@ -264,9 +270,18 @@ def to_extxyz(structures: Iterable[Structure]) -> str:
         if s.tag is not None:
             # Bare when the tag holds a '"', which a quoted value cannot.
             key = f"tag={s.tag}" if '"' in s.tag else f'tag="{s.tag}"'
-            if not is_one_line(s.tag) or _parse_comment_keys(key).get("tag") != s.tag:
+            try:
+                ok = is_one_line(s.tag) and _parse_comment_keys(key).get("tag") == s.tag
+            except ParseError:
+                ok = False
+            if not ok:
                 raise UserInputError(f"tag {s.tag!r} cannot be written to extended XYZ and read back")
             key_parts.append(key)
+        for sym in dict.fromkeys(s.species):
+            # The reader splits atom lines at whitespace.
+            if sym.split() != [sym]:
+                raise UserInputError(f"species {sym!r} of structure {s.id!r} cannot be written "
+                                     "to extended XYZ and read back")
         body = "\n".join(
             f"{sym} {repr(float(p[0]))} {repr(float(p[1]))} {repr(float(p[2]))}"
             for sym, p in zip(s.species, s.positions)

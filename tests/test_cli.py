@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvlae import Embedding, Structure, read_embedding, read_fingerprints, to_extxyz
+from dvlae import (Embedding, Structure, UserInputError, build_supercell, read_embedding,
+                   read_fingerprints, to_extxyz)
 from dvlae.cli import main
 from dvlae.svgplot import PlotSpec
 
@@ -54,6 +55,27 @@ method = tsne
 perplexity = 4
 iterations = 250
 """
+
+
+def _count_dataset_ids(monkeypatch, workers):
+    """Pretend the process may run on ``workers`` CPUs, pool descriptors at any
+    size, and record, per call of ``compute_dataset_descriptors`` by the CLI,
+    the file name and frame of each structure it is given."""
+    import dvlae.cli as cli_mod
+    import dvlae.descriptors as desc
+    from dvlae import parallel
+
+    monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
+    monkeypatch.setattr(desc, "_POOL_MIN_ATOMS", 0)
+    given = []
+    compute = cli_mod.compute_dataset_descriptors
+
+    def counting(structures, *args, **kwargs):
+        given.append([Path(s.id).name for s in structures])
+        return compute(structures, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "compute_dataset_descriptors", counting)
+    return given
 
 
 def make_corpus(rng, tmp_path, n=10, tag_cycle=("solid", "gas"), duplicate_groups=0):
@@ -153,6 +175,82 @@ class TestFingerprintCommand:
         assert np.array_equal(a.fingerprints, b.fingerprints)
 
 
+def _children(pid):
+    try:
+        return Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+    except OSError:
+        return []
+
+
+def _pool_possible():
+    import multiprocessing
+
+    from dvlae import parallel
+
+    return (Path("/proc/self/task").is_dir() and parallel.cpu_count() >= 2
+            and "fork" in multiprocessing.get_all_start_methods())
+
+
+@pytest.mark.skipif(not _pool_possible(),
+                    reason="needs /proc, fork and two CPUs for a descriptor pool")
+class TestSignalsDuringThePool:
+    """A signal while the descriptor pool lives stops every worker, quietly."""
+
+    @staticmethod
+    def slow_corpus(rng, tmp_path):
+        # Eight 128-atom FeH cells at 6 Å: seconds of descriptor work.
+        prim = Structure(cell=np.eye(3) * 2.65, species=("Fe", "H"),
+                         positions=[[0, 0, 0], [1.325, 1.325, 1.325]], periodic=(True,) * 3)
+        big = build_supercell(prim, (4, 4, 4))
+        cells = [dataclasses.replace(big, positions=big.positions
+                                     + rng.normal(0, 0.05, big.positions.shape))
+                 for _ in range(8)]
+        cfg = make_corpus(rng, tmp_path, n=2)
+        (tmp_path / "data.xyz").write_text(to_extxyz(cells))
+        cfg.write_text(cfg.read_text().replace("cutoff = 4.0", "cutoff = 6.0"))
+        return cfg
+
+    @pytest.mark.parametrize("sig, group", [("SIGTERM", False), ("SIGTERM", True),
+                                            ("SIGINT", True)])
+    def test_no_worker_survives(self, rng, tmp_path, sig, group):
+        import signal
+
+        cfg = self.slow_corpus(rng, tmp_path)
+        proc = subprocess.Popen([sys.executable, "-m", "dvlae.cli", "fingerprint", "--config",
+                                 str(cfg)], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not (workers := _children(proc.pid)) and proc.poll() is None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert workers, "the descriptor pool never started"
+            time.sleep(0.3)
+            ignored = [int(Path(f"/proc/{w}/status").read_text().split("SigIgn:")[1].split()[0], 16)
+                       for w in workers]
+            assert all(mask >> (signal.SIGINT - 1) & 1 for mask in ignored)
+            if group:   # as a terminal's Ctrl-C, or `timeout`, signals the process group
+                os.killpg(proc.pid, getattr(signal, sig))
+            else:
+                proc.send_signal(getattr(signal, sig))
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert [w for w in workers if Path(f"/proc/{w}").exists()] == []
+        if sig == "SIGTERM":
+            # Exit 143 from this process's own handler; killed by the signal
+            # if the workers' deaths were seen first.
+            assert proc.returncode in (128 + signal.SIGTERM, -signal.SIGTERM)
+            assert "Traceback" not in err, err
+        else:
+            assert proc.returncode == -signal.SIGINT
+            # Only this process reports the interrupt, as it does without a pool.
+            assert err.count("KeyboardInterrupt") == 1 and err.rstrip().endswith("KeyboardInterrupt")
+
+
 class TestScreenCommand:
     def test_duplicate_groups_reduce(self, rng, tmp_path):
         # 10 unique + 5 groups x 3 copies = 25 inputs, 10 kept
@@ -221,6 +319,68 @@ class TestScreenCommand:
         assert report["mode"] == "novelty"
         assert report["output_count"] == 0
         assert len(report["removed"]) == 6
+
+    @staticmethod
+    def _training_set(rng, tmp_path, n=5):
+        structures = []
+        while len(structures) < n:
+            s = dyadic_structure(rng, f"t{len(structures)}", n_atoms=5)
+            if {"Fe", "H"} <= set(s.species):
+                structures.append(s)
+        (tmp_path / "train.xyz").write_text(to_extxyz(structures))
+        (tmp_path / "train_manifest.txt").write_text("train.xyz\n")
+        return tmp_path / "train_manifest.txt"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_novelty_describes_both_sets_in_one_call(self, rng, tmp_path, monkeypatch, workers):
+        cfg = make_corpus(rng, tmp_path, n=6)
+        training = self._training_set(rng, tmp_path)
+        assert main(["screen", "--config", str(cfg), "--mode", "novelty",
+                     "--training-manifest", str(training), "--threshold", "0"]) == 0
+        want = read_report(tmp_path)
+        given = _count_dataset_ids(monkeypatch, workers)
+        assert main(["screen", "--config", str(cfg), "--mode", "novelty",
+                     "--training-manifest", str(training), "--threshold", "0"]) == 0
+        assert given == [[f"data.xyz#{k}" for k in range(6)] + [f"train.xyz#{k}" for k in range(5)]]
+        assert read_report(tmp_path) == want
+
+    def test_novelty_with_an_empty_training_set_accepts_every_candidate(self, rng, tmp_path):
+        cfg = make_corpus(rng, tmp_path, n=6)
+        (tmp_path / "empty.xyz").write_text("")
+        (tmp_path / "empty_manifest.txt").write_text("empty.xyz\n")
+        with pytest.warns(UserWarning, match="empty training set"):
+            assert main(["screen", "--config", str(cfg), "--mode", "novelty",
+                         "--training-manifest", str(tmp_path / "empty_manifest.txt")]) == 0
+        assert read_report(tmp_path)["output_count"] == 6
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("candidate, trained, code, message", [
+        (UserInputError("candidate is bad"), RuntimeError("training bug"),
+         1, "error: candidate is bad"),
+        (RuntimeError("candidate bug"), UserInputError("training is bad"),
+         2, "internal-error: RuntimeError: candidate bug"),
+    ])
+    def test_novelty_raises_the_candidate_error_first(self, rng, tmp_path, monkeypatch, capsys,
+                                                      workers, candidate, trained, code, message):
+        import dvlae.descriptors as desc
+
+        cfg = make_corpus(rng, tmp_path, n=6)
+        training = self._training_set(rng, tmp_path)
+        _count_dataset_ids(monkeypatch, workers)
+        compute = desc.compute_structure_descriptors
+
+        def planted(s, sfset):
+            if s.id.endswith("data.xyz#4"):     # the candidate fails slowly
+                time.sleep(0.3)
+                raise candidate
+            if s.id.endswith("train.xyz#0"):    # the training structure at once
+                raise trained
+            return compute(s, sfset)
+
+        monkeypatch.setattr(desc, "compute_structure_descriptors", planted)
+        assert main(["screen", "--config", str(cfg), "--mode", "novelty",
+                     "--training-manifest", str(training)]) == code
+        assert capsys.readouterr().err.strip() == message
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_threshold_exits_one(self, rng, tmp_path, capsys, threshold):
@@ -361,6 +521,9 @@ class TestEmbedCommand:
     def test_compare_baseline_computes_descriptors_once(self, rng, tmp_path, monkeypatch, source):
         import dvlae.descriptors as desc
 
+        # One worker: every structure is described in this process, where
+        # the wrapper below can count it.
+        given = _count_dataset_ids(monkeypatch, workers=1)
         described = []
         compute = desc.compute_structure_descriptors
 
@@ -373,9 +536,20 @@ class TestEmbedCommand:
         assert main(["embed", "--config", str(cfg), "--source", source, "--method", "pca",
                      "--compare-baseline"]) == 0
         assert len(described) == 7
+        assert sorted(sum(given, [])) == sorted(Path(i).name for i in described)
         baseline = (tmp_path / "out" / "embedding_baseline.csv").read_bytes()
         if source == "baseline":
             assert baseline == (tmp_path / "out" / "embedding.csv").read_bytes()
+
+    @pytest.mark.parametrize("source", ["baseline", "mean"])
+    def test_compare_baseline_on_the_pool_describes_each_structure_once(
+            self, rng, tmp_path, monkeypatch, source):
+        given = _count_dataset_ids(monkeypatch, workers=2)
+        cfg = make_corpus(rng, tmp_path, n=7)
+        assert main(["embed", "--config", str(cfg), "--source", source, "--method", "pca",
+                     "--compare-baseline"]) == 0
+        ids = sum(given, [])
+        assert len(ids) == len(set(ids)) == 7
 
     def test_source_mean_vectors(self, rng, tmp_path):
         cfg = make_corpus(rng, tmp_path, n=9)

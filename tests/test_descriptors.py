@@ -1,5 +1,13 @@
 """Symmetry-function values: hand-computed cases and invariance properties."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,16 +22,20 @@ from dvlae import (
     SymmetryFunctionSet,
     UserInputError,
     build_supercell,
+    compute_dataset_descriptors,
     compute_structure_descriptors,
     cutoff_value,
     neighbor_list,
+    parallel,
 )
+import dvlae.descriptors as desc
 from dvlae.config import GridConfig, build_symmetry_functions
 from dvlae.descriptors import _Group, _pair_indices
 
 from conftest import dyadic_structure, permute_atoms, random_rotation, random_structure, rigid_transform
 
 WIDE = CutoffParams(inner=2.0, outer=3.0)
+HAS_PROC = Path("/proc/self/task").is_dir()
 
 
 def isolated(species, positions, ident="mol"):
@@ -582,3 +594,243 @@ def test_angular_params_validation():
         AngularParams(0.0, -1.0, 1, "G4", ("A", "A"))
     with pytest.raises(UserInputError):
         AngularParams(0.0, 1.0, 1, "G6", ("A", "A"))
+
+
+# ---------------------------------------------------------------------------
+# The process pool of compute_dataset_descriptors
+# ---------------------------------------------------------------------------
+
+def _pool_runs(monkeypatch, workers, min_atoms=0):
+    """Pretend the process may run on ``workers`` CPUs, pool from
+    ``min_atoms`` atoms on, and record the worker count of every pool."""
+    monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
+    monkeypatch.setattr(desc, "_POOL_MIN_ATOMS", min_atoms)
+    runs = []
+    pool_blocks = desc._pool_blocks
+
+    def spy(structures, sfset, n):
+        runs.append(n)
+        return pool_blocks(structures, sfset, n)
+
+    monkeypatch.setattr(desc, "_pool_blocks", spy)
+    return runs
+
+
+def _planted(monkeypatch, plan, log=None):
+    """Make describing a structure named in ``plan`` (id -> (seconds,
+    exception or None)) sleep that long, then raise that exception or go on;
+    with ``log``, append every described id to that file first."""
+    compute = desc.compute_structure_descriptors
+
+    def planted(s, sfset):
+        if log is not None:
+            with open(log, "a") as f:
+                f.write(s.id + "\n")
+        seconds, exc = plan.get(s.id, (0.0, None))
+        time.sleep(seconds)
+        if exc is not None:
+            raise exc
+        return compute(s, sfset)
+
+    monkeypatch.setattr(desc, "compute_structure_descriptors", planted)
+
+
+# Ten structures on two workers: one worker takes a minute over c0 (and
+# writes its pid to BUSY first), the other, its chunks done, waits on its pipe.
+SLOW_RUN = """
+import os
+import time
+
+import numpy as np
+
+import dvlae.descriptors as desc
+from dvlae import parallel
+from dvlae.config import GridConfig, build_symmetry_functions
+from conftest import dyadic_structure
+
+parallel.cpu_count = lambda: 2
+desc._POOL_MIN_ATOMS = 0
+compute = desc.compute_structure_descriptors
+
+def slow(s, sfset):
+    if s.id == "c0":
+        with open(BUSY, "w") as f:
+            f.write(str(os.getpid()))
+        time.sleep(60)
+    return compute(s, sfset)
+
+desc.compute_structure_descriptors = slow
+rng = np.random.default_rng(1)
+structures = [dyadic_structure(rng, f"c{k}", n_atoms=5) for k in range(10)]
+desc.compute_dataset_descriptors(structures, build_symmetry_functions(("Fe", "H"), GridConfig(cutoff=4.0)))
+"""
+
+
+def _live(pid):
+    """Whether process ``pid`` runs (a zombie has ended)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _slow_run(tmp_path):
+    """Start SLOW_RUN in a session of its own; once the busy worker sleeps
+    and the other had time to finish: (process, its workers, the busy one)."""
+    tests = Path(__file__).resolve().parent
+    busy = tmp_path / "busy"
+    script = tmp_path / "run.py"
+    script.write_text(f"BUSY = {str(busy)!r}\n" + SLOW_RUN)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.Popen([sys.executable, str(script)], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    deadline = time.monotonic() + 60
+    while not (busy.exists() and busy.read_text()) and proc.poll() is None \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if not (busy.exists() and busy.read_text()):
+        os.killpg(proc.pid, signal.SIGKILL)
+        pytest.fail(f"no worker took the slow structure: {proc.communicate()[1]}")
+    workers = Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()
+    time.sleep(0.5)     # the other nine structures take milliseconds
+    return proc, [int(w) for w in workers], int(busy.read_text())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool needs the fork start method")
+class TestPool:
+    """Structures spread over forked workers give the serial result."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(17)
+        sf = build_symmetry_functions(("Fe", "H"), GridConfig(cutoff=4.0))
+        small = [dyadic_structure(rng, f"c{k}", n_atoms=int(rng.integers(3, 8)))
+                 for k in range(20)]
+        big = build_supercell(random_structure(rng, "big", n_atoms=4), (3, 3, 3))
+        assert big.n_atoms >= 100
+        many = [random_structure(rng, f"r{k}", n_atoms=int(rng.integers(1, 7)), unwrapped=True)
+                for k in range(150)]
+        structures = small + [big] + many
+        return sf, structures, [compute_structure_descriptors(s, sf) for s in structures]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocks_equal_serial_for_any_worker_count(self, monkeypatch, corpus, workers):
+        sf, structures, serial = corpus
+        runs = _pool_runs(monkeypatch, workers)
+        got = compute_dataset_descriptors(structures, sf)
+        assert runs == ([] if workers == 1 else [workers])
+        assert [m.structure_id for m in got] == [s.id for s in structures]
+        for m, want in zip(got, serial):
+            assert m.tag == want.tag
+            assert m.columns is sf.labels
+            assert list(m.blocks) == list(want.blocks)
+            for e, block in m.blocks.items():
+                assert block.tobytes() == want.blocks[e].tobytes(), (m.structure_id, e)
+                assert block.shape == want.blocks[e].shape
+                assert not block.flags.writeable
+        assert multiprocessing.active_children() == []
+
+    def test_serial_below_the_atom_threshold_or_without_fork(self, monkeypatch, corpus):
+        sf, structures, _ = corpus
+        few = structures[:3]
+        runs = _pool_runs(monkeypatch, 2, min_atoms=sum(s.n_atoms for s in few) + 1)
+        compute_dataset_descriptors(few, sf)
+        assert runs == []
+        monkeypatch.setattr(desc, "_POOL_MIN_ATOMS", 0)
+        compute_dataset_descriptors(few[:1], sf)     # one structure: one worker
+        assert runs == []
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        compute_dataset_descriptors(few, sf)
+        assert runs == []
+
+    @pytest.mark.parametrize("early, late", [
+        (UserInputError("early structure is bad"), RuntimeError("late bug")),
+        (RuntimeError("early bug"), UserInputError("late structure is bad")),
+    ])
+    def test_first_failure_in_input_order_wins(self, monkeypatch, corpus, early, late):
+        sf, structures, _ = corpus
+        batch = structures[:21]
+        # The early one is slow to fail, the late one fails at once.
+        _planted(monkeypatch, {batch[1].id: (0.5, early), batch[-2].id: (0.0, late)})
+        runs = _pool_runs(monkeypatch, 2)
+        with pytest.raises(type(early), match=str(early)):
+            compute_dataset_descriptors(batch, sf)
+        assert runs == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_stops_once_the_first_failure_is_known(self, monkeypatch, corpus, tmp_path):
+        sf, structures, _ = corpus
+        big, small = structures[20], structures[:20] + structures[21:41]
+        # The first structure is the largest, so it is handed out first, and
+        # fails at once; every other one takes 0.1 s.
+        log = tmp_path / "described.txt"
+        plan = {s.id: (0.1, None) for s in small}
+        plan[big.id] = (0.0, UserInputError("first is bad"))
+        _planted(monkeypatch, plan, log)
+        _pool_runs(monkeypatch, 2)
+        with pytest.raises(UserInputError, match="first is bad"):
+            compute_dataset_descriptors([big] + small, sf)
+        # Not the 41 a pool that ran to the end would describe.
+        assert len(log.read_text().split()) < 10
+
+    def test_exception_that_cannot_be_pickled_is_raised(self, monkeypatch, corpus):
+        class Local(Exception):     # a local class cannot be pickled by reference
+            pass
+
+        sf, structures, _ = corpus
+        _planted(monkeypatch, {structures[2].id: (0.0, Local("not picklable"))})
+        runs = _pool_runs(monkeypatch, 2)
+        with pytest.raises(Local, match="not picklable"):
+            compute_dataset_descriptors(structures[:10], sf)
+        assert runs == [2]
+
+    def test_a_killed_worker_is_an_error_not_a_hang(self, monkeypatch, corpus):
+        sf, structures, _ = corpus
+        compute = desc.compute_structure_descriptors
+
+        def killed(s, sfset):
+            if s.id == structures[3].id:     # as the kernel's out-of-memory killer would
+                os.kill(os.getpid(), signal.SIGKILL)
+            return compute(s, sfset)
+
+        monkeypatch.setattr(desc, "compute_structure_descriptors", killed)
+        _pool_runs(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=f"exited with code {-signal.SIGKILL}"):
+            compute_dataset_descriptors(structures[:10], sf)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not HAS_PROC, reason="lists the workers through /proc")
+    def test_sigterm_to_the_process_group_while_a_worker_waits(self, tmp_path):
+        # The waiting worker dies too, which must not keep the clean-up from
+        # ending every process.
+        proc, workers, _ = _slow_run(tmp_path)
+        try:
+            os.killpg(proc.pid, signal.SIGTERM)
+            _, err = proc.communicate(timeout=20)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert len(workers) == 2
+        assert proc.returncode in (128 + signal.SIGTERM, -signal.SIGTERM)
+        assert "Traceback" not in err, err
+        assert [w for w in workers if _live(w)] == []
+
+    @pytest.mark.skipif(not HAS_PROC, reason="lists the workers through /proc")
+    def test_a_waiting_worker_ends_with_a_killed_parent(self, tmp_path):
+        proc, workers, busy = _slow_run(tmp_path)
+        try:
+            proc.kill()
+            proc.wait()
+            waiting = [w for w in workers if w != busy]
+            deadline = time.monotonic() + 10
+            while any(map(_live, waiting)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(waiting) == 1 and not _live(waiting[0])
+        finally:
+            for w in workers:
+                if _live(w):
+                    os.kill(w, signal.SIGKILL)
+            proc.stdout.close()
+            proc.stderr.close()

@@ -20,6 +20,7 @@ from dvlae import (
     write_embedding,
 )
 import dvlae.embedding as emb_mod
+from dvlae import parallel
 from dvlae.embedding import embedding_to_csv, joint_probabilities
 
 
@@ -415,7 +416,7 @@ class TestTsneMatchesReference:
     def _pool_sizes(monkeypatch, cpus, block):
         """Pretend the process may run on ``cpus`` CPUs, use ``block``-row
         blocks, and record the size of every thread pool tsne_embed opens."""
-        monkeypatch.setattr(emb_mod, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
         monkeypatch.setattr(emb_mod, "_TSNE_BLOCK_ROWS", block)
         sizes = []
 

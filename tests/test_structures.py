@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,33 @@ class TestParseExtxyz:
         s = dataclasses.replace(parse_extxyz(TWO_H_FRAME).structures[0], tag=tag)
         with pytest.raises(UserInputError, match="cannot be written to extended XYZ"):
             to_extxyz([s])
+
+    @pytest.mark.parametrize("comment", ['tag="a"b', 'Lattice="4 0 0 0 4 0 0 0 4"tag=x',
+                                         'tag="a"="b"'])
+    def test_text_after_closing_quote_cites_frame_and_line(self, comment):
+        text = TWO_H_FRAME + f"1\n{comment}\nH 0 0 0\n"
+        with pytest.raises(ParseError, match=r"frame 1, line 6: text after the closing quote"):
+            parse_extxyz(text)
+
+    @pytest.mark.parametrize("comment", ['tag="a" b=1', 'tag="a"\tb=1', 'tag="a"'])
+    def test_closing_quote_before_whitespace_or_end(self, comment):
+        assert parse_extxyz(f"1\n{comment}\nH 0 0 0\n").structures[0].tag == "a"
+
+    @pytest.mark.parametrize("species", ["", "H e", "H\te", " H", "H\x85"])
+    def test_species_that_cannot_round_trip_rejected(self, species):
+        s = dataclasses.replace(parse_extxyz(TWO_H_FRAME).structures[0],
+                                species=(species, "H"))
+        with pytest.raises(UserInputError, match=re.escape(f"species {species!r} of structure ")
+                           + ".* cannot be written to extended XYZ"):
+            to_extxyz([s])
+
+    @pytest.mark.parametrize("species", ["He", "X1", "Fe_a", '"H"'])
+    def test_species_roundtrip(self, species):
+        s = dataclasses.replace(parse_extxyz(TWO_H_FRAME).structures[0],
+                                species=(species, "H"))
+        text = to_extxyz([s])
+        assert parse_extxyz(text).structures[0].species == (species, "H")
+        assert to_extxyz(parse_extxyz(text).structures) == text
 
     def test_pbc_flags_set_periodic_directions(self):
         text = '1\nLattice="4 0 0 0 4 0 0 0 20" pbc="T T F"\nH 0 0 0\n'
