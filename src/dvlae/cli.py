@@ -1,6 +1,7 @@
 """Command-line pipeline: fingerprint, screen, embed, ood, plot.
 
-Exit codes: 0 success, 1 user/config error, 2 internal invariant violation.
+Exit codes: 0 success, 1 user/config error, 2 internal invariant violation,
+130 interrupted (SIGINT).  Warnings print as one ``warning: `` line each.
 Every command is deterministic given (config, inputs, seed).
 """
 
@@ -11,6 +12,7 @@ import csv
 import io
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,13 +344,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # argparse exits 2 on usage errors; those are user errors
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except UserInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:   # noqa: BLE001 - boundary: anything else is a bug
         print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

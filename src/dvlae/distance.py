@@ -1,4 +1,4 @@
-"""Blocked all-pairs distance kernels, one per metric.
+"""Blocked all-pairs distance kernels, one per metric, and a radius search.
 
 ``hamming_cdist`` counts differing bits between rows of bit-packed uint8
 fingerprints (XOR, then popcount, over 64-bit words); ``euclidean_cdist``
@@ -8,6 +8,11 @@ values are bit-identical to the per-pair formula.  Both walk (rows of A) x
 ``_BLOCK_BYTES``; memory is the output plus that fixed budget, whatever the
 input sizes.  The budget is a constant: on a 2-core x86-64 host, blocks of
 4-16 MB were no faster than 1 MB (16 MB was slower) and only cost memory.
+
+For a search of the first row within a Hamming radius, ``block_popcounts``
+gives lower bounds of the distance from popcounts alone, and
+``first_within`` compares the candidates left exactly, in chunks within
+the same budget.
 """
 
 from __future__ import annotations
@@ -19,6 +24,10 @@ import numpy as np
 from .errors import UserInputError
 
 _BLOCK_BYTES = 1 << 20
+
+# Contiguous runs of words per row that ``block_popcounts`` counts apart
+# (one per word for narrower rows).
+_POPCOUNT_BLOCKS = 16
 
 
 def _pair_blocks(n_a: int, n_b: int, row_bytes: int) -> Iterator[tuple[slice, slice]]:
@@ -39,7 +48,7 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
         raise UserInputError(f"row widths differ: {a.shape[1]} vs {b.shape[1]}")
 
 
-def _words(rows: np.ndarray) -> np.ndarray:
+def hamming_words(rows: np.ndarray) -> np.ndarray:
     """Packed uint8 rows as uint64 words, zero bytes padding each row to a
     whole word (padding adds no differing bits)."""
     width = -(-rows.shape[1] // 8) * 8
@@ -59,12 +68,51 @@ def hamming_cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     _check_pair(a, b)
-    a, b = _words(a), _words(b)
+    a, b = hamming_words(a), hamming_words(b)
     out = np.empty((len(a), len(b)), dtype=np.int64)
     for ra, rb in _pair_blocks(len(a), len(b), a.shape[1] * a.itemsize):
         diff = np.bitwise_xor(a[ra, None, :], b[None, rb, :])
         out[ra, rb] = np.bitwise_count(diff).sum(axis=2)
     return out
+
+
+def block_popcounts(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(totals, blocks) of ``hamming_words`` rows: each row's popcount
+    (int64) and its popcounts over ``_POPCOUNT_BLOCKS`` contiguous runs of
+    words, (n, runs) int32.
+
+    |popcount(a) - popcount(b)| <= popcount(a ^ b) on every run, so
+    |totals[i] - totals[j]| and sum(|blocks[i] - blocks[j]|), the tighter,
+    are lower bounds of the Hamming distance between rows i and j.  Both are
+    signed: differences of unsigned popcounts would wrap.
+    """
+    n, width = words.shape
+    runs = min(_POPCOUNT_BLOCKS, width)
+    # Distinct run starts: reduceat sums nothing for a repeated start but
+    # returns the element there.
+    starts = np.arange(runs) * width // runs
+    blocks = np.empty((n, runs), dtype=np.int32)
+    for rows, _ in _pair_blocks(n, 1, width):     # one byte of popcount per word
+        blocks[rows] = np.add.reduceat(np.bitwise_count(words[rows]), starts, axis=1,
+                                       dtype=np.int32)
+    return blocks.sum(axis=1), blocks
+
+
+def first_within(words: np.ndarray, row: int, candidates: np.ndarray, radius: int) -> int:
+    """The first of ``candidates`` (row indices of ``hamming_words`` rows)
+    within Hamming distance ``radius`` of row ``row``, or -1 if none is.
+
+    Candidates are compared in their order, in chunks whose gathered rows
+    fit the block budget, and no chunk after the first hit is read.
+    """
+    for _, chunk in _pair_blocks(1, len(candidates), words.shape[1] * words.itemsize):
+        idx = candidates[chunk]
+        diff = words[idx]
+        np.bitwise_xor(diff, words[row], out=diff)
+        near = np.flatnonzero(np.bitwise_count(diff).sum(axis=1) <= radius)
+        if near.size:
+            return int(idx[near[0]])
+    return -1
 
 
 def euclidean_cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Deduplication keeps the first occurrence (dataset order) of each fingerprint
 pattern, optionally merging near-duplicates within a Hamming radius via
-greedy leader clustering.  Novelty screening compares per-structure real
+greedy leader clustering.  A record is compared bit by bit only with the
+leaders that two popcount lower bounds of the distance (whole rows, then
+16 runs of words; ``distance.block_popcounts``) leave within the radius,
+so the result is that of comparing it with every leader.  Novelty screening compares per-structure real
 descriptor vectors against a training pool by minimum Euclidean distance.
 Out-of-distribution scoring ranks fingerprints by their minimum Hamming
 distance to a training store.
@@ -18,7 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .distance import _words, euclidean_cdist, hamming_cdist
+from .distance import (
+    block_popcounts, euclidean_cdist, first_within, hamming_cdist, hamming_words,
+)
 from .errors import UserInputError
 from .fingerprint import FingerprintSet
 from .ioutil import atomic_write_text
@@ -88,18 +93,23 @@ def dedup_hamming(fpset: FingerprintSet, radius: int) -> ScreeningReport:
             kept=report.kept, removed=report.removed, input_count=report.input_count,
             mode="hamming:0",
         )
-    # Rows padded to whole 64-bit words once, so no kernel call copies them.
-    rows = _words(fpset.fingerprints).view(np.uint8)
-    leaders = np.empty_like(rows)       # rows of kept[0], kept[1], ...
+    words = hamming_words(fpset.fingerprints)
+    totals, blocks = block_popcounts(words)
+    leaders = np.empty(len(fpset), dtype=np.intp)     # record indices of kept[0], kept[1], ...
     kept: list[str] = []
     removed: dict[str, str] = {}
     for i, ident in enumerate(fpset.ids):
-        near = np.flatnonzero(hamming_cdist(rows[i : i + 1], leaders[: len(kept)])[0] <= radius)
-        if near.size:
-            removed[ident] = kept[near[0]]
-        else:
-            leaders[len(kept)] = rows[i]
+        # Drop the leaders whose popcount bounds put them beyond the radius;
+        # only the rest are compared bit by bit, still in leader order.
+        near = leaders[: len(kept)]
+        near = near[np.abs(totals[near] - totals[i]) <= radius]
+        near = near[np.abs(blocks[near] - blocks[i]).sum(axis=1) <= radius]
+        hit = first_within(words, i, near, radius)
+        if hit < 0:
+            leaders[len(kept)] = i
             kept.append(ident)
+        else:
+            removed[ident] = fpset.ids[hit]
     return ScreeningReport(
         kept=tuple(kept), removed=removed, input_count=len(fpset), mode=f"hamming:{radius}"
     )

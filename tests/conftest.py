@@ -6,7 +6,8 @@ in float64 and physically equivalent structures yield bit-identical
 descriptor values.
 
 ``fingerprint_set`` builds a ``FingerprintSet`` straight from 0/1 rows, and
-``fingerprint_bits`` unpacks one back to them.  ``naive_hamming``,
+``fingerprint_bits`` unpacks one back to them.  ``varied_bit_rows`` draws
+0/1 rows that the popcount bounds of the Hamming radius search find hard.  ``naive_hamming``,
 ``neighbor_entries`` and ``write_vector_csv`` are the oracles and writers the
 tests need that the program itself does not.
 """
@@ -36,6 +37,19 @@ def fingerprint_set(bit_rows, ids=None, spec=None):
 def fingerprint_bits(fpset):
     """The (n, n_bits) bool rows of a ``FingerprintSet``."""
     return np.unpackbits(fpset.fingerprints, axis=1, count=fpset.spec.n_bits).view(bool)
+
+
+def varied_bit_rows(rng, count, n_bits):
+    """``count`` 0/1 rows of ``n_bits``: the all-zero row first, then rows of
+    every density from none to all bits set, four in ten of them redrawn
+    with n_bits // 3 bits set, so that many rows share one popcount."""
+    density = rng.choice([0.0, 0.02, 0.1, 0.5, 0.9, 1.0], count)
+    rows = (rng.random((count, n_bits)) < density[:, None]).astype(np.uint8)
+    for i in np.flatnonzero(rng.random(count) < 0.4):
+        rows[i] = 0
+        rows[i, rng.choice(n_bits, n_bits // 3, replace=False)] = 1
+    rows[0] = 0
+    return rows
 
 
 def naive_hamming(a, b):

@@ -240,15 +240,15 @@ class TestSignalsDuringThePool:
                 proc.kill()
                 proc.wait()
         assert [w for w in workers if Path(f"/proc/{w}").exists()] == []
+        assert "Traceback" not in err, err
         if sig == "SIGTERM":
             # Exit 143 from this process's own handler; killed by the signal
             # if the workers' deaths were seen first.
             assert proc.returncode in (128 + signal.SIGTERM, -signal.SIGTERM)
-            assert "Traceback" not in err, err
         else:
-            assert proc.returncode == -signal.SIGINT
+            assert proc.returncode == 128 + signal.SIGINT
             # Only this process reports the interrupt, as it does without a pool.
-            assert err.count("KeyboardInterrupt") == 1 and err.rstrip().endswith("KeyboardInterrupt")
+            assert err == "error: interrupted\n", err
 
 
 class TestScreenCommand:
@@ -344,13 +344,15 @@ class TestScreenCommand:
         assert given == [[f"data.xyz#{k}" for k in range(6)] + [f"train.xyz#{k}" for k in range(5)]]
         assert read_report(tmp_path) == want
 
-    def test_novelty_with_an_empty_training_set_accepts_every_candidate(self, rng, tmp_path):
+    def test_novelty_with_an_empty_training_set_accepts_every_candidate(self, rng, tmp_path,
+                                                                       capsys):
         cfg = make_corpus(rng, tmp_path, n=6)
         (tmp_path / "empty.xyz").write_text("")
         (tmp_path / "empty_manifest.txt").write_text("empty.xyz\n")
-        with pytest.warns(UserWarning, match="empty training set"):
-            assert main(["screen", "--config", str(cfg), "--mode", "novelty",
-                         "--training-manifest", str(tmp_path / "empty_manifest.txt")]) == 0
+        assert main(["screen", "--config", str(cfg), "--mode", "novelty",
+                     "--training-manifest", str(tmp_path / "empty_manifest.txt")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: empty training set: accepting every candidate\n")
         assert read_report(tmp_path)["output_count"] == 6
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -874,6 +876,17 @@ class TestMoreCliPaths:
         assert back_ids == ids
         assert back_tags == tags
         assert np.array_equal(back_vecs, vectors)
+
+    def test_interrupt_prints_one_line_and_exits_130(self, rng, tmp_path, monkeypatch, capsys):
+        import dvlae.cli as cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_fingerprint", interrupted)
+        cfg = make_corpus(rng, tmp_path, n=2)
+        assert main(["fingerprint", "--config", str(cfg)]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -6,7 +6,7 @@ import pytest
 import dvlae.distance as dist_mod
 from dvlae import UserInputError, euclidean_cdist, hamming_cdist
 
-from conftest import fingerprint_set, naive_hamming
+from conftest import fingerprint_set, naive_hamming, varied_bit_rows
 
 
 def n_blocks(n_a, n_b, row_bytes):
@@ -36,6 +36,40 @@ def test_hamming_cdist_equals_naive_hamming(rng, monkeypatch, n_bits, n_a, n_b, 
     want = np.array([[naive_hamming(a, b) for b in fb] for a in fa])
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_bits", [4, 37, 64, 300, 1000, 5800])    # 1, 1, 1, 5, 16, 91 words
+def test_popcount_bounds_never_exceed_naive_hamming(rng, monkeypatch, n_bits):
+    monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", 256)     # block_popcounts walks row chunks
+    rows = fingerprint_set(varied_bit_rows(rng, 40, n_bits)).fingerprints
+    words = dist_mod.hamming_words(rows)
+    totals, blocks = dist_mod.block_popcounts(words)
+    assert blocks.shape == (40, min(16, words.shape[1]))
+    zero = np.zeros_like(rows[0])
+    assert np.array_equal(totals, [naive_hamming(r, zero) for r in rows])
+    assert np.array_equal(blocks.sum(axis=1), totals)      # every word counted once
+    for i in range(len(rows)):
+        # The differences as dedup_hamming takes them: whole arrays against one row.
+        total_bound = np.abs(totals - totals[i])
+        block_bound = np.abs(blocks - blocks[i]).sum(axis=1)
+        dist = np.array([naive_hamming(rows[i], r) for r in rows])
+        assert np.all(total_bound <= block_bound)
+        assert np.all(block_bound <= dist)
+
+
+@pytest.mark.parametrize("budget", [None, 16])      # 16: one 8-byte row per chunk
+def test_first_within_returns_the_first_candidate_in_radius(rng, monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", budget)
+    rows = fingerprint_set(varied_bit_rows(rng, 30, 37)).fingerprints
+    words = dist_mod.hamming_words(rows)
+    for radius in (1, 5, 12, 37):
+        for row in range(len(rows)):
+            candidates = rng.permutation(len(rows))[:20]
+            want = next((int(c) for c in candidates
+                         if naive_hamming(rows[row], rows[c]) <= radius), -1)
+            assert dist_mod.first_within(words, row, candidates, radius) == want
+    assert dist_mod.first_within(words, 0, np.array([], dtype=np.intp), 37) == -1
 
 
 def bit_count_oracle(a, b):

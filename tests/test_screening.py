@@ -1,6 +1,7 @@
 """Dedup, novelty screening, and OOD scoring against naive oracles."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from dvlae import (
     rank_ood,
 )
 import dvlae.distance as dist_mod
+import dvlae.screening as scr_mod
 from dvlae.screening import novelty_report
 
-from conftest import fingerprint_set, naive_hamming
+from conftest import fingerprint_set, naive_hamming, varied_bit_rows
 
 
 def random_bits(rng, count, n_bits=64, n_patterns=None):
@@ -33,6 +35,19 @@ def random_fps(rng, count, n_bits=64, n_patterns=None):
 
 def rows_by_id(fps):
     return dict(zip(fps.ids, fps.fingerprints))
+
+
+def greedy_leaders(fps, radius):
+    """(kept, removed) of greedy leader clustering, by ``naive_hamming``."""
+    kept, leaders, removed = [], [], {}
+    for ident, row in zip(fps.ids, fps.fingerprints):
+        rep = next((k for k, ld in zip(kept, leaders) if naive_hamming(row, ld) <= radius), None)
+        if rep is None:
+            kept.append(ident)
+            leaders.append(row)
+        else:
+            removed[ident] = rep
+    return tuple(kept), removed
 
 
 class TestDedupExact:
@@ -125,6 +140,61 @@ class TestDedupHamming:
         report = dedup_hamming(fps, radius)
         assert report.kept == tuple(kept)
         assert report.removed == removed
+
+    @pytest.mark.parametrize("n_bits", [4, 37, 64, 300, 1000, 5800])
+    def test_greedy_leader_oracle_through_the_popcount_filter(self, rng, monkeypatch, n_bits):
+        # Two candidate rows per chunk, so the exact comparison walks chunks.
+        monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", 2 * 8 * -(-n_bits // 64))
+        compared = []
+
+        def spy(words, row, candidates, radius):
+            compared.append(len(candidates))
+            return dist_mod.first_within(words, row, candidates, radius)
+
+        monkeypatch.setattr(scr_mod, "first_within", spy)
+        centers = varied_bit_rows(rng, 24, n_bits)
+        bits = centers[rng.integers(0, 24, 80)]
+        jitter = max(1, n_bits // 100)
+        for row in bits:
+            row[rng.integers(0, n_bits, rng.integers(0, jitter + 1))] ^= 1
+        fps = fingerprint_set(bits)
+        radii = {1, 2, jitter, 2 * jitter + 1, int(rng.integers(1, n_bits + 1)), n_bits, n_bits + 7}
+        for radius in sorted(radii):
+            kept, removed = greedy_leaders(fps, radius)
+            report = dedup_hamming(fps, radius)
+            assert (report.kept, report.removed) == (kept, removed)
+            # The leaders lie more than the radius apart: on them alone every
+            # record is kept, each compared with every leader its bounds allow.
+            pos = [fps.ids.index(k) for k in kept]
+            alone = fingerprint_set(bits[pos], ids=kept)
+            assert dedup_hamming(alone, radius).kept == kept == greedy_leaders(alone, radius)[0]
+        assert max(compared) > 2
+
+    @pytest.mark.parametrize("radius", [40, 5760])
+    def test_memory_does_not_grow_with_the_row_width(self, rng, monkeypatch, radius):
+        # Every 64-bit word holds 4 set bits, so every leader has the
+        # record's popcount on every run and passes both bounds; the rows
+        # lie far more than 40 bits apart, so at radius 40 all 600 are kept
+        # and each is compared with every leader.  Beyond a few copies of the
+        # per-record arrays (the popcounts and the leader indices, 80 bytes a
+        # record), nothing may grow with the 720-byte rows: the exact step
+        # walks its candidates within _BLOCK_BYTES.
+        budget = 8192
+        monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", budget)
+        n, n_bits = 600, 5760       # 90 whole words: no padded copy of the rows
+        words = n * n_bits // 64
+        bits = np.zeros((words, 64), dtype=np.uint8)
+        bits[np.arange(words)[:, None], rng.random((words, 64)).argsort(axis=1)[:, :4]] = 1
+        fps = fingerprint_set(bits.reshape(n, n_bits))
+        tracemalloc.start()
+        try:
+            report = dedup_hamming(fps, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.output_count == (n if radius < n_bits else 1)
+        per_record = 8 + 16 * 4 + 8
+        assert peak <= budget + 4 * n * per_record < n * n_bits // 8
 
     def test_negative_radius_rejected(self, rng):
         with pytest.raises(UserInputError):
