@@ -47,7 +47,6 @@ from .fingerprint import (
 )
 from .screening import (
     NoveltyConfig,
-    NoveltyResult,
     OodScore,
     ScreeningReport,
     dedup_exact,

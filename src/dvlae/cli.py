@@ -117,10 +117,9 @@ def cmd_screen(args) -> int:
             compute_dataset_descriptors(candidates.structures + training.structures, sfset)
         )
         cand_vecs, train_vecs = vecs[: len(candidates)], vecs[len(candidates):]
-        result = scr_mod.novelty_screen(
-            candidates.ids(), cand_vecs, train_vecs, cfg.novelty, training_ids=training.ids(),
+        report = scr_mod.novelty_screen(
+            candidates.ids(), cand_vecs, train_vecs, cfg.novelty, training.ids(),
         )
-        report = scr_mod.novelty_report(result)
     else:
         if args.fingerprints is None:
             raise ConfigError("dedup screening needs --fingerprints")

@@ -180,11 +180,6 @@ def _format(raw: str, base: Path) -> None:
         raise ConfigError(f"unsupported config format {fmt} (this build reads format {CONFIG_FORMAT})")
 
 
-def _grid(raw: str, base: Path) -> None:
-    if raw.strip() != "default":
-        raise ConfigError(f"[descriptors] grid must be 'default' if given, got {raw.strip()!r}")
-
-
 def _reference(raw: str, base: Path) -> str:
     reference = raw.strip()
     if reference.startswith("path:"):
@@ -207,7 +202,6 @@ SCHEMA = {
         "keep_ids": (RunConfig, "keep_ids", _path),
     },
     "descriptors": {
-        "grid": (None, None, _grid),
         "cutoff": (GridConfig, "cutoff", _float),
         "inner_cutoff": (GridConfig, "inner_cutoff", _float),
         "radial_eta": (GridConfig, "radial_eta", _floats),

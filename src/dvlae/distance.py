@@ -41,6 +41,13 @@ def _pair_blocks(n_a: int, n_b: int, row_bytes: int) -> Iterator[tuple[slice, sl
             yield slice(i, i + rows), slice(j, j + cols)
 
 
+def row_blocks(n_rows: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices of ``n_rows`` rows whose temporary, at ``row_bytes``
+    per row, fits the block budget (one row at least)."""
+    for rows, _ in _pair_blocks(n_rows, 1, row_bytes):
+        yield rows
+
+
 def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
     if a.ndim != 2 or b.ndim != 2:
         raise UserInputError("distance kernels take 2-D arrays (one row per point)")
@@ -92,7 +99,7 @@ def block_popcounts(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # returns the element there.
     starts = np.arange(runs) * width // runs
     blocks = np.empty((n, runs), dtype=np.int32)
-    for rows, _ in _pair_blocks(n, 1, width):     # one byte of popcount per word
+    for rows in row_blocks(n, width):     # one byte of popcount per word
         blocks[rows] = np.add.reduceat(np.bitwise_count(words[rows]), starts, axis=1,
                                        dtype=np.int32)
     return blocks.sum(axis=1), blocks

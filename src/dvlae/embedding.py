@@ -45,6 +45,12 @@ _MEMORY_BUDGET = 4 << 30
 # at n = 1000 on 2 cores, 32-128 rows ran equally fast and 16 slower.
 _TSNE_BLOCK_ROWS = 64
 _TSNE_MAX_WORKERS = 8
+# The standard schedule (van der Maaten & Hinton, JMLR 2008): affinities
+# exaggerated and momentum low until the switch iteration.
+_EXAGGERATION = 12.0
+_MOMENTUM_EARLY = 0.5
+_MOMENTUM_LATE = 0.8
+_SWITCH_ITERATION = 250
 
 
 @dataclass(frozen=True)
@@ -52,10 +58,6 @@ class TsneConfig:
     perplexity: float = 30.0
     iterations: int = 1000
     learning_rate: float = 200.0
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
-    exaggeration: float = 12.0
-    switch_iteration: int = 250     # exaggeration ends / momentum switches here
     seed: int = 0
 
     def __post_init__(self):
@@ -135,8 +137,8 @@ def _metric_rows(vectors: np.ndarray, metric: str) -> np.ndarray:
 # PCA
 # ---------------------------------------------------------------------------
 
-def pca_project(vectors: np.ndarray, dims: int = 2, metric: str = "euclidean") -> np.ndarray:
-    """Project mean-centered rows onto their top principal axes.
+def pca_project(vectors: np.ndarray, metric: str = "euclidean") -> np.ndarray:
+    """Project mean-centered rows onto their top two principal axes.
 
     ``metric`` names the rows as ``pairwise_distances`` does: ``euclidean``
     takes real vectors, ``packed-hamming`` bit-packed 0/1 rows, which are
@@ -158,11 +160,11 @@ def pca_project(vectors: np.ndarray, dims: int = 2, metric: str = "euclidean") -
     x = _metric_rows(vectors, metric)
     packed = metric == "packed-hamming"
     n, d = x.shape[0], x.shape[1] * (8 if packed else 1)
-    if n < dims:
-        raise UserInputError(f"need at least {dims} points for a {dims}-D projection, got {n}")
+    if n < 2:
+        raise UserInputError(f"need at least 2 points for a 2-D projection, got {n}")
     check_pca_memory(n, d)
     if n <= d:
-        lam, vec = _top_eigenpairs(_hamming_gram(x) if packed else _gram(x), dims)
+        lam, vec = _top_eigenpairs(_hamming_gram(x) if packed else _gram(x))
         coords = vec * np.sqrt(np.maximum(lam, 0.0))
         lead = _lead_loadings(x, packed, vec)
     else:
@@ -170,12 +172,12 @@ def pca_project(vectors: np.ndarray, dims: int = 2, metric: str = "euclidean") -
         cov = np.zeros((d, d))
         for _, block in _row_blocks(x, packed, mean):
             cov += block.T @ block
-        lam, axes = _top_eigenpairs(cov, dims)
+        lam, axes = _top_eigenpairs(cov)
         del cov
-        coords = np.empty((n, dims))
+        coords = np.empty((n, 2))
         for rows, block in _row_blocks(x, packed, mean):
             coords[rows] = block @ axes
-        lead = axes[np.abs(axes).argmax(axis=0), np.arange(dims)]
+        lead = axes[np.abs(axes).argmax(axis=0), np.arange(2)]
     coords[:, lam <= max(n, d) * np.finfo(float).eps * max(lam[0], 0.0)] = 0.0
     coords[:, lead < 0] *= -1.0
     return coords
@@ -217,12 +219,12 @@ def _hamming_gram(x: np.ndarray) -> np.ndarray:
     return g / (-2.0 * n * n)
 
 
-def _top_eigenpairs(matrix: np.ndarray, dims: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``dims`` largest eigenvalues of a symmetric matrix, descending, and
-    their eigenvectors as columns; zero pairs pad a matrix smaller than dims."""
+def _top_eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two largest eigenvalues of a symmetric matrix, descending, and
+    their eigenvectors as columns; zero pairs pad a 1 x 1 matrix."""
     lam, vec = np.linalg.eigh(matrix)
-    lam, vec = lam[::-1][:dims], vec[:, ::-1][:, :dims]
-    pad = dims - len(lam)
+    lam, vec = lam[::-1][:2], vec[:, ::-1][:, :2]
+    pad = 2 - len(lam)
     return np.pad(lam, (0, pad)), np.pad(vec, ((0, 0), (0, pad)))
 
 
@@ -388,14 +390,14 @@ def tsne_embed(
             kl_trace[it] = kl
             if not np.isfinite(kl):
                 raise UserInputError("KL divergence became non-finite during optimization")
-            exaggeration = cfg.exaggeration if it < cfg.switch_iteration else 1.0
-            each_block(_weight_rows, p, q, inv, w, exaggeration)
+            early = it < _SWITCH_ITERATION
+            each_block(_weight_rows, p, q, inv, w, _EXAGGERATION if early else 1.0)
             grad = (w @ y) * -4.0
 
             same_sign = (grad > 0) == (velocity > 0)
             gains = np.where(same_sign, gains * 0.8, gains + 0.2)
             np.clip(gains, 0.01, None, out=gains)
-            momentum = cfg.momentum_early if it < cfg.switch_iteration else cfg.momentum_late
+            momentum = _MOMENTUM_EARLY if early else _MOMENTUM_LATE
             velocity = momentum * velocity - cfg.learning_rate * gains * grad
             y = y + velocity
             y = y - y.mean(axis=0)
@@ -456,7 +458,7 @@ def embed_vectors(
 ) -> Embedding:
     """End-to-end: distance matrix (if needed), reduction, Embedding."""
     if method == "pca":
-        coords = pca_project(vectors, dims=2, metric=metric)
+        coords = pca_project(vectors, metric=metric)
     elif method == "tsne":
         cfg.validate_for(len(vectors))
         coords, _ = tsne_embed(pairwise_distances(vectors, metric=metric), cfg)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .distance import (
-    block_popcounts, euclidean_cdist, first_within, hamming_cdist, hamming_words,
+    block_popcounts, euclidean_cdist, first_within, hamming_cdist, hamming_words, row_blocks,
 )
 from .errors import UserInputError
 from .fingerprint import FingerprintSet
@@ -39,7 +39,7 @@ class ScreeningReport:
     kept: tuple[str, ...]
     removed: dict[str, str]     # removed id -> retained representative id
     input_count: int
-    mode: str = "exact"
+    mode: str
 
     @property
     def output_count(self) -> int:
@@ -137,36 +137,21 @@ class NoveltyConfig:
             )
 
 
-@dataclass(frozen=True)
-class NoveltyRecord:
-    structure_id: str
-    min_distance: float
-    mean_distance: float
-    nearest_id: str | None
-    accepted: bool
-
-
-@dataclass(frozen=True)
-class NoveltyResult:
-    records: tuple[NoveltyRecord, ...]
-
-    @property
-    def accepted_ids(self) -> tuple[str, ...]:
-        return tuple(r.structure_id for r in self.records if r.accepted)
-
-
 def novelty_screen(
     candidate_ids: Sequence[str],
     candidates: np.ndarray,
     training: np.ndarray,
     cfg: NoveltyConfig,
-    training_ids: Sequence[str] | None = None,
-) -> NoveltyResult:
+    training_ids: Sequence[str],
+) -> ScreeningReport:
     """Per candidate: Euclidean distances to every training vector, then the
-    min and mean; accepted iff the configured aggregate exceeds the threshold.
+    configured aggregate (min or mean); a candidate is kept iff it exceeds the
+    threshold, and a rejected one maps to its nearest training id.
 
     The semantics are the brute-force double loop; with an empty training set
-    every candidate is (vacuously) accepted, with a warning.
+    every candidate is (vacuously) kept, with a warning.  The distances are
+    reduced a slice of candidates at a time, so memory does not grow with
+    the product of the two set sizes.
     """
     candidates = np.asarray(candidates, dtype=float)
     training = np.asarray(training, dtype=float)
@@ -176,41 +161,28 @@ def novelty_screen(
         raise UserInputError(f"{len(candidate_ids)} ids for {len(candidates)} candidate vectors")
     if training.size == 0:
         warnings.warn("empty training set: accepting every candidate", stacklevel=2)
-        records = tuple(
-            NoveltyRecord(cid, float("inf"), float("inf"), None, True) for cid in candidate_ids
-        )
-        return NoveltyResult(records)
+        return ScreeningReport(kept=tuple(candidate_ids), removed={},
+                               input_count=len(candidate_ids), mode="novelty")
     if training.ndim != 2 or training.shape[1] != candidates.shape[1]:
         raise UserInputError(
             f"dimension mismatch: candidates have {candidates.shape[1]} features, "
             f"training has {training.shape[1] if training.ndim == 2 else '?'}"
         )
-    d = euclidean_cdist(candidates, training)
-    nearest = d.argmin(axis=1)
-    dmin = d.min(axis=1)
-    dmean = d.mean(axis=1)
-    value = dmin if cfg.aggregate == "min" else dmean
-    return NoveltyResult(tuple(
-        NoveltyRecord(
-            structure_id=cid,
-            min_distance=float(dmin[i]),
-            mean_distance=float(dmean[i]),
-            nearest_id=training_ids[nearest[i]] if training_ids is not None else None,
-            accepted=bool(value[i] > cfg.threshold),
-        )
-        for i, cid in enumerate(candidate_ids)
-    ))
-
-
-def novelty_report(result: NoveltyResult) -> ScreeningReport:
-    """Recast a novelty screen as a ScreeningReport: accepted candidates are
-    kept, rejected ones map to their nearest training structure."""
-    kept = result.accepted_ids
-    removed = {
-        r.structure_id: (r.nearest_id or "") for r in result.records if not r.accepted
-    }
+    if len(training_ids) != len(training):
+        raise UserInputError(f"{len(training_ids)} ids for {len(training)} training vectors")
+    value = np.empty(len(candidates))
+    nearest = np.empty(len(candidates), dtype=np.intp)
+    for rows in row_blocks(len(candidates), 8 * len(training)):   # a float64 per training row
+        d = euclidean_cdist(candidates[rows], training)
+        nearest[rows] = d.argmin(axis=1)
+        value[rows] = d.min(axis=1) if cfg.aggregate == "min" else d.mean(axis=1)
+    accepted = value > cfg.threshold
     return ScreeningReport(
-        kept=kept, removed=removed, input_count=len(result.records), mode="novelty"
+        kept=tuple(cid for cid, ok in zip(candidate_ids, accepted) if ok),
+        removed={cid: training_ids[j]
+                 for cid, ok, j in zip(candidate_ids, accepted, nearest) if not ok},
+        input_count=len(candidate_ids),
+        mode="novelty",
     )
 
 
@@ -228,7 +200,8 @@ class OodScore:
 def rank_ood(predictions: FingerprintSet, training: FingerprintSet) -> list[OodScore]:
     """Per prediction, the minimum Hamming distance to the training store,
     normalized by the fingerprint bit length; most novel first (ties keep
-    input order)."""
+    input order).  Predictions are scored a slice at a time, so memory does
+    not grow with the product of the two set sizes."""
     if training.spec.checksum != predictions.spec.checksum:
         raise UserInputError(
             "training and prediction fingerprints use different histogram specs "
@@ -236,7 +209,12 @@ def rank_ood(predictions: FingerprintSet, training: FingerprintSet) -> list[OodS
         )
     if not len(training):
         raise UserInputError("training fingerprint file holds no records")
-    best = hamming_cdist(predictions.fingerprints, training.fingerprints).min(axis=1)
+    # Padded to whole words once, so no slice's kernel call copies the store.
+    pred = hamming_words(predictions.fingerprints).view(np.uint8)
+    store = hamming_words(training.fingerprints).view(np.uint8)
+    best = np.empty(len(pred), dtype=np.int64)
+    for rows in row_blocks(len(pred), 8 * len(store)):     # an int64 per training row
+        best[rows] = hamming_cdist(pred[rows], store).min(axis=1)
     n_bits = predictions.spec.n_bits
     scores = [OodScore(ident, int(b), int(b) / n_bits) for ident, b in zip(predictions.ids, best)]
     return sorted(scores, key=lambda s: -s.min_hamming)

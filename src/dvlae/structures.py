@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -168,7 +168,7 @@ def _parse_properties(spec: str, frame: int, lineno: int) -> tuple[int, int, int
     return species_col, pos_col, col
 
 
-def parse_extxyz(text: str | TextIO, source: str = "<stream>") -> Dataset:
+def parse_extxyz(text: str, source: str = "<stream>") -> Dataset:
     """Parse concatenated extended-XYZ frames into a Dataset.
 
     Frames follow the usual layout: an atom-count line, a comment line with
@@ -179,8 +179,6 @@ def parse_extxyz(text: str | TextIO, source: str = "<stream>") -> Dataset:
     ``tag=...`` key is kept as the structure's label; all other comment keys
     are ignored.  Structure ids are ``<source>#<frame_index>``.
     """
-    if not isinstance(text, str):
-        text = text.read()
     lines = text.splitlines()
     structures: list[Structure] = []
     i = 0

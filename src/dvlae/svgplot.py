@@ -19,15 +19,15 @@ PALETTE = (
 )
 HIGHLIGHT_COLOR = "#d62728"
 _UNTAGGED = "(untagged)"
+_POINT_RADIUS = 3.0
+_HIGHLIGHT_SIZE = 6.0      # half-diagonal of a highlight diamond, pixels
+_MARGIN = 40.0
 
 
 @dataclass(frozen=True)
 class PlotSpec:
     width: int = 800
     height: int = 600
-    point_radius: float = 3.0
-    highlight_size: float = 6.0
-    margin: float = 40.0
     highlight: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -63,7 +63,7 @@ def render_scatter_svg(emb: Embedding, spec: PlotSpec = PlotSpec()) -> str:
     tag_order = sorted(set(tags))
     color_of = {t: PALETTE[i % len(PALETTE)] for i, t in enumerate(tag_order)}
 
-    w, h, m = spec.width, spec.height, spec.margin
+    w, h, m = spec.width, spec.height, _MARGIN
     sx = _scale(emb.coords[:, 0], m, w - m)
     sy = _scale(emb.coords[:, 1], h - m, m)   # SVG y grows downward
 
@@ -78,7 +78,7 @@ def render_scatter_svg(emb: Embedding, spec: PlotSpec = PlotSpec()) -> str:
         if ident in highlight:
             continue
         out.append(
-            f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="{spec.point_radius:g}" '
+            f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="{_POINT_RADIUS:g}" '
             f'fill="{color_of[tag]}" fill-opacity="0.75"/>'
         )
     out.append("</g>")
@@ -87,7 +87,7 @@ def render_scatter_svg(emb: Embedding, spec: PlotSpec = PlotSpec()) -> str:
     for ident, (x, y) in zip(emb.ids, emb.coords):
         if ident not in highlight:
             continue
-        cx, cy, s = sx(x), sy(y), spec.highlight_size
+        cx, cy, s = sx(x), sy(y), _HIGHLIGHT_SIZE
         points = (
             f"{_fmt(cx)},{_fmt(cy - s)} {_fmt(cx + s)},{_fmt(cy)} "
             f"{_fmt(cx)},{_fmt(cy + s)} {_fmt(cx - s)},{_fmt(cy)}"

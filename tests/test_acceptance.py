@@ -222,8 +222,11 @@ def test_criterion_7_novelty_oracle():
         for threshold in (0.0, 0.1, 1.0):
             for aggregate in ("min", "mean"):
                 got = novelty_screen(ids, cand, train,
-                                     NoveltyConfig(threshold=threshold, aggregate=aggregate))
-                assert list(got.accepted_ids) == novelty_oracle(cand, train, threshold, aggregate)
+                                     NoveltyConfig(threshold=threshold, aggregate=aggregate),
+                                     [f"t{j}" for j in range(50)])
+                want = novelty_oracle(cand, train, threshold, aggregate)
+                assert list(got.kept) == want
+                assert list(got.removed) == [i for i in ids if i not in want]
     report(7, t, "novelty screening equals the double-loop oracle for 6 configurations")
 
 

@@ -937,6 +937,7 @@ class TestConfig:
         ("run", "sed = 3", "sed"),
         ("data", "element = Fe H", "element"),
         ("descriptors", "Cutoff = 4.0", "Cutoff"),
+        ("descriptors", "grid = default", "grid"),     # once a key that did nothing
         ("fingerprint", "bin = 8", "bin"),
         ("screening", "raduis = 3", "raduis"),     # once silently a radius-0 report
         ("embedding", "perplexity.Fe = 2", "perplexity"),
@@ -979,11 +980,19 @@ class TestConfig:
             assert key in SCHEMA.get(section, {}), dest
 
     def test_readme_example_loads(self, tmp_path):
+        import configparser
         from pathlib import Path
 
-        from dvlae.config import load_config
+        from dvlae.config import SCHEMA, load_config
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         (tmp_path / "run.ini").write_text(readme.split("```ini\n")[1].split("```")[0])
+        # the example lists every section and key, per-pair overrides aside
+        example = configparser.ConfigParser(interpolation=None, default_section="")
+        example.optionxform = str
+        example.read(tmp_path / "run.ini")
+        listed = {(name, key) for name in example.sections() for key in example[name]
+                  if "." not in key}
+        assert listed == {(name, key) for name in SCHEMA for key in SCHEMA[name]}
         cfg = load_config(tmp_path / "run.ini")
         assert cfg.manifests == (tmp_path / "manifest.txt",)
         assert cfg.elements == ("Fe", "H")

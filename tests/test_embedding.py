@@ -329,9 +329,11 @@ class TestTsne:
         assert np.isfinite(kl).all()
 
 
-def reference_tsne(distances, cfg):
-    """The exact t-SNE loop as first written, one fresh array per term; the
-    buffer-reusing ``tsne_embed`` must reproduce it bit for bit."""
+def reference_tsne(distances, cfg, switch=250):
+    """The exact t-SNE loop as first written, one fresh array per term, with
+    the standard schedule (exaggeration 12 and momentum 0.5 until iteration
+    ``switch``, then 0.8); the buffer-reusing ``tsne_embed`` must reproduce
+    it bit for bit."""
     d = np.asarray(distances, dtype=float)
     n = len(d)
     cfg.validate_for(n)
@@ -354,14 +356,14 @@ def reference_tsne(distances, cfg):
         if not np.isfinite(kl):
             raise UserInputError("KL divergence became non-finite during optimization")
 
-        p_eff = p * cfg.exaggeration if it < cfg.switch_iteration else p
+        p_eff = p * 12.0 if it < switch else p
         weight = (p_eff - q) * inv_dist
         grad = 4.0 * (np.diag(weight.sum(axis=1)) - weight) @ y
 
         same_sign = (grad > 0) == (velocity > 0)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)
         np.clip(gains, 0.01, None, out=gains)
-        momentum = cfg.momentum_early if it < cfg.switch_iteration else cfg.momentum_late
+        momentum = 0.5 if it < switch else 0.8
         velocity = momentum * velocity - cfg.learning_rate * gains * grad
         y = y + velocity
         y = y - y.mean(axis=0)
@@ -383,34 +385,40 @@ class TestTsneMatchesReference:
         return pairwise_distances(np.packbits(bits.astype(bool), axis=1), metric="packed-hamming")
 
     @staticmethod
-    def _assert_same(d, cfg):
+    def _assert_same(d, cfg, monkeypatch=None, switch=250):
+        if monkeypatch is not None:
+            monkeypatch.setattr(emb_mod, "_SWITCH_ITERATION", switch)
         y, kl = tsne_embed(d, cfg)
-        y_ref, kl_ref = reference_tsne(d, cfg)
+        y_ref, kl_ref = reference_tsne(d, cfg, switch)
         assert np.array_equal(y, y_ref)
         assert np.array_equal(kl, kl_ref)
 
     @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
     @pytest.mark.parametrize("n, perplexity", [(12, 3.0), (37, 10.0), (257, 30.0)])
     @pytest.mark.parametrize("iterations, switch", [(40, 250), (90, 30)])
-    def test_bit_identical(self, rng, metric, n, perplexity, iterations, switch):
-        cfg = TsneConfig(perplexity=perplexity, iterations=iterations,
-                         switch_iteration=switch, seed=n)
-        self._assert_same(self._distances(rng, n, metric), cfg)
+    def test_bit_identical(self, rng, monkeypatch, metric, n, perplexity, iterations, switch):
+        cfg = TsneConfig(perplexity=perplexity, iterations=iterations, seed=n)
+        self._assert_same(self._distances(rng, n, metric), cfg, monkeypatch, switch)
 
-    def test_duplicate_rows(self, rng):
+    def test_standard_schedule_unpatched(self, rng):
+        # the module's own switch iteration, crossed
+        self._assert_same(self._distances(rng, 20, "euclidean"),
+                          TsneConfig(perplexity=5.0, iterations=260, seed=3))
+
+    def test_duplicate_rows(self, rng, monkeypatch):
         # exact copies: zero off-diagonal distances and coinciding points
         points = np.repeat(rng.normal(0, 3, (8, 4)), 5, axis=0)
         self._assert_same(pairwise_distances(points),
-                          TsneConfig(perplexity=4, iterations=60, switch_iteration=20))
+                          TsneConfig(perplexity=4, iterations=60), monkeypatch, 20)
 
     @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
-    def test_all_rows_identical(self, metric):
+    def test_all_rows_identical(self, monkeypatch, metric):
         # every distance zero: each row takes the uniform calibration branch
         rows = np.ones((12, 9), dtype=np.uint8)
         d = pairwise_distances(rows if metric == "euclidean" else np.packbits(rows, axis=1),
                                metric=metric)
         with pytest.warns(UserWarning, match="uniform row"):
-            self._assert_same(d, TsneConfig(perplexity=3, iterations=40, switch_iteration=15))
+            self._assert_same(d, TsneConfig(perplexity=3, iterations=40), monkeypatch, 15)
 
     @staticmethod
     def _pool_sizes(monkeypatch, cpus, block):
@@ -439,8 +447,8 @@ class TestTsneMatchesReference:
     ])
     def test_any_block_height_and_worker_count(self, rng, monkeypatch, cpus, metric, n, block):
         sizes = self._pool_sizes(monkeypatch, cpus, block)
-        cfg = TsneConfig(perplexity=3.0, iterations=50, switch_iteration=20, seed=n + cpus)
-        self._assert_same(self._distances(rng, n, metric), cfg)
+        cfg = TsneConfig(perplexity=3.0, iterations=50, seed=n + cpus)
+        self._assert_same(self._distances(rng, n, metric), cfg, monkeypatch, 20)
         assert sizes == [min(cpus, -(-n // block))]
 
     @pytest.mark.parametrize("block, workers", [(1, 6), (4, 2)])
@@ -448,7 +456,7 @@ class TestTsneMatchesReference:
         # 6 rows on 64 CPUs: one worker per block, no idle threads
         sizes = self._pool_sizes(monkeypatch, 64, block)
         self._assert_same(self._distances(rng, 6, "euclidean"),
-                          TsneConfig(perplexity=1.5, iterations=40, switch_iteration=15))
+                          TsneConfig(perplexity=1.5, iterations=40), monkeypatch, 15)
         assert sizes == [workers]
 
     def test_more_workers_than_cores_with_fast_thread_switching(self, rng, monkeypatch):
@@ -460,7 +468,7 @@ class TestTsneMatchesReference:
         sys.setswitchinterval(1e-6)
         try:
             self._assert_same(self._distances(rng, 45, "packed-hamming"),
-                              TsneConfig(perplexity=5, iterations=60, switch_iteration=25))
+                              TsneConfig(perplexity=5, iterations=60), monkeypatch, 25)
         finally:
             sys.setswitchinterval(interval)
         assert sizes == [emb_mod._TSNE_MAX_WORKERS]

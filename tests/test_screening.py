@@ -17,7 +17,7 @@ from dvlae import (
 )
 import dvlae.distance as dist_mod
 import dvlae.screening as scr_mod
-from dvlae.screening import novelty_report
+from dvlae.screening import NOVELTY_AGGREGATES
 
 from conftest import fingerprint_set, naive_hamming, varied_bit_rows
 
@@ -211,21 +211,28 @@ def novelty_oracle(cand, train, threshold, aggregate):
     return accepted
 
 
+def training_ids(train):
+    return [f"t{j}" for j in range(len(train))]
+
+
 class TestNoveltyScreen:
     def test_identical_candidate_rejected(self, rng):
         train = rng.normal(0, 1, (10, 4))
         cand = np.vstack([train[3], rng.normal(10, 1, 4)])
-        result = novelty_screen(["dup", "far"], cand, train,
-                                NoveltyConfig(threshold=0.5, aggregate="min"))
-        assert result.accepted_ids == ("far",)
-        assert result.records[0].min_distance == 0.0
+        report = novelty_screen(["dup", "far"], cand, train,
+                                NoveltyConfig(threshold=0.5, aggregate="min"),
+                                training_ids(train))
+        assert report.kept == ("far",)
+        assert report.removed == {"dup": "t3"}
 
     def test_threshold_zero_min_accepts_exactly_non_duplicates(self, rng):
         train = rng.normal(0, 1, (8, 3))
         cand = np.vstack([train[0], train[5], rng.normal(0, 1, 3)])
-        result = novelty_screen(["a", "b", "c"], cand, train,
-                                NoveltyConfig(threshold=0.0, aggregate="min"))
-        assert result.accepted_ids == ("c",)
+        report = novelty_screen(["a", "b", "c"], cand, train,
+                                NoveltyConfig(threshold=0.0, aggregate="min"),
+                                training_ids(train))
+        assert report.kept == ("c",)
+        assert report.removed == {"a": "t0", "b": "t5"}
 
     @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0])
     @pytest.mark.parametrize("aggregate", ["min", "mean"])
@@ -233,29 +240,39 @@ class TestNoveltyScreen:
         cand = rng.normal(0, 1, (50, 6))
         train = rng.normal(0, 1, (50, 6))
         ids = [f"c{i}" for i in range(50)]
-        result = novelty_screen(ids, cand, train,
-                                NoveltyConfig(threshold=threshold, aggregate=aggregate))
-        assert list(result.accepted_ids) == novelty_oracle(cand, train, threshold, aggregate)
+        report = novelty_screen(ids, cand, train,
+                                NoveltyConfig(threshold=threshold, aggregate=aggregate),
+                                training_ids(train))
+        want = novelty_oracle(cand, train, threshold, aggregate)
+        assert list(report.kept) == want
+        nearest = [int(np.argmin([np.linalg.norm(c - t) for t in train])) for c in cand]
+        assert report.removed == {i: f"t{j}" for i, j in zip(ids, nearest) if i not in want}
+        assert report.input_count == 50 and report.mode == "novelty"
 
     def test_empty_training_accepts_all_with_warning(self, rng):
         cand = rng.normal(0, 1, (4, 3))
         with pytest.warns(UserWarning, match="empty training"):
-            result = novelty_screen(list("abcd"), cand, np.zeros((0, 3)),
-                                    NoveltyConfig(threshold=0.1))
-        assert result.accepted_ids == ("a", "b", "c", "d")
+            report = novelty_screen(list("abcd"), cand, np.zeros((0, 3)),
+                                    NoveltyConfig(threshold=0.1), [])
+        assert report.kept == ("a", "b", "c", "d")
+        assert report.removed == {}
 
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(UserInputError, match="dimension"):
             novelty_screen(["a"], rng.normal(0, 1, (1, 3)), rng.normal(0, 1, (5, 4)),
-                           NoveltyConfig(threshold=0.1))
+                           NoveltyConfig(threshold=0.1), list("vwxyz"))
+
+    def test_training_id_count_checked(self, rng):
+        with pytest.raises(UserInputError, match="2 ids for 5 training vectors"):
+            novelty_screen(["a"], rng.normal(0, 1, (1, 3)), rng.normal(0, 1, (5, 3)),
+                           NoveltyConfig(threshold=0.1), ["t0", "t1"])
 
     def test_nearest_ids_reported(self, rng):
         train = np.array([[0.0, 0.0], [10.0, 0.0]])
         cand = np.array([[0.1, 0.0], [9.8, 0.0]])
-        result = novelty_screen(["x", "y"], cand, train,
-                                NoveltyConfig(threshold=100.0), training_ids=["t0", "t1"])
-        assert [r.nearest_id for r in result.records] == ["t0", "t1"]
-        report = novelty_report(result)
+        report = novelty_screen(["x", "y"], cand, train,
+                                NoveltyConfig(threshold=100.0), ["t0", "t1"])
+        assert report.kept == ()
         assert report.removed == {"x": "t0", "y": "t1"}
         assert report.mode == "novelty"
 
@@ -263,6 +280,51 @@ class TestNoveltyScreen:
     def test_bad_threshold_rejected(self, threshold):
         with pytest.raises(UserInputError, match="threshold must be finite and >= 0"):
             NoveltyConfig(threshold=threshold)
+
+
+def peak_traced_bytes(call):
+    """(call(), the largest number of bytes it held at once)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestQueryByTrainingMemory:
+    """Novelty screening and OOD ranking reduce the query x training
+    distances a slice of query rows at a time: with a 16 KB block budget,
+    400 x 3000 distances (9.6 MB as one matrix) stay within a few hundred
+    KB, the inputs, the results and a few blocks."""
+
+    n_query, n_train = 400, 3000
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", 16384)
+
+    def test_novelty_screen(self, rng):
+        train = rng.normal(0, 1, (self.n_train, 4))
+        cand = np.vstack([train[:50], rng.normal(0, 1, (self.n_query - 50, 4))])
+        ids, tids = [f"c{i}" for i in range(len(cand))], training_ids(train)
+        for aggregate in NOVELTY_AGGREGATES:
+            cfg = NoveltyConfig(threshold=0.05, aggregate=aggregate)
+            report, peak = peak_traced_bytes(lambda: novelty_screen(ids, cand, train, cfg, tids))
+            d = dist_mod.euclidean_cdist(cand, train)
+            value = d.min(axis=1) if aggregate == "min" else d.mean(axis=1)
+            assert report.kept == tuple(i for i, v in zip(ids, value) if v > 0.05)
+            assert report.removed == {i: tids[j] for i, j, v in zip(ids, d.argmin(axis=1), value)
+                                      if not v > 0.05}
+            assert peak < 8 * self.n_query * self.n_train / 20
+
+    def test_rank_ood(self, rng):
+        store = fingerprint_set(random_bits(rng, self.n_train, n_bits=61))
+        preds = fingerprint_set(random_bits(rng, self.n_query, n_bits=61))
+        ranked, peak = peak_traced_bytes(lambda: rank_ood(preds, store))
+        best = dist_mod.hamming_cdist(preds.fingerprints, store.fingerprints).min(axis=1)
+        assert {s.structure_id: s.min_hamming for s in ranked} == dict(zip(preds.ids, best))
+        assert peak < 8 * self.n_query * self.n_train / 20
 
 
 def ood_one(probe_bits, store):
