@@ -23,6 +23,7 @@ from dvlae import (
     make_dataset,
     rank_ood,
 )
+from dvlae.cli import warning_lines
 from dvlae.config import GridConfig, build_symmetry_functions
 from dvlae.svgplot import PlotSpec, write_scatter_svg
 
@@ -85,4 +86,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with warning_lines():
+        main()

@@ -23,6 +23,7 @@ from dvlae import (
     hamming_cdist,
     make_dataset,
 )
+from dvlae.cli import warning_lines
 from dvlae.config import GridConfig, build_symmetry_functions
 from dvlae.svgplot import PlotSpec, write_scatter_svg
 
@@ -80,4 +81,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with warning_lines():
+        main()

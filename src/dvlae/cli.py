@@ -8,6 +8,7 @@ Every command is deterministic given (config, inputs, seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import os
@@ -343,8 +344,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # argparse exits 2 on usage errors; those are user errors
         return 0 if exc.code in (0, None) else 1
     try:
-        with warnings.catch_warnings():
-            warnings.showwarning = _print_warning
+        with warning_lines():
             return args.func(args)
     except UserInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -355,6 +355,15 @@ def main(argv=None) -> int:
     except Exception as exc:   # noqa: BLE001 - boundary: anything else is a bug
         print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+
+
+@contextlib.contextmanager
+def warning_lines():
+    """Inside the block, print each warning as one ``warning: <message>`` line
+    on stderr, with no file, line number or source line."""
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        yield
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:

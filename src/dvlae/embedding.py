@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import mmap
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,17 @@ _MEMORY_BUDGET = 4 << 30
 # at n = 1000 on 2 cores, 32-128 rows ran equally fast and 16 slower.
 _TSNE_BLOCK_ROWS = 64
 _TSNE_MAX_WORKERS = 8
+# Perplexity calibration spreads its rows over the forked workers of
+# ``parallel.fork_map`` from this many points on.  Measured in-process,
+# start-up included (2 cores, one BLAS thread, median of 15, two runs, four
+# Gaussian clusters at perplexity 30): 50 points took 15-16 ms serial and
+# 18-20 ms on workers; 75-150 points were either side by up to 9 ms; 200
+# points took 54-81 and 49-57 ms, 300 points 107-134 and 79-89 ms, 1000
+# points 756 and 344 ms.
+_CALIBRATION_POOL_MIN_POINTS = 200
+# ``embed_vectors`` does not use the KL trace, so it has the KL divergence
+# evaluated only on every _KL_EVERY-th iteration and on the last.
+_KL_EVERY = 50
 # The standard schedule (van der Maaten & Hinton, JMLR 2008): affinities
 # exaggerated and momentum low until the switch iteration.
 _EXAGGERATION = 12.0
@@ -277,18 +289,35 @@ def perplexity_calibration(distances: np.ndarray, perplexity: float) -> np.ndarr
     n = len(d)
     if n < 2:
         raise UserInputError("need at least 2 points")
-    p = np.zeros((n, n))
+    # In memory shared with forked workers, which write their rows into it
+    # directly, so that no row is pickled; each row has one writer.
+    p = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=float).reshape(n, n)
     d2 = d ** 2
+    # All-zero rows first, in this process, so that their warnings keep their
+    # order whether the other rows run here or on workers.
+    rows = []
     for i in range(n):
-        row = np.delete(d2[i], i)
-        if row.max() <= 0.0:
+        if np.delete(d2[i], i).max() <= 0.0:
             warnings.warn(f"row {i}: all distances zero; using a uniform row", stacklevel=2)
             p[i] = 1.0 / (n - 1)
             p[i, i] = 0.0
-            continue
-        p_row = _calibrate_row(row, perplexity)
+        else:
+            rows.append(i)
+
+    def calibrate(k):
+        i = rows[k]
+        # _calibrate_row is looked up at call time, so a patch made before
+        # the fork applies in the workers too.
+        p_row = _calibrate_row(np.delete(d2[i], i), perplexity)
         p[i, :i] = p_row[:i]
         p[i, i + 1 :] = p_row[i:]
+
+    workers = parallel.pool_workers(len(rows), n >= _CALIBRATION_POOL_MIN_POINTS)
+    if workers:
+        parallel.fork_map(calibrate, range(len(rows)), workers)
+    else:
+        for k in range(len(rows)):
+            calibrate(k)
     return p
 
 
@@ -329,33 +358,37 @@ def joint_probabilities(distances: np.ndarray, perplexity: float) -> np.ndarray:
 
 
 def tsne_embed(
-    distances: np.ndarray, cfg: TsneConfig = TsneConfig()
+    distances: np.ndarray, cfg: TsneConfig = TsneConfig(), kl_every: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact t-SNE on a precomputed distance matrix.
 
     Returns (coordinates (n, 2), KL divergence per iteration).  The KL trace
     is computed against the unexaggerated affinities, so it is comparable
-    across the whole run.
+    across the whole run.  It is evaluated on every ``kl_every``-th iteration
+    (0, kl_every, ...) and on the last, and is NaN on the others; the
+    coordinates do not depend on ``kl_every``.
     """
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise UserInputError("distance matrix must be square")
     n = len(d)
     cfg.validate_for(n)
+    if kl_every < 1:
+        raise UserInputError(f"kl_every must be >= 1, got {kl_every}")
     p = joint_probabilities(d, cfg.perplexity)
 
     rng = np.random.default_rng(cfg.seed)
     y = rng.normal(0.0, 1e-2, size=(n, 2))
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)     # per-coordinate adaptive rates, reference-style
-    kl_trace = np.empty(cfg.iterations)
+    kl_trace = np.full(cfg.iterations, np.nan)
 
     # Three n x n buffers, reused every iteration and filled in place.  Each
     # step is the textbook formula with the same operations in the same order,
     # so every value is bit-identical to evaluating it with fresh arrays:
     #   inv = 1 / (1 + |y_i - y_j|^2), zero diagonal
     #   q   = max(inv / sum(inv), floor)
-    #   KL  = sum(p * log(p / q))                      (scratch: w)
+    #   KL  = sum(p * log(p / q))  (kl_every-th only)  (scratch: w)
     #   w   = (exaggeration * p - q) * inv             (p alone once switched)
     #   grad = 4 * (diag(rowsum(w)) - w) @ y = -4 * (w with diagonal
     #          -(rowsum(w) - w_ii)) @ y                (negating and x4 are exact)
@@ -385,10 +418,19 @@ def tsne_embed(
 
         for it in range(cfg.iterations):
             each_block(_inverse_rows, np.ascontiguousarray(y.T), inv, q)
-            each_block(_kl_rows, p, inv, q, w, inv.sum())
-            kl = float(w.sum())
-            kl_trace[it] = kl
-            if not np.isfinite(kl):
+            total = inv.sum()
+            if it % kl_every == 0 or it == cfg.iterations - 1:
+                each_block(_kl_rows, p, inv, q, w, total)
+                kl_trace[it] = float(w.sum())
+                finite = np.isfinite(kl_trace[it])
+            else:
+                each_block(_q_rows, inv, q, total)
+                # p is finite, or iteration 0 would have raised.  inv lies in
+                # [0, 1], or is NaN where y is not finite, so the KL divergence
+                # is finite exactly when total is finite and > 0 (total == 0
+                # makes every q 0/0).
+                finite = np.isfinite(total) and total > 0.0
+            if not finite:
                 raise UserInputError("KL divergence became non-finite during optimization")
             early = it < _SWITCH_ITERATION
             each_block(_weight_rows, p, q, inv, w, _EXAGGERATION if early else 1.0)
@@ -419,13 +461,19 @@ def _inverse_rows(rows: slice, cols: np.ndarray, inv: np.ndarray, scratch: np.nd
     np.fill_diagonal(a[:, rows], 0.0)
 
 
+def _q_rows(rows: slice, inv: np.ndarray, q: np.ndarray, total: float) -> None:
+    """q[rows] = max(inv / total, floor)."""
+    qb = q[rows]
+    np.divide(inv[rows], total, out=qb)
+    np.maximum(qb, _PROB_FLOOR, out=qb)
+
+
 def _kl_rows(
     rows: slice, p: np.ndarray, inv: np.ndarray, q: np.ndarray, kl: np.ndarray, total: float
 ) -> None:
     """q[rows] = max(inv / total, floor) and kl[rows] = p * log(p / q)."""
+    _q_rows(rows, inv, q, total)
     qb, kb, pb = q[rows], kl[rows], p[rows]
-    np.divide(inv[rows], total, out=qb)
-    np.maximum(qb, _PROB_FLOOR, out=qb)
     np.divide(pb, qb, out=kb)
     np.log(kb, out=kb)
     np.multiply(pb, kb, out=kb)
@@ -461,7 +509,7 @@ def embed_vectors(
         coords = pca_project(vectors, metric=metric)
     elif method == "tsne":
         cfg.validate_for(len(vectors))
-        coords, _ = tsne_embed(pairwise_distances(vectors, metric=metric), cfg)
+        coords, _ = tsne_embed(pairwise_distances(vectors, metric=metric), cfg, _KL_EVERY)
     else:
         raise UserInputError(f"unknown embedding method {method!r}")
     return Embedding(ids=tuple(ids), tags=tuple(tags), coords=coords)

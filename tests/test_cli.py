@@ -191,10 +191,31 @@ def _pool_possible():
             and "fork" in multiprocessing.get_all_start_methods())
 
 
+# ``embed`` with each calibration row slowed to 50 ms, so that its pool of
+# workers lives for seconds.
+SLOW_EMBED = """
+import sys
+import time
+
+import dvlae.embedding as emb
+from dvlae.cli import main
+
+calibrate = emb._calibrate_row
+
+def slow(sq, target):
+    time.sleep(0.05)
+    return calibrate(sq, target)
+
+emb._calibrate_row = slow
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 @pytest.mark.skipif(not _pool_possible(),
-                    reason="needs /proc, fork and two CPUs for a descriptor pool")
+                    reason="needs /proc, fork and two CPUs for a process pool")
 class TestSignalsDuringThePool:
-    """A signal while the descriptor pool lives stops every worker, quietly."""
+    """A signal while the descriptor or the calibration pool lives stops
+    every worker, quietly."""
 
     @staticmethod
     def slow_corpus(rng, tmp_path):
@@ -210,14 +231,30 @@ class TestSignalsDuringThePool:
         cfg.write_text(cfg.read_text().replace("cutoff = 4.0", "cutoff = 6.0"))
         return cfg
 
+    @staticmethod
+    def slow_embed(rng, tmp_path):
+        # 250 points, over the calibration pool's threshold: about 6 s of rows
+        # on two workers.
+        cfg = make_corpus(rng, tmp_path, n=2)
+        write_vector_csv([f"p{i}" for i in range(250)], [None] * 250,
+                         rng.normal(0, 1, (250, 4)), tmp_path / "vec.csv")
+        script = tmp_path / "slow_embed.py"
+        script.write_text(SLOW_EMBED)
+        return [str(script), "embed", "--config", str(cfg), "--input",
+                str(tmp_path / "vec.csv")]
+
+    @pytest.mark.parametrize("command", ["fingerprint", "embed"])
     @pytest.mark.parametrize("sig, group", [("SIGTERM", False), ("SIGTERM", True),
                                             ("SIGINT", True)])
-    def test_no_worker_survives(self, rng, tmp_path, sig, group):
+    def test_no_worker_survives(self, rng, tmp_path, command, sig, group):
         import signal
 
-        cfg = self.slow_corpus(rng, tmp_path)
-        proc = subprocess.Popen([sys.executable, "-m", "dvlae.cli", "fingerprint", "--config",
-                                 str(cfg)], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        if command == "fingerprint":
+            args = ["-m", "dvlae.cli", "fingerprint", "--config",
+                    str(self.slow_corpus(rng, tmp_path))]
+        else:
+            args = self.slow_embed(rng, tmp_path)
+        proc = subprocess.Popen([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(SRC)),
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                                 start_new_session=True)
         try:
@@ -225,7 +262,7 @@ class TestSignalsDuringThePool:
             while not (workers := _children(proc.pid)) and proc.poll() is None \
                     and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert workers, "the descriptor pool never started"
+            assert workers, f"the {command} pool never started"
             time.sleep(0.3)
             ignored = [int(Path(f"/proc/{w}/status").read_text().split("SigIgn:")[1].split()[0], 16)
                        for w in workers]
@@ -492,6 +529,37 @@ class TestEmbedCommand:
                      "--input", str(tmp_path / "out" / "fingerprints.txt")])
         assert code == 1
         assert "--method pca" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not _pool_possible(),
+                        reason="needs /proc, fork and two CPUs for a process pool")
+    def test_killed_calibration_worker_exits_two(self, rng, tmp_path, capsys, monkeypatch):
+        import multiprocessing
+        import signal
+
+        import dvlae.embedding as emb_mod
+        from dvlae import parallel
+
+        parent = os.getpid()
+        calibrate = emb_mod._calibrate_row
+
+        def killed(sq, target):
+            if os.getpid() != parent:   # as the kernel's out-of-memory killer would
+                os.kill(os.getpid(), signal.SIGKILL)
+            return calibrate(sq, target)
+
+        monkeypatch.setattr(emb_mod, "_calibrate_row", killed)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        monkeypatch.setattr(emb_mod, "_CALIBRATION_POOL_MIN_POINTS", 0)
+        cfg = make_corpus(rng, tmp_path, n=2)
+        vec = tmp_path / "vec.csv"
+        write_vector_csv([f"p{i}" for i in range(30)], [None] * 30, rng.normal(0, 1, (30, 3)),
+                         vec)
+        assert main(["embed", "--config", str(cfg), "--input", str(vec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("internal-error: RuntimeError: worker process "), err
+        assert f"exited with code {-signal.SIGKILL}" in err
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out" / "embedding.csv").exists()
 
     def test_compare_baseline_separates_supercells(self, rng, tmp_path):
         # primitive + its supercells: fingerprints coincide, baseline does not

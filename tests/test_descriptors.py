@@ -606,13 +606,13 @@ def _pool_runs(monkeypatch, workers, min_atoms=0):
     monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
     monkeypatch.setattr(desc, "_POOL_MIN_ATOMS", min_atoms)
     runs = []
-    pool_blocks = desc._pool_blocks
+    fork_map = parallel.fork_map
 
-    def spy(structures, sfset, n):
+    def spy(fn, order, n):
         runs.append(n)
-        return pool_blocks(structures, sfset, n)
+        return fork_map(fn, order, n)
 
-    monkeypatch.setattr(desc, "_pool_blocks", spy)
+    monkeypatch.setattr(parallel, "fork_map", spy)
     return runs
 
 

@@ -1,8 +1,12 @@
 """Distance matrices, PCA, perplexity calibration, and exact t-SNE."""
 
 import concurrent.futures
+import multiprocessing
+import os
+import signal
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -329,11 +333,11 @@ class TestTsne:
         assert np.isfinite(kl).all()
 
 
-def reference_tsne(distances, cfg, switch=250):
+def reference_tsne(distances, cfg, switch=250, reached=None):
     """The exact t-SNE loop as first written, one fresh array per term, with
     the standard schedule (exaggeration 12 and momentum 0.5 until iteration
     ``switch``, then 0.8); the buffer-reusing ``tsne_embed`` must reproduce
-    it bit for bit."""
+    it bit for bit.  Each iteration begun is appended to ``reached``."""
     d = np.asarray(distances, dtype=float)
     n = len(d)
     cfg.validate_for(n)
@@ -346,6 +350,8 @@ def reference_tsne(distances, cfg, switch=250):
     kl_trace = np.empty(cfg.iterations)
 
     for it in range(cfg.iterations):
+        if reached is not None:
+            reached.append(it)
         diff = y[:, None, :] - y[None, :, :]
         inv_dist = 1.0 / (1.0 + np.einsum("ijk,ijk->ij", diff, diff))
         np.fill_diagonal(inv_dist, 0.0)
@@ -494,6 +500,195 @@ class TestTsneMatchesReference:
             tsne_embed(d, TsneConfig(perplexity=3, iterations=20, learning_rate=1e308))
         assert max(live) > before
         assert threading.active_count() == before
+
+
+class TestKlEvery:
+    """``kl_every`` thins the KL trace: coordinates and the evaluated entries
+    are those of the full trace, and a non-finite state is an error at the
+    same iteration."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
+    @pytest.mark.parametrize("iterations", [1, 50, 51, 149, 260])
+    def test_coordinates_and_evaluated_entries_equal_the_full_run(
+            self, rng, metric, iterations):
+        d = TestTsneMatchesReference._distances(rng, 30, metric)
+        cfg = TsneConfig(perplexity=5.0, iterations=iterations, seed=iterations)
+        y_full, kl_full = tsne_embed(d, cfg)
+        y, kl = tsne_embed(d, cfg, kl_every=50)
+        assert np.array_equal(y, y_full)
+        it = np.arange(iterations)
+        evaluated = (it % 50 == 0) | (it == iterations - 1)
+        assert np.array_equal(kl[evaluated], kl_full[evaluated])
+        assert np.isnan(kl[~evaluated]).all()
+        assert np.isfinite(kl_full).all()
+
+    def test_embed_vectors_evaluates_every_fiftieth(self, rng, monkeypatch):
+        kl_every = []
+        tsne = emb_mod.tsne_embed
+
+        def spy(d, cfg, every=1):
+            kl_every.append(every)
+            return tsne(d, cfg, every)
+
+        monkeypatch.setattr(emb_mod, "tsne_embed", spy)
+        points = rng.normal(0, 1, (20, 3))
+        cfg = TsneConfig(perplexity=4, iterations=60, seed=5)
+        emb = embed_vectors([str(i) for i in range(20)], [None] * 20, points, cfg=cfg)
+        assert kl_every == [50]
+        assert np.array_equal(emb.coords, tsne(pairwise_distances(points), cfg)[0])
+
+    def test_kl_every_below_one_rejected(self, rng):
+        d = pairwise_distances(rng.normal(0, 1, (12, 3)))
+        with pytest.raises(UserInputError, match="kl_every must be >= 1, got 0"):
+            tsne_embed(d, TsneConfig(perplexity=3, iterations=5), kl_every=0)
+
+    @staticmethod
+    def _iterations_begun(monkeypatch):
+        """Record, per iteration tsne_embed begins, the ``inv`` buffer."""
+        begun = []
+        inverse_rows = emb_mod._inverse_rows
+
+        def spy(rows, cols, inv, scratch):
+            if rows.start == 0:
+                begun.append(inv)
+            inverse_rows(rows, cols, inv, scratch)
+
+        monkeypatch.setattr(emb_mod, "_inverse_rows", spy)
+        return begun
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", [12, 30])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_non_finite_at_the_reference_iteration(self, monkeypatch, n, seed):
+        begun = self._iterations_begun(monkeypatch)
+        d = pairwise_distances(np.random.default_rng(seed).normal(0, 5, (n, 4)))
+        outcomes = []
+        for lr in np.logspace(100, 308, 10):
+            cfg = TsneConfig(perplexity=3.0, iterations=60, learning_rate=lr, seed=seed)
+            reached = []
+            try:
+                y_ref, _ = reference_tsne(d, cfg, reached=reached)
+            except UserInputError:
+                y_ref = None
+            for kl_every in (1, 50):
+                begun.clear()
+                if y_ref is None:
+                    with pytest.raises(UserInputError, match="non-finite"):
+                        tsne_embed(d, cfg, kl_every=kl_every)
+                    assert len(begun) == len(reached), (lr, kl_every)
+                    # every pair overflowed: 1 / (1 + inf) is 0 throughout
+                    assert begun[-1].sum() == 0.0
+                else:
+                    assert np.array_equal(tsne_embed(d, cfg, kl_every=kl_every)[0], y_ref)
+            outcomes.append(y_ref is None)
+        assert any(outcomes) and not all(outcomes)
+
+    def test_non_finite_affinities_fail_at_the_first_iteration(self, rng, monkeypatch):
+        # A NaN distance makes its row of P NaN: the KL divergence is NaN at
+        # iteration 0, which every kl_every evaluates.
+        begun = self._iterations_begun(monkeypatch)
+        d = pairwise_distances(rng.normal(0, 1, (12, 3)))
+        d[3, 5] = np.nan
+        cfg = TsneConfig(perplexity=3.0, iterations=60)
+        reached = []
+        with pytest.raises(UserInputError, match="non-finite"):
+            reference_tsne(d, cfg, reached=reached)
+        assert reached == [0]
+        for kl_every in (1, 50):
+            begun.clear()
+            with pytest.raises(UserInputError, match="non-finite"):
+                tsne_embed(d, cfg, kl_every=kl_every)
+            assert len(begun) == 1
+
+
+def serial_calibration(distances, perplexity):
+    """Perplexity calibration as one loop over the rows, in row order."""
+    d2 = np.asarray(distances, dtype=float) ** 2
+    n = len(d2)
+    p = np.zeros((n, n))
+    for i in range(n):
+        row = np.delete(d2[i], i)
+        if row.max() <= 0.0:
+            p[i] = 1.0 / (n - 1)
+            p[i, i] = 0.0
+            continue
+        p_row = emb_mod._calibrate_row(row, perplexity)
+        p[i, :i] = p_row[:i]
+        p[i, i + 1 :] = p_row[i:]
+    return p
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool needs the fork start method")
+class TestCalibrationPool:
+    """Calibration rows spread over forked workers give the serial result."""
+
+    @staticmethod
+    def _pool_runs(monkeypatch, cpus, min_points=0):
+        """Pretend the process may run on ``cpus`` CPUs, pool from
+        ``min_points`` points on, and record the worker count of every pool."""
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(emb_mod, "_CALIBRATION_POOL_MIN_POINTS", min_points)
+        runs = []
+        fork_map = parallel.fork_map
+
+        def spy(fn, order, n):
+            runs.append(n)
+            return fork_map(fn, order, n)
+
+        monkeypatch.setattr(parallel, "fork_map", spy)
+        return runs
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
+    def test_equals_the_serial_loop(self, rng, monkeypatch, cpus, metric):
+        d = TestTsneMatchesReference._distances(rng, 61, metric)
+        runs = self._pool_runs(monkeypatch, cpus)
+        got = perplexity_calibration(d, 7.0)
+        assert runs == ([] if cpus == 1 else [cpus])
+        assert np.array_equal(got, serial_calibration(d, 7.0))
+        assert parallel._job is None        # d^2 is not kept alive by the pool
+        assert multiprocessing.active_children() == []
+
+    def test_serial_below_the_point_threshold(self, rng, monkeypatch):
+        d = pairwise_distances(rng.normal(0, 1, (30, 3)))
+        runs = self._pool_runs(monkeypatch, 2, min_points=31)
+        assert np.array_equal(perplexity_calibration(d, 5.0), serial_calibration(d, 5.0))
+        assert runs == []
+        self._pool_runs(monkeypatch, 2, min_points=30)
+        perplexity_calibration(d, 5.0)
+        assert runs == [2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_zero_rows_warn_in_row_order(self, rng, monkeypatch, cpus):
+        d = pairwise_distances(rng.normal(0, 3, (30, 4)))
+        zero = [0, 7, 8, 19, 29]
+        d[zero] = 0.0
+        runs = self._pool_runs(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = perplexity_calibration(d, 5.0)
+        assert [str(w.message) for w in caught] == [
+            f"row {i}: all distances zero; using a uniform row" for i in zero]
+        assert runs == ([] if cpus == 1 else [cpus])
+        assert np.array_equal(got, serial_calibration(d, 5.0))
+
+    def test_a_killed_worker_is_an_error_not_a_hang(self, rng, monkeypatch):
+        parent = os.getpid()
+        calibrate = emb_mod._calibrate_row
+
+        def killed(sq, target):
+            if os.getpid() != parent:   # as the kernel's out-of-memory killer would
+                os.kill(os.getpid(), signal.SIGKILL)
+            return calibrate(sq, target)
+
+        monkeypatch.setattr(emb_mod, "_calibrate_row", killed)
+        self._pool_runs(monkeypatch, 2)
+        d = pairwise_distances(rng.normal(0, 1, (40, 3)))
+        with pytest.raises(RuntimeError, match=f"exited with code {-signal.SIGKILL}"):
+            perplexity_calibration(d, 5.0)
+        assert parallel._job is None
+        assert multiprocessing.active_children() == []
 
 
 class TestTsneGuard:

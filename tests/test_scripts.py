@@ -1,6 +1,7 @@
 """Smoke runs of the demo scripts under ``scripts/`` at small sizes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,9 @@ def test_script_runs(tmp_path, script, args, outputs):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    # Warnings print as the CLI prints them: one ``warning: `` line each.
+    assert "UserWarning:" not in proc.stderr, proc.stderr
+    assert not re.search(r"\.py:\d+:", proc.stderr), proc.stderr
     for name in outputs:
         assert (tmp_path / name).stat().st_size > 0
 
