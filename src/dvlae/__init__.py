@@ -19,7 +19,7 @@ from .descriptors import (
     compute_structure_descriptors,
     cutoff_value,
 )
-from .distance import euclidean_cdist, hamming_cdist
+from .distance import euclidean_cdist, hamming_cdist, hamming_pdist
 from .embedding import (
     Embedding,
     TsneConfig,

@@ -103,9 +103,12 @@ class SymmetryFunctionSet:
     elements: tuple[str, ...]
     descriptors: Mapping[str, tuple[DescriptorDef, ...]]
     # Per center element, its columns grouped for the kernel, and its column
-    # labels (both derived).
+    # labels; (element, label) per column in canonical order; the largest
+    # outer cutoff of any column (all derived).
     groups: Mapping[str, tuple] = field(init=False, repr=False, compare=False)
     labels: Mapping[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    layout: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    max_cutoff: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -121,14 +124,17 @@ class SymmetryFunctionSet:
         object.__setattr__(
             self, "labels", {e: tuple(d.label for d in self.descriptors[e]) for e in self.elements}
         )
-
-    @property
-    def max_cutoff(self) -> float:
-        return max(d.cutoff.outer for defs in self.descriptors.values() for d in defs)
+        object.__setattr__(
+            self, "layout", tuple((e, lbl) for e in self.elements for lbl in self.labels[e])
+        )
+        object.__setattr__(
+            self, "max_cutoff",
+            max(d.cutoff.outer for defs in self.descriptors.values() for d in defs),
+        )
 
     def column_layout(self) -> tuple[tuple[str, str], ...]:
         """(element, label) per column, in canonical order."""
-        return tuple((e, lbl) for e in self.elements for lbl in self.labels[e])
+        return self.layout
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +298,19 @@ class DescriptorMatrix:
     tag: str | None
     blocks: Mapping[str, np.ndarray]
     columns: Mapping[str, tuple[str, ...]]
+    # (element, label) per column, built from ``blocks`` and ``columns``
+    # unless given: the pipeline passes its symmetry-function set's, so a
+    # run's matrices share one.
+    layout: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.layout is None:
+            object.__setattr__(
+                self, "layout", tuple((e, lbl) for e in self.blocks for lbl in self.columns[e])
+            )
 
     def column_layout(self) -> tuple[tuple[str, str], ...]:
-        return tuple((e, lbl) for e in self.blocks for lbl in self.columns[e])
+        return self.layout
 
 
 def compute_structure_descriptors(s: Structure, sfset: SymmetryFunctionSet) -> DescriptorMatrix:
@@ -333,6 +349,7 @@ def compute_structure_descriptors(s: Structure, sfset: SymmetryFunctionSet) -> D
         tag=s.tag,
         blocks=blocks,
         columns=sfset.labels,
+        layout=sfset.layout,
     )
 
 
@@ -370,5 +387,6 @@ def compute_dataset_descriptors(
     for blocks in all_blocks:
         for block in blocks.values():
             block.setflags(write=False)     # unpickled arrays come back writeable
-    return [DescriptorMatrix(structure_id=s.id, tag=s.tag, blocks=blocks, columns=sfset.labels)
+    return [DescriptorMatrix(structure_id=s.id, tag=s.tag, blocks=blocks, columns=sfset.labels,
+                             layout=sfset.layout)
             for s, blocks in zip(structures, all_blocks)]

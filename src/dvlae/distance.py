@@ -1,13 +1,27 @@
 """Blocked all-pairs distance kernels, one per metric, and a radius search.
 
 ``hamming_cdist`` counts differing bits between rows of bit-packed uint8
-fingerprints (XOR, then popcount, over 64-bit words); ``euclidean_cdist``
-evaluates sqrt(sum((a - b) ** 2)) per pair in exactly that order, so its
-values are bit-identical to the per-pair formula.  Both walk (rows of A) x
-(rows of B) blocks sized so the per-block temporary stays within
-``_BLOCK_BYTES``; memory is the output plus that fixed budget, whatever the
-input sizes.  The budget is a constant: on a 2-core x86-64 host, blocks of
-4-16 MB were no faster than 1 MB (16 MB was slower) and only cost memory.
+fingerprints of two sets: it XORs them and counts bits over 64-bit words.
+``hamming_pdist``, the all-pairs matrix of one set (the t-SNE and PCA
+maps), takes the product form D = s_i + s_j - 2 (U U^T), with s the row
+popcounts and U the bits unpacked to float32, summed over column blocks of
+``_GRAM_BLOCK_BYTES`` packed bytes; numpy hands ``u @ u.T`` to BLAS syrk.
+The product is exact: every entry and every partial sum is an integer of
+magnitude at most 2 * ``_PRODUCT_MAX_BITS`` = 2^24, which float32 holds
+exactly, so the result is the XOR kernel's whatever the BLAS summation order
+or thread count.  Fingerprints stop at ``fingerprint._MAX_BITS`` = 2^23
+bits; wider rows take the XOR kernel.  A query against a store
+(``rank_ood``) keeps XOR, which reads 1/32 of the bytes the unpacked floats
+would.
+
+``euclidean_cdist`` evaluates sqrt(sum((a - b) ** 2)) per pair in exactly
+that order, so its values are bit-identical to the per-pair formula.  The
+XOR and Euclidean kernels walk (rows of A) x (rows of B) blocks sized so the
+per-block temporary stays within ``_BLOCK_BYTES``; memory is the output plus
+that fixed budget, whatever the input sizes.  The budget is a constant: on a
+2-core x86-64 host, blocks of 4-16 MB were no faster than 1 MB (16 MB was
+slower) and only cost memory.  The product form accumulates in the memory
+of its own int64 output, which holds two float32 n x n matrices.
 
 For a search of the first row within a Hamming radius, ``block_popcounts``
 gives lower bounds of the distance from popcounts alone, and
@@ -28,6 +42,17 @@ _BLOCK_BYTES = 1 << 20
 # Contiguous runs of words per row that ``block_popcounts`` counts apart
 # (one per word for narrower rows).
 _POPCOUNT_BLOCKS = 16
+
+# The product form unpacks this many packed bytes (1,024 bits) of every row
+# at a time: 1 KiB of unpacked bytes and 4 KiB of float32 per row.  Each
+# block costs passes over the n x n product besides its syrk, so its width
+# must not shrink as n grows: from a fixed 1 MB of unpacked floats, n = 4,000
+# random 725-byte rows took 6.5 s against 1.2 s at 128 bytes and 7.7 s by
+# XOR (one BLAS thread, 2-core x86-64).  On the 1,000 x 725-byte map input,
+# 64-256 bytes ran within 10 % of each other.
+_GRAM_BLOCK_BYTES = 128
+# Widest rows, in bits, the product form is exact for (see above).
+_PRODUCT_MAX_BITS = 1 << 23
 
 
 def _pair_blocks(n_a: int, n_b: int, row_bytes: int) -> Iterator[tuple[slice, slice]]:
@@ -80,6 +105,44 @@ def hamming_cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for ra, rb in _pair_blocks(len(a), len(b), a.shape[1] * a.itemsize):
         diff = np.bitwise_xor(a[ra, None, :], b[None, rb, :])
         out[ra, rb] = np.bitwise_count(diff).sum(axis=2)
+    return out
+
+
+def hamming_pdist(x: np.ndarray) -> np.ndarray:
+    """``hamming_cdist(x, x)``, the square (n, n) int64 matrix of one set, as
+    s_i + s_j - 2 (U U^T), exactly; rows wider than ``_PRODUCT_MAX_BITS``
+    take the XOR kernel."""
+    x = np.asarray(x, dtype=np.uint8)
+    _check_pair(x, x)
+    n, width = x.shape
+    if 8 * width > _PRODUCT_MAX_BITS:
+        return hamming_cdist(x, x)
+    out = np.empty((n, n), dtype=np.int64)
+    if not (n and width):
+        out.fill(0)
+        return out
+    # The output's memory is two float32 n x n matrices: the Gram matrix
+    # U U^T and each column block's share of it.
+    gram, part = out.reshape(-1).view(np.float32).reshape(2, n, n)
+    unpacked = np.empty((n, 8 * min(width, _GRAM_BLOCK_BYTES)), dtype=np.float32)
+    for j in range(0, width, _GRAM_BLOCK_BYTES):
+        bits = np.unpackbits(x[:, j : j + _GRAM_BLOCK_BYTES], axis=1)
+        u = unpacked[:, : bits.shape[1]]
+        np.copyto(u, bits)
+        if j == 0:
+            np.matmul(u, u.T, out=gram)
+        else:
+            np.matmul(u, u.T, out=part)
+            gram += part
+    s = gram.diagonal().copy()      # each row's popcount
+    # Last rows first: output row r overwrites Gram rows 2r and 2r + 1 (or
+    # ``part``), never a row still to be read, and each block is copied out
+    # of the Gram matrix before its output rows are written.
+    for rows in reversed(list(row_blocks(n, 4 * n))):
+        dist = gram[rows] * np.float32(-2.0)
+        dist += s[rows, None]
+        dist += s
+        out[rows] = dist
     return out
 
 

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import parallel
-from .distance import _BLOCK_BYTES, euclidean_cdist, hamming_cdist
+from .distance import _BLOCK_BYTES, euclidean_cdist, hamming_pdist
 from .errors import FormatError, UserInputError
 from .ioutil import atomic_write_text, read_input_text
 
@@ -29,15 +29,19 @@ EMBEDDING_METHODS = ("tsne", "pca")
 _PERPLEXITY_TOL = 1e-5
 _MAX_BISECTIONS = 100
 _PROB_FLOOR = 1e-12
-# Exact t-SNE keeps about 6 n x n float64 arrays live at once (peak RSS of
-# `embed` grew by 5.2-5.4 x 8n^2 bytes at n = 500-1500 on x86-64 with numpy
-# 2.4, thread pool included), plus an 8-byte KL entry per iteration.  With 7
-# arrays counted, a 4 GiB budget allows about 8,700 points at 1000 iterations.
-_TSNE_BYTES_PER_PAIR = 7 * 8
+# Exact t-SNE keeps about 4 n x n float64 arrays live at once (the distances,
+# P and the loop's two buffers; from n = 500 to 1000 to 1500, peak RSS of
+# `embed` on fingerprints grew by 4.4 x 8 bytes per added n^2 on x86-64 with
+# numpy 2.4, thread pool and BLAS buffers included), plus an 8-byte KL entry
+# per iteration.  With 6 arrays counted, a 4 GiB budget allows about 9,450
+# points at 1000 iterations.
+_TSNE_BYTES_PER_PAIR = 6 * 8
 # PCA's peak is its m x m eigenproblem, m = min(n, d): the Gram or covariance
 # matrix, and eigh's copy of it, workspace and eigenvectors.  Peak RSS grew by
-# 5.2-5.9 x 8m^2 bytes at m = 500-3000 (packed and float rows, both branches,
-# x86-64, numpy 2.4); with 6 arrays counted, 4 GiB allows m of about 9,450.
+# 5.3-5.5 x 8 bytes per added m^2 from m = 500 to 1000 to 1500 for packed
+# rows, and by 5.2-5.9 x 8m^2 at m = 500-3000 for packed and float rows
+# through both branches (x86-64, numpy 2.4); with 6 arrays counted, 4 GiB
+# allows m of about 9,450.
 _PCA_BYTES_PER_ELEMENT = 6 * 8
 # One budget bounds both methods.
 _MEMORY_BUDGET = 4 << 30
@@ -125,7 +129,7 @@ def pairwise_distances(vectors: np.ndarray, metric: str = "euclidean") -> np.nda
     (``FingerprintSet.fingerprints``), and counts the differing bits.
     """
     x = _metric_rows(vectors, metric)
-    out = euclidean_cdist(x, x) if metric == "euclidean" else hamming_cdist(x, x).astype(float)
+    out = euclidean_cdist(x, x) if metric == "euclidean" else hamming_pdist(x).astype(float)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -222,7 +226,7 @@ def _hamming_gram(x: np.ndarray) -> np.ndarray:
     -(n^2 D - n s_i - n s_j + sum(s)), exact in int64 (|.| <= 2 n^2 d), so
     the result is exactly symmetric and rounded once."""
     n = len(x)
-    g = hamming_cdist(x, x)
+    g = hamming_pdist(x)
     s = g.sum(axis=1)
     g *= n * n
     g -= n * s[:, None]
@@ -383,11 +387,12 @@ def tsne_embed(
     gains = np.ones_like(y)     # per-coordinate adaptive rates, reference-style
     kl_trace = np.full(cfg.iterations, np.nan)
 
-    # Three n x n buffers, reused every iteration and filled in place.  Each
-    # step is the textbook formula with the same operations in the same order,
-    # so every value is bit-identical to evaluating it with fresh arrays:
+    # Two n x n buffers, reused every iteration and filled in place, and a
+    # row block of scratch per worker.  Each step is the textbook formula with
+    # the same operations in the same order, so every value is bit-identical
+    # to evaluating it with fresh arrays:
     #   inv = 1 / (1 + |y_i - y_j|^2), zero diagonal
-    #   q   = max(inv / sum(inv), floor)
+    #   q   = max(inv / sum(inv), floor)               (per row block: scratch)
     #   KL  = sum(p * log(p / q))  (kl_every-th only)  (scratch: w)
     #   w   = (exaggeration * p - q) * inv             (p alone once switched)
     #   grad = 4 * (diag(rowsum(w)) - w) @ y = -4 * (w with diagonal
@@ -395,36 +400,42 @@ def tsne_embed(
     # The elementwise steps run on row blocks spread over a thread pool (numpy
     # releases the GIL).  Each row is computed and summed whole by one thread,
     # and the two whole-matrix sums and the product with y run on the full
-    # buffers, so the result does not depend on the worker count.
+    # buffers, so the result does not depend on the worker count.  q is
+    # recomputed in the block that uses it, never stored whole.
     # Imported here: concurrent.futures adds about 7 ms and 0.4 MB to the
     # start-up of every command, and only this loop uses it.
     from concurrent.futures import ThreadPoolExecutor
 
     inv = np.empty((n, n))
-    q = np.empty((n, n))
     w = np.empty((n, n))
     blocks = [slice(i, min(i + _TSNE_BLOCK_ROWS, n)) for i in range(0, n, _TSNE_BLOCK_ROWS)]
     workers = max(1, min(parallel.cpu_count(), _TSNE_MAX_WORKERS, len(blocks)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    scratch = np.empty((workers, min(_TSNE_BLOCK_ROWS, n), n))
+    # A huge learning rate overflows y to inf and nan; the finiteness check
+    # reports that, so numpy's warnings would only print ahead of its error.
+    # numpy keeps the error state per thread, so each worker sets it too.
+    quiet = dict(over="ignore", invalid="ignore", divide="ignore")
+    with ThreadPoolExecutor(max_workers=workers) as pool, np.errstate(**quiet):
 
         def each_block(step, *args):
-            """Run ``step(rows, *args)`` on every row block, worker k taking
-            blocks k, k + workers, ...; returns once all are done."""
+            """Run ``step(rows, *args, scratch)`` on every row block, worker k
+            taking blocks k, k + workers, ... with its own scratch rows;
+            returns once all are done."""
             def work(k):
-                for rows in blocks[k::workers]:
-                    step(rows, *args)
+                with np.errstate(**quiet):
+                    for rows in blocks[k::workers]:
+                        step(rows, *args, scratch[k, : rows.stop - rows.start])
             for _ in pool.map(work, range(workers)):
                 pass
 
         for it in range(cfg.iterations):
-            each_block(_inverse_rows, np.ascontiguousarray(y.T), inv, q)
+            each_block(_inverse_rows, np.ascontiguousarray(y.T), inv)
             total = inv.sum()
             if it % kl_every == 0 or it == cfg.iterations - 1:
-                each_block(_kl_rows, p, inv, q, w, total)
+                each_block(_kl_rows, p, inv, w, total)
                 kl_trace[it] = float(w.sum())
                 finite = np.isfinite(kl_trace[it])
             else:
-                each_block(_q_rows, inv, q, total)
                 # p is finite, or iteration 0 would have raised.  inv lies in
                 # [0, 1], or is NaN where y is not finite, so the KL divergence
                 # is finite exactly when total is finite and > 0 (total == 0
@@ -433,7 +444,7 @@ def tsne_embed(
             if not finite:
                 raise UserInputError("KL divergence became non-finite during optimization")
             early = it < _SWITCH_ITERATION
-            each_block(_weight_rows, p, q, inv, w, _EXAGGERATION if early else 1.0)
+            each_block(_weight_rows, p, inv, w, total, _EXAGGERATION if early else 1.0)
             grad = (w @ y) * -4.0
 
             same_sign = (grad > 0) == (velocity > 0)
@@ -449,8 +460,8 @@ def tsne_embed(
 
 def _inverse_rows(rows: slice, cols: np.ndarray, inv: np.ndarray, scratch: np.ndarray) -> None:
     """inv[rows] = 1 / (1 + |y_i - y_j|^2) with a zero diagonal; ``cols`` is y
-    transposed, ``scratch[rows]`` is overwritten."""
-    a, b = inv[rows], scratch[rows]
+    transposed, the row block ``scratch`` is overwritten."""
+    a, b = inv[rows], scratch
     np.subtract(cols[0, rows, None], cols[0], out=a)
     np.multiply(a, a, out=a)
     np.subtract(cols[1, rows, None], cols[1], out=b)
@@ -461,36 +472,36 @@ def _inverse_rows(rows: slice, cols: np.ndarray, inv: np.ndarray, scratch: np.nd
     np.fill_diagonal(a[:, rows], 0.0)
 
 
-def _q_rows(rows: slice, inv: np.ndarray, q: np.ndarray, total: float) -> None:
-    """q[rows] = max(inv / total, floor)."""
-    qb = q[rows]
-    np.divide(inv[rows], total, out=qb)
-    np.maximum(qb, _PROB_FLOOR, out=qb)
+def _q_rows(rows: slice, inv: np.ndarray, total: float, q: np.ndarray) -> None:
+    """The row block q = max(inv[rows] / total, floor)."""
+    np.divide(inv[rows], total, out=q)
+    np.maximum(q, _PROB_FLOOR, out=q)
 
 
 def _kl_rows(
-    rows: slice, p: np.ndarray, inv: np.ndarray, q: np.ndarray, kl: np.ndarray, total: float
+    rows: slice, p: np.ndarray, inv: np.ndarray, kl: np.ndarray, total: float, q: np.ndarray
 ) -> None:
-    """q[rows] = max(inv / total, floor) and kl[rows] = p * log(p / q)."""
-    _q_rows(rows, inv, q, total)
-    qb, kb, pb = q[rows], kl[rows], p[rows]
-    np.divide(pb, qb, out=kb)
+    """kl[rows] = p * log(p / q), with the row block q = max(inv / total, floor)."""
+    _q_rows(rows, inv, total, q)
+    kb, pb = kl[rows], p[rows]
+    np.divide(pb, q, out=kb)
     np.log(kb, out=kb)
     np.multiply(pb, kb, out=kb)
 
 
 def _weight_rows(
-    rows: slice, p: np.ndarray, q: np.ndarray, inv: np.ndarray, w: np.ndarray,
-    exaggeration: float,
+    rows: slice, p: np.ndarray, inv: np.ndarray, w: np.ndarray, total: float,
+    exaggeration: float, q: np.ndarray,
 ) -> None:
     """w[rows] = (exaggeration * p - q) * inv off the diagonal, and
-    -(rowsum - w_ii) on it."""
+    -(rowsum - w_ii) on it, with the row block q = max(inv / total, floor)."""
+    _q_rows(rows, inv, total, q)
     wb = w[rows]
     if exaggeration == 1.0:     # p * 1.0 == p: skip the pass
-        np.subtract(p[rows], q[rows], out=wb)
+        np.subtract(p[rows], q, out=wb)
     else:
         np.multiply(p[rows], exaggeration, out=wb)
-        np.subtract(wb, q[rows], out=wb)
+        np.subtract(wb, q, out=wb)
     np.multiply(wb, inv[rows], out=wb)
     square = wb[:, rows]
     np.fill_diagonal(square, -(wb.sum(axis=1) - square.diagonal()))

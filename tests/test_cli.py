@@ -476,6 +476,20 @@ class TestEmbedCommand:
         assert "line 6: non-finite vector entry" in capsys.readouterr().err
         assert not (tmp_path / "out" / "embedding.csv").exists()
 
+    def test_diverging_tsne_prints_only_the_error(self, rng, tmp_path):
+        # A learning rate of 1e300 overflows the coordinates to inf and nan:
+        # the KL check reports it, with no numpy warning ahead of it
+        cfg = make_corpus(rng, tmp_path, n=4)
+        cfg.write_text(cfg.read_text().replace("iterations = 250",
+                                               "iterations = 250\nlearning_rate = 1e300"))
+        vec = tmp_path / "vec.csv"
+        write_vector_csv([f"p{i}" for i in range(30)], [None] * 30, rng.normal(size=(30, 3)), vec)
+        proc = subprocess.run([sys.executable, "-m", "dvlae.cli", "embed", "--config", str(cfg),
+                               "--input", str(vec)], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: KL divergence became non-finite during optimization\n"
+
     def test_fingerprint_input_row_count(self, rng, tmp_path):
         cfg = make_corpus(rng, tmp_path, n=14)
         assert main(["fingerprint", "--config", str(cfg)]) == 0
@@ -633,6 +647,7 @@ class TestEmbedCommand:
     def test_fingerprint_input_read_once_and_kept_packed(self, rng, tmp_path, monkeypatch,
                                                          method):
         import dvlae.cli as cli_mod
+        import dvlae.distance as dist_mod
         import dvlae.embedding as emb_mod
         import dvlae.fingerprint as fp_mod
         from dvlae.config import load_config
@@ -663,8 +678,11 @@ class TestEmbedCommand:
         monkeypatch.setattr(cli_mod, "read_input_text", counting_read)
         monkeypatch.setattr(fp_mod, "read_input_text", counting_read)
         monkeypatch.setattr(emb_mod, "pairwise_distances", recording_distances)
-        # A 4 kB block budget: PCA may unpack the bits only in float blocks
-        # within it, never the whole (n, n_bits) matrix.
+        # The all-pairs distances unpack the bits only in column blocks of
+        # 2 packed bytes, and PCA's loadings only in float blocks within a
+        # 4 kB budget: never the whole (n, n_bits) matrix.
+        assert 8 * 14 * fpset.spec.n_bits > 4096
+        monkeypatch.setattr(dist_mod, "_GRAM_BLOCK_BYTES", 2)
         monkeypatch.setattr(emb_mod, "_BLOCK_BYTES", 4096)
         monkeypatch.setattr(np, "unpackbits", recording_unpack)
         assert main(["embed", "--config", str(cfg), "--input", str(fps),
@@ -674,7 +692,7 @@ class TestEmbedCommand:
         if method == "tsne":
             assert distance_inputs == [(np.uint8, (14, (fpset.spec.n_bits + 7) // 8),
                                         "packed-hamming")]
-            assert unpacked == []
+            assert unpacked and all(shape[0] == 14 and shape[1] <= 16 for shape in unpacked)
             naive = (bits[:, None, :] != bits[None, :, :]).sum(axis=2).astype(float)
             want, _ = emb_mod.tsne_embed(naive, load_config(cfg).tsne)
         else:

@@ -596,6 +596,16 @@ def test_angular_params_validation():
         AngularParams(0.0, 1.0, 1, "G6", ("A", "A"))
 
 
+def test_max_cutoff_is_the_largest_outer_radius_set_once():
+    sf = SymmetryFunctionSet(elements=("A", "B"), descriptors={
+        "A": (DescriptorDef(RadialParams(0.0, 0.0, "B"), CutoffParams(1.0, 2.5)),),
+        "B": (DescriptorDef(RadialParams(0.0, 0.0, "A"), CutoffParams(0.5, 4.0)),
+              DescriptorDef(RadialParams(1.0, 0.0, "A"), CutoffParams(0.5, 3.0))),
+    })
+    assert sf.max_cutoff == 4.0
+    assert vars(sf)["max_cutoff"] == 4.0        # a stored value, not recomputed per structure
+
+
 # ---------------------------------------------------------------------------
 # The process pool of compute_dataset_descriptors
 # ---------------------------------------------------------------------------
@@ -724,6 +734,8 @@ class TestPool:
         for m, want in zip(got, serial):
             assert m.tag == want.tag
             assert m.columns is sf.labels
+            # one layout per set, shared by all of its matrices
+            assert m.column_layout() is want.column_layout() is sf.column_layout()
             assert list(m.blocks) == list(want.blocks)
             for e, block in m.blocks.items():
                 assert block.tobytes() == want.blocks[e].tobytes(), (m.structure_id, e)

@@ -1,12 +1,22 @@
 """Blocked distance kernels against the per-pair reference formulas."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import dvlae.distance as dist_mod
-from dvlae import UserInputError, euclidean_cdist, hamming_cdist
+import dvlae.embedding as emb_mod
+import dvlae.fingerprint as fp_mod
+from dvlae import UserInputError, euclidean_cdist, hamming_cdist, hamming_pdist
 
 from conftest import fingerprint_set, naive_hamming, varied_bit_rows
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def n_blocks(n_a, n_b, row_bytes):
@@ -138,3 +148,109 @@ def test_width_mismatch_rejected():
         hamming_cdist(np.zeros((2, 3), np.uint8), np.zeros((2, 4), np.uint8))
     with pytest.raises(UserInputError, match="2-D"):
         euclidean_cdist(np.zeros(3), np.zeros((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# One set's all-pairs matrix: the product form s_i + s_j - 2 U U^T
+# ---------------------------------------------------------------------------
+
+def unpacked_oracle(rows):
+    """All-pairs differing bits of packed rows, from np.unpackbits and
+    integer comparisons alone."""
+    u = np.unpackbits(rows, axis=1)
+    return (u[:, None, :] != u[None, :, :]).sum(axis=2, dtype=np.int64)
+
+
+def no_xor(monkeypatch):
+    """Make the XOR kernel's word view fail, so a passing call took the product."""
+    def fail(rows):
+        raise AssertionError("one set went through the XOR kernel")
+    monkeypatch.setattr(dist_mod, "hamming_words", fail)
+
+
+@pytest.mark.parametrize("n_rows, n_bits, gram_bytes, budget", [
+    (0, 37, None, None),        # no rows
+    (1, 37, None, None),        # one row
+    (2, 100, None, None),       # two rows, 13 bytes
+    (2, 0, None, None),         # zero-width rows
+    (40, 5800, None, None),     # 725-byte rows at the real block sizes: six column blocks
+    # 9-byte rows in 5 column blocks (the last of one byte), one row per output block
+    (25, 70, 2, 64),
+    (33, 1043, 16, 512),        # 131-byte rows: 9 column blocks, 3 rows per output block
+    (17, 8, 1, 68),             # one byte: one column block, one row per output block
+])
+def test_one_set_equals_unpacked_oracle(rng, monkeypatch, n_rows, n_bits, gram_bytes, budget):
+    if gram_bytes is not None:
+        monkeypatch.setattr(dist_mod, "_GRAM_BLOCK_BYTES", gram_bytes)
+    if budget is not None:
+        monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", budget)
+    rows = np.packbits(varied_bit_rows(rng, n_rows, n_bits) if n_rows * n_bits
+                       else np.zeros((n_rows, n_bits), np.uint8), axis=1)
+    want = unpacked_oracle(rows)
+    assert np.array_equal(hamming_cdist(rows, rows), want)     # XOR
+    no_xor(monkeypatch)
+    got = hamming_pdist(rows)
+    assert got.dtype == np.int64 and got.shape == (n_rows, n_rows)
+    assert np.array_equal(got, want)
+
+
+def test_one_set_exact_at_the_fingerprint_bit_cap(monkeypatch):
+    # Rows of the most bits a fingerprint may have: all ones against all ones
+    # sums 2^23 products, and s_i + s_j - 2 G reaches -2^24 on the way to 0.
+    n_bits = fp_mod._MAX_BITS
+    assert n_bits == 1 << 23 and n_bits <= dist_mod._PRODUCT_MAX_BITS
+    width = n_bits // 8
+    rows = np.stack([np.full(width, 0xFF, np.uint8), np.full(width, 0xFF, np.uint8),
+                     np.zeros(width, np.uint8), np.full(width, 0x55, np.uint8)])
+    no_xor(monkeypatch)
+    half = n_bits // 2
+    assert np.array_equal(hamming_pdist(rows), [[0, 0, n_bits, half],
+                                                [0, 0, n_bits, half],
+                                                [n_bits, n_bits, 0, half],
+                                                [half, half, half, 0]])
+
+
+def test_one_set_checks_its_rows():
+    with pytest.raises(UserInputError, match="2-D"):
+        hamming_pdist(np.zeros(3, np.uint8))
+
+
+def test_rows_wider_than_the_exact_bound_take_xor(rng, monkeypatch):
+    monkeypatch.setattr(dist_mod, "_PRODUCT_MAX_BITS", 64)
+    calls = []
+    words = dist_mod.hamming_words
+    monkeypatch.setattr(dist_mod, "hamming_words", lambda rows: calls.append(1) or words(rows))
+    rows = fingerprint_set(varied_bit_rows(rng, 12, 72)).fingerprints
+    assert np.array_equal(hamming_pdist(rows), unpacked_oracle(rows))
+    assert calls == [1, 1]
+
+
+# Runs in a subprocess: the BLAS thread count is read at start-up.  At 1,000
+# rows OpenBLAS splits each block's product over 2 threads (it ran 1.5x
+# faster on a 2-core host).
+THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from dvlae.embedding import _hamming_gram, pairwise_distances
+rows = np.random.default_rng(11).integers(0, 256, (1000, 725), dtype=np.uint8)
+for out in (pairwise_distances(rows, "packed-hamming"), _hamming_gram(rows)):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_one_set_bytes_do_not_depend_on_blas_threads(monkeypatch):
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    # ... and they are the XOR kernel's, here with every set taking XOR
+    monkeypatch.setattr(dist_mod, "_PRODUCT_MAX_BITS", -1)
+    rows = np.random.default_rng(11).integers(0, 256, (1000, 725), dtype=np.uint8)
+    xor = "".join(hashlib.sha256(out.tobytes()).hexdigest() + "\n"
+                  for out in (emb_mod.pairwise_distances(rows, "packed-hamming"),
+                              emb_mod._hamming_gram(rows)))
+    assert digests == {xor}

@@ -159,7 +159,7 @@ class TestPcaMatchesSvd:
     def test_guard_runs_before_any_work(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("work started before the PCA memory check")
-        monkeypatch.setattr(emb_mod, "hamming_cdist", fail)
+        monkeypatch.setattr(emb_mod, "hamming_pdist", fail)
         monkeypatch.setattr(emb_mod, "_row_blocks", fail)
         monkeypatch.setattr(emb_mod, "_column_blocks", fail)
         monkeypatch.setattr(emb_mod, "_MEMORY_BUDGET", 1000)
@@ -701,7 +701,7 @@ class TestTsneGuard:
         monkeypatch.setattr(emb_mod, "pairwise_distances", fail)
 
     @pytest.mark.parametrize("n, cfg", [
-        (20_000, TsneConfig()),                             # ~39 GiB of n x n arrays
+        (20_000, TsneConfig()),                             # ~18 GiB of n x n arrays counted
         (50, TsneConfig(perplexity=5, iterations=10**12)),  # 8 TB of KL trace
     ])
     def test_over_memory_budget_rejected(self, n, cfg):
@@ -717,6 +717,12 @@ class TestTsneGuard:
     def test_map_size_within_budget(self):
         TsneConfig().validate_for(1000)
         TsneConfig(iterations=300).validate_for(1000)
+
+    def test_budget_boundary(self):
+        # 6 * 8 * n^2 bytes plus 8 per iteration against 4 GiB
+        TsneConfig().validate_for(9459)
+        with pytest.raises(UserInputError, match="--method pca"):
+            TsneConfig().validate_for(9460)
 
     def test_pca_needs_no_distances(self, rng):
         emb = embed_vectors(list("abcd"), [None] * 4, rng.normal(0, 1, (4, 3)), method="pca")

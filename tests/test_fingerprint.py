@@ -144,6 +144,42 @@ class TestHistograms:
             build_histograms(m, spec)
 
 
+class TestColumnLayouts:
+    """Each matrix's column layout is built once, a set's matrices share the
+    set's, and every mismatch is still rejected with its message."""
+
+    @staticmethod
+    def two_element(ident, order=("Fe", "H"), h_labels=("c", "d")):
+        labels = {"Fe": ("a", "b"), "H": h_labels}
+        blocks = {e: np.arange(6, dtype=float).reshape(3, 2) for e in order}
+        return DescriptorMatrix(ident, None, blocks, {e: labels[e] for e in order})
+
+    def test_layout_is_a_stored_value(self, rng):
+        m = self.two_element("m")
+        assert vars(m)["layout"] == (("Fe", "a"), ("Fe", "b"), ("H", "c"), ("H", "d"))
+        assert m.column_layout() is vars(m)["layout"]
+        sf = build_symmetry_functions(("Fe", "H"), GridConfig(cutoff=4.0))
+        assert sf.column_layout() is vars(sf)["layout"]
+        assert sf.layout == tuple((e, lbl) for e in sf.elements for lbl in sf.labels[e])
+        d = compute_structure_descriptors(dyadic_structure(rng, "s"), sf)
+        assert d.column_layout() is sf.column_layout()
+
+    @pytest.mark.parametrize("other", [
+        dict(h_labels=("c", "e")),          # one label differs
+        dict(h_labels=("c",)),              # one column fewer
+        dict(order=("H", "Fe")),            # the same columns, elements swapped
+    ])
+    def test_mismatches_rejected_with_their_messages(self, other):
+        first, odd = self.two_element("first"), self.two_element("odd", **other)
+        with pytest.raises(UserInputError,
+                           match="^descriptor layout of 'odd' differs from 'first'$"):
+            determine_bin_edges([first, first, odd], k=4)
+        spec = determine_bin_edges([first], k=4)
+        with pytest.raises(UserInputError,
+                           match="^descriptor layout of 'odd' does not match the histogram spec$"):
+            build_histograms(odd, spec)
+
+
 def naive_edges(matrices):
     """Per-column (lo, hi) with the padding rule, one column at a time."""
     edges = []
