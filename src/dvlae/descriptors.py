@@ -164,12 +164,14 @@ class _Group:
     """The columns of one center element that share a cutoff and a neighbor
     element (G2) or an element pair (G4 and G5 together), evaluated at once.
 
-    Radial parameters are (columns, 1) arrays broadcast against the (terms,)
-    geometry.  An angular column's terms are the product of three factor
-    rows: the angle ``(1 + lam cos)^zeta``, the Gaussian of ``(eta, kind)``
-    and the taper of ``kind``.  Each distinct factor row is evaluated once,
-    and the column rows are gathered from them (the default grid's 16
-    columns per group need 4, 4 and 2 rows)."""
+    The geometry arguments hold one center's terms on the last axis, after any
+    leading axis of centers.  Parameters are (columns, 1) arrays, reshaped to
+    broadcast against that geometry, so each result has one row per column
+    and one entry per center.  An angular column's terms are the product of
+    three factor rows: the angle ``(1 + lam cos)^zeta``, the Gaussian of
+    ``(eta, kind)`` and the taper of ``kind``.  Each distinct factor row is
+    evaluated once, and the column rows are gathered from them (the default
+    grid's 16 columns per group need 4, 4 and 2 rows)."""
 
     def __init__(self, cut: CutoffParams, neighbors, members):
         cols, params = zip(*members)
@@ -196,61 +198,57 @@ class _Group:
         self.taper_g4 = np.array([[kind == "G4"] for kind in kinds])
         self.scale = np.array([2.0 ** (1.0 - p.zeta) for p in params])
 
-    def evaluate(self, dist, disp, species, fc, structure_id: str) -> np.ndarray:
-        """Every column of the group for one center's canonical neighbors
-        inside the group's cutoff, with their tapers ``fc``."""
-        if self.is_radial:
-            mine = species == self.neighbors
-            return self.radial(dist[mine], fc[mine])
-        return self.angular(*_pair_geometry(dist, disp, species, fc, self.neighbors,
-                                            structure_id))
-
     def radial(self, d: np.ndarray, fc: np.ndarray) -> np.ndarray:
         """G2 over neighbor distances ``d`` in canonical order, with their
-        tapers ``fc``.  Each row is contiguous, so ``sum(axis=1)`` adds it
-        exactly as ``np.sum`` would."""
-        return (np.exp(-self.eta * (d - self.r_s) ** 2) * fc).sum(axis=1)
+        tapers ``fc``.  Each center's terms are one contiguous row, so the sum
+        along the last axis adds them exactly as ``np.sum`` adds that row."""
+        shape = (-1,) + (1,) * d.ndim
+        eta, r_s = self.eta.reshape(shape), self.r_s.reshape(shape)
+        return (np.exp(-eta * (d - r_s) ** 2) * fc).sum(axis=-1)
 
     def angular(self, r_ij, r_ik, r_jk, cos_theta, fc) -> np.ndarray:
         """G4 rows with the ``r_jk`` factors, G5 rows without them; ``fc`` is
         fc(r_ij) * fc(r_ik) per pair."""
-        base = 1.0 + self.lam * cos_theta
+        shape = (-1,) + (1,) * cos_theta.ndim
+        base = 1.0 + self.lam.reshape(shape) * cos_theta
         # One scalar exponent per call: numpy evaluates some scalar powers
         # (2, 0.5) as squares and roots, which array exponents do not match.
         # 0^0 -> 1 (numpy's convention), so zeta = 0 keeps degenerate angles.
         ang = np.concatenate([np.power(base[rows], z) for z, rows in self.powers])
         r2 = r_ij ** 2 + r_ik ** 2
-        gauss = np.exp(-self.eta * np.where(self.gauss_g4, r2 + r_jk ** 2, r2))
-        taper = np.where(self.taper_g4, fc * cutoff_value(r_jk, self.cut), fc)
+        gauss = np.exp(-self.eta.reshape(shape)
+                       * np.where(self.gauss_g4.reshape(shape), r2 + r_jk ** 2, r2))
+        taper = np.where(self.taper_g4.reshape(shape), fc * cutoff_value(r_jk, self.cut), fc)
         terms = ang[self.ang_row] * gauss[self.gauss_row]
         terms *= taper[self.taper_row]
         # Value-sorted summation: the term multiset is identical for physically
         # equivalent environments (supercell images, permuted atoms), so sorting
         # makes the sum bit-identical across them.
-        terms.sort(axis=1)
-        return terms.sum(axis=1) * self.scale
+        terms.sort(axis=-1)
+        return terms.sum(axis=-1) * self.scale.reshape(shape[:-1])
 
 
-# Most unordered neighbor pairs one center may form for one angular group.
-# With the default 16-column G4+G5 group a pair costs about 0.4 KB of
-# temporaries (measured: a one-atom 1.0 Å cell at 6 Å, 399,171 pairs, peak RSS
-# 165 MB above its level before the call), so the cap keeps one center within
-# about 0.5 GB.
+# Most unordered neighbor pairs one center may form for one angular group,
+# checked from the pair counts before any pair array exists.  With the
+# default 16-column G4+G5 group a pair costs about 0.45 KB of temporaries
+# (measured: a one-atom 1.0 Å cell at 6 Å, 399,171 pairs in one chunk, peak
+# RSS 174 MB above its level before the call), so the cap keeps one center
+# within about 0.5 GB.
 _MAX_CENTER_PAIRS = 1_000_000
 
+# Most terms (columns x centers x neighbors or pairs) one evaluation of a
+# group holds: a bucket's centers are evaluated in chunks of whole centers
+# under this budget, one center at least.  2^14 terms (128 KB a factor
+# array) is under a quarter of the largest center of the curate benchmark
+# (4,371 Fe-Fe pairs of 16 columns), so chunks of small centers need less
+# than the largest center does alone; 2^16 and 2^18 were no faster there.
+_CHUNK_TERMS = 1 << 14
 
-def _pair_geometry(dist, disp, species, fc, pair, structure_id: str):
-    """(r_ij, r_ik, r_jk, cos_theta, fc_ij * fc_ik) over the unordered neighbor
-    pairs of one center whose elements match ``pair``."""
-    e1, e2 = pair
-    ia, ib = np.flatnonzero(species == e1), np.flatnonzero(species == e2)
-    n_pairs = len(ia) * (len(ia) - 1) // 2 if e1 == e2 else len(ia) * len(ib)
-    if n_pairs > _MAX_CENTER_PAIRS:
-        raise UserInputError(
-            f"structure {structure_id!r}: one atom has {n_pairs} {e1}-{e2} neighbor pairs, "
-            f"more than {_MAX_CENTER_PAIRS}; the cell is too dense for the cutoff"
-        )
-    a, b = _pair_indices(ia, ib, e1 == e2)
+
+def _pair_geometry(dist, disp, fc, a, b):
+    """(r_ij, r_ik, r_jk, cos_theta, fc_ij * fc_ik) of the neighbor pairs
+    (``a``, ``b``), indices into the neighbors' ``dist``, ``disp`` and
+    tapers ``fc``."""
     r_ij = dist[a]
     r_ik = dist[b]
     da, db = disp[a], disp[b]
@@ -314,55 +312,264 @@ class DescriptorMatrix:
 
 
 def compute_structure_descriptors(s: Structure, sfset: SymmetryFunctionSet) -> DescriptorMatrix:
-    """Evaluate every descriptor for every atom of ``s``."""
+    """Evaluate every descriptor for every atom of ``s``: a batch of one."""
+    return _matrix(s, sfset, _describe([s], sfset)[0])
+
+
+def _matrix(s: Structure, sfset: SymmetryFunctionSet, blocks) -> DescriptorMatrix:
+    return DescriptorMatrix(structure_id=s.id, tag=s.tag, blocks=blocks, columns=sfset.labels,
+                            layout=sfset.layout)
+
+
+def _neighbors(s: Structure, sfset: SymmetryFunctionSet):
+    """The neighbors of every atom of ``s`` inside the set's largest cutoff,
+    flat in neighbor-list order (by atom, then distance): each atom's element
+    and neighbor count, then each neighbor's distance, displacement and
+    element, elements as indices into ``sfset.elements``.  An element the set
+    lacks is an error before any neighbor search."""
     missing = sorted(set(s.species) - set(sfset.elements))
     if missing:
         raise UserInputError(f"element {missing[0]} of structure {s.id!r} not in symmetry-function set")
     nlist = neighbor_list(s, sfset.max_cutoff)
-
-    species = np.array(s.species, dtype=str)
-    blocks = {}
-    for e in sfset.elements:
-        centers = s.element_indices(e)
-        block = np.empty((len(centers), len(sfset.descriptors[e])))
-        cuts = tuple(dict.fromkeys(g.cut for g in sfset.groups[e]))
-        # Huge parameters overflow to inf or nan; the check below reports
-        # them, so numpy's warnings would only print ahead of that error.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for row, i in zip(block, centers):
-                dist, disp = nlist.distances[i], nlist.displacements[i]
-                neighbors = species[nlist.indices[i]]
-                # Neighbors come sorted by distance, so those inside a cutoff
-                # are a prefix; each is tapered once per cutoff.
-                inside = {}
-                for cut in cuts:
-                    k = np.searchsorted(dist, cut.outer)
-                    inside[cut] = (dist[:k], disp[:k], neighbors[:k], cutoff_value(dist[:k], cut))
-                for group in sfset.groups[e]:
-                    row[group.cols] = group.evaluate(*inside[group.cut], s.id)
-        if not np.all(np.isfinite(block)):
-            raise UserInputError(f"non-finite descriptor value in structure {s.id!r}, element {e}")
-        block.setflags(write=False)
-        blocks[e] = block
-    return DescriptorMatrix(
-        structure_id=s.id,
-        tag=s.tag,
-        blocks=blocks,
-        columns=sfset.labels,
-        layout=sfset.layout,
-    )
+    species = np.array([sfset.elements.index(x) for x in s.species], dtype=np.intp)
+    counts = np.array([len(ix) for ix in nlist.indices], dtype=np.intp)
+    if not s.n_atoms:
+        return species, counts, np.empty(0), np.empty((0, 3)), species
+    return (species, counts, np.concatenate(nlist.distances),
+            np.concatenate(nlist.displacements), species[np.concatenate(nlist.indices)])
 
 
-# Structures are described by forked worker processes (``parallel.fork_map``)
-# once they hold _POOL_MIN_ATOMS atoms in all.  Below that, starting the
-# workers costs more than they save.  Measured in-process, start-up included
-# (2 cores, median of 7, two runs): bulk's smallest 3 and 4 cells (21, 45
-# atoms) took 54-56 and 96-110 ms serial, 61-66 and 64-73 ms on workers;
-# curate's first 4, 6 and 8 structures (20, 32, 39 atoms) took 33-41, 50-53
-# and 60-69 ms serial, 36-43, 45-47 and 46-50 ms on workers.  The break-even
-# lies between 21 and 32 atoms; 40 leaves a margin for a host where a fork
-# costs more.
-_POOL_MIN_ATOMS = 40
+def _buckets(key: np.ndarray):
+    """The rows of each distinct ``key`` value, ascending within a bucket."""
+    order = np.argsort(key, kind="stable")
+    _, starts = np.unique(key[order], return_index=True)
+    return np.split(order, starts[1:]) if len(order) else []
+
+
+def _chunks(rows: np.ndarray, terms_per_row: int):
+    """``rows`` in runs of at most ``_CHUNK_TERMS`` terms, one row at least."""
+    step = max(1, _CHUNK_TERMS // max(1, terms_per_row))
+    return (rows[k:k + step] for k in range(0, len(rows), step))
+
+
+def _gather(batch: Sequence[Structure], sfset: SymmetryFunctionSet):
+    """(the ``_Run`` of the leading structures of ``batch`` whose neighbors
+    were found, and the exception that stopped the search at the next one or
+    None).
+
+    The search stops at the first failure, which is raised at once for the
+    first structure, and after a structure with a center whose neighbors
+    could form more pairs than the cap, so that its pair counts are checked
+    before any further neighbor list is held."""
+    found, failure = [], None
+    for s in batch:
+        try:
+            found.append(_neighbors(s, sfset))
+        except Exception as exc:    # noqa: BLE001 - raised unless an earlier structure fails
+            failure = exc
+            break
+        most = int(found[-1][1].max(initial=0))
+        if most * (most - 1) // 2 > _MAX_CENTER_PAIRS:
+            break
+    if not found:
+        raise failure
+    return _Run(found, len(sfset.elements)), failure
+
+
+class _Run:
+    """The neighbors of a run of structures, flat in their order (structure,
+    atom, then distance), each with the element of its center and the row
+    of its center in that element's block (structure order, then atom
+    order)."""
+
+    def __init__(self, found, n_elements: int):
+        species, counts, self.dist, self.disp, self.nb = (
+            parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*found))
+        self.n = len(found)
+        bounds = np.cumsum([0] + [len(f[0]) for f in found])
+        rank = np.empty(len(species), dtype=np.intp)
+        self.row_bounds = []        # element k, structure t: rows row_bounds[k][t:t + 2]
+        for k in range(n_elements):
+            mine = species == k
+            rank[mine] = np.arange(np.count_nonzero(mine))
+            self.row_bounds.append(np.concatenate(([0], np.cumsum(mine)))[bounds])
+        center = np.repeat(np.arange(len(species)), counts)
+        self.row, self.center_element = rank[center], species[center]
+
+    def select(self, inside: np.ndarray, k: int, element: int):
+        """The neighbors of ``element`` inside a cutoff around the centers
+        of element ``k``: their ascending indices, and per row of ``k``'s
+        block how many it has and where they start among those indices."""
+        positions = np.flatnonzero(inside & (self.center_element == k) & (self.nb == element))
+        counts = np.bincount(self.row[positions], minlength=self.row_bounds[k][-1])
+        return positions, counts, np.cumsum(counts) - counts
+
+    def structure(self, k: int, row: int) -> int:
+        """The index of the structure whose center is ``row`` of ``k``'s block."""
+        return int(np.searchsorted(self.row_bounds[k], row, side="right")) - 1
+
+
+def _describe(batch: Sequence[Structure], sfset: SymmetryFunctionSet) -> list[dict]:
+    """The blocks of every structure of ``batch``, in order (``_describe_run``
+    over the runs ``_gather`` splits it into)."""
+    blocks: list[dict] = []
+    while len(blocks) < len(batch):
+        blocks += _describe_run(batch[len(blocks):], sfset)
+    return blocks
+
+
+def _describe_run(batch: Sequence[Structure], sfset: SymmetryFunctionSet) -> list[dict]:
+    """The blocks of the leading structures of ``batch`` that ``_gather``
+    takes, in order.
+
+    The centers of one element across those structures are bucketed per
+    group by their neighbor count (G2) or their counts of the two pair
+    elements (G4, G5), and each group is evaluated once per bucket, in row
+    chunks of at most ``_CHUNK_TERMS`` terms.  Every term comes from the
+    same elementwise operations as when one center is evaluated alone, and
+    each center's terms are one contiguous row that is sorted and summed
+    along the last axis as that center's 1-D row would be, so every block is
+    bit-identical for any split of the structures into batches.
+
+    An error is the one a serial loop over the structures raises: that of the
+    first failing structure, and within it the first its evaluation meets (an
+    element the set lacks, the neighbor search, then per element a center
+    over the pair cap and a non-finite value)."""
+    run, failure = _gather(batch, sfset)
+    n = run.n
+    cuts = tuple(dict.fromkeys(g.cut for e in sfset.elements for g in sfset.groups[e]))
+    inside = {cut: run.dist < cut.outer for cut in cuts}
+
+    # Pair caps first, from the counts alone: the (structure, element, row)
+    # of the first center over the cap, with its error.
+    selected, capped = [], (n, 0, 0, None)
+    for k, e in enumerate(sfset.elements):
+        mine = []
+        for g in sfset.groups[e]:
+            if g.is_radial:
+                mine.append(run.select(inside[g.cut], k, sfset.elements.index(g.neighbors)))
+                continue
+            e1, e2 = (sfset.elements.index(x) for x in g.neighbors)
+            one = run.select(inside[g.cut], k, e1)
+            two = one if e1 == e2 else run.select(inside[g.cut], k, e2)
+            pairs = one[1] * (one[1] - 1) // 2 if e1 == e2 else one[1] * two[1]
+            mine.append((one, two, pairs))
+            over = np.flatnonzero(pairs > _MAX_CENTER_PAIRS)
+            if len(over) and (at := (run.structure(k, over[0]), k, over[0])) < capped[:3]:
+                capped = at + (
+                    f"structure {batch[at[0]].id!r}: one atom has {pairs[over[0]]} "
+                    f"{'-'.join(g.neighbors)} neighbor pairs, more than {_MAX_CENTER_PAIRS}; "
+                    "the cell is too dense for the cutoff",)
+        selected.append(mine)
+    stop, stop_element, _, error = capped
+
+    # Then every group over the live rows, and the first failure in
+    # (structure, element) order: a center over the cap or a non-finite value.
+    blocks, first = [], (stop, stop_element)
+    # Huge parameters overflow to inf or nan; the check below reports them,
+    # so numpy's warnings would only print ahead of that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fc = {cut: cutoff_value(run.dist, cut) for cut in cuts}
+        for k, (e, mine) in enumerate(zip(sfset.elements, selected)):
+            # The rows of the structures before ``stop``, and of ``stop``
+            # itself for the elements its serial evaluation reaches before
+            # its cap.
+            live = run.row_bounds[k][min(stop + (k < stop_element), n)]
+            block = np.empty((run.row_bounds[k][-1], len(sfset.descriptors[e])))
+            for g, sel in zip(sfset.groups[e], mine):
+                (_radial if g.is_radial else _angular)(g, run, fc[g.cut], sel, live, block)
+            block.setflags(write=False)
+            blocks.append(block)
+            bad = np.flatnonzero(~np.isfinite(block[:live]).all(axis=1))
+            if len(bad) and (at := (run.structure(k, bad[0]), k)) < first:
+                first = at
+                error = f"non-finite descriptor value in structure {batch[at[0]].id!r}, element {e}"
+    if error is not None:
+        raise UserInputError(error)
+    if failure is not None:
+        raise failure
+    return [{e: block[bounds[t]:bounds[t + 1]]
+             for e, bounds, block in zip(sfset.elements, run.row_bounds, blocks)}
+            for t in range(n)]
+
+
+def _radial(g: _Group, run: _Run, fc, sel, live: int, block) -> None:
+    """Fill ``g``'s columns of the first ``live`` rows of ``block``."""
+    positions, counts, starts = sel
+    for rows in _buckets(counts[:live]):
+        n = counts[rows[0]]
+        for part in _chunks(rows, len(g.cols) * n):
+            at = positions[starts[part][:, None] + np.arange(n)]
+            block[part[:, None], g.cols] = g.radial(run.dist[at], fc[at]).T
+
+
+def _angular(g: _Group, run: _Run, fc, sel, live: int, block) -> None:
+    """Fill ``g``'s columns of the first ``live`` rows of ``block``."""
+    (pos1, n1, s1), (pos2, n2, s2), pairs = sel
+    same = pos1 is pos2
+    key = n1[:live] if same else n1[:live] * (int(n2[:live].max(initial=0)) + 1) + n2[:live]
+    for rows in _buckets(key):
+        m1, m2 = n1[rows[0]], n2[rows[0]]
+        a, b = _pair_indices(np.arange(m1), np.arange(m2), same)
+        for part in _chunks(rows, len(g.cols) * pairs[rows[0]]):
+            ia = pos1[s1[part][:, None] + np.arange(m1)][:, a]
+            ib = pos2[s2[part][:, None] + np.arange(m2)][:, b]
+            geometry = _pair_geometry(run.dist, run.disp, fc, ia.ravel(), ib.ravel())
+            block[part[:, None], g.cols] = g.angular(*(x.reshape(ia.shape) for x in geometry)).T
+
+
+# Structures of fewer than _ALONE_ATOMS atoms are described together, in
+# contiguous batches of at most _BATCH_ATOMS atoms and at most an equal
+# share of their estimated work (``_work``), ceil(atoms / _BATCH_ATOMS)
+# shares in all: so a batch of dense cells takes a worker about as long as
+# one of sparse cells, and none holds more atoms than the budget.  A larger
+# structure has centers enough to fill its own buckets, and describing it
+# alone keeps the worker load balanced.
+_ALONE_ATOMS = 64
+_BATCH_ATOMS = 256
+
+
+def _work(s: Structure, cutoff: float) -> float:
+    """About the neighbor pairs of ``s``: its atoms times the square of the
+    neighbors one atom has inside ``cutoff``, estimated from the density of
+    its cell when any direction is periodic, else as every other atom."""
+    if any(s.periodic):
+        k = s.n_atoms / abs(np.linalg.det(s.cell)) * 4.0 / 3.0 * np.pi * cutoff ** 3
+    else:
+        k = s.n_atoms - 1
+    return s.n_atoms * (1.0 + k * k)
+
+
+def _batches(structures: Sequence[Structure], cutoff: float) -> list[range]:
+    """Contiguous index ranges of ``structures``, each one batch."""
+    small = [s.n_atoms < _ALONE_ATOMS for s in structures]
+    work = [_work(s, cutoff) for s in structures]
+    total = sum(s.n_atoms for s, x in zip(structures, small) if x)
+    share = sum(w for w, x in zip(work, small) if x) / max(1, -(-total // max(1, _BATCH_ATOMS)))
+    out, atoms, done = [], 0, 0.0
+    for i, (s, w) in enumerate(zip(structures, work)):
+        if (small[i] and out and small[out[-1].start]
+                and atoms + s.n_atoms <= _BATCH_ATOMS and done + w <= share):
+            out[-1] = range(out[-1].start, i + 1)
+        else:
+            out.append(range(i, i + 1))
+            atoms, done = 0, 0.0
+        atoms += s.n_atoms
+        done += w
+    return out
+
+
+# Batches are described by forked worker processes (``parallel.fork_map``)
+# once the structures hold _POOL_MIN_ATOMS atoms in all.  Below that,
+# starting the workers costs more than they save.  Two batches need 65 atoms
+# at least.  Measured in-process, start-up included (2 cores, median of 15,
+# six runs on a shared host): bulk's 2-atom cell with a 64-atom supercell
+# took 103-133 ms serial and 116-158 ms on workers; its 3- and 24-atom
+# cells with the 81-atom one (108 atoms) took 131-191 and 120-150 ms;
+# curate's first 59 structures (260 atoms) took 190-247 and 123-177 ms.
+# The break-even lies between 66 and 108 atoms; 128 leaves a margin for a
+# host where a fork costs more.
+_POOL_MIN_ATOMS = 128
 
 
 def compute_dataset_descriptors(
@@ -371,22 +578,25 @@ def compute_dataset_descriptors(
 ) -> list[DescriptorMatrix]:
     """Descriptor matrices for many structures, in input order.
 
-    Each structure is described whole by one process, so every block is
-    bit-identical for any worker count.  An error is the one a serial loop
-    raises: that of the first failing structure in input order."""
-    workers = parallel.pool_workers(len(structures),
+    Each batch (``_batches``) is described whole by one process, and every
+    block is bit-identical for any batch split, so also for any worker
+    count.  An error is the one a serial loop raises: that of the first
+    failing structure in input order."""
+    batches = [structures[b.start:b.stop] for b in _batches(structures, sfset.max_cutoff)]
+    workers = parallel.pool_workers(len(batches),
                                     sum(s.n_atoms for s in structures) >= _POOL_MIN_ATOMS)
     if not workers:
-        return [compute_structure_descriptors(s, sfset) for s in structures]
-    # Largest first, so that a few big cells do not finish last on one worker.
-    order = sorted(range(len(structures)), key=lambda i: -structures[i].n_atoms)
-    # compute_structure_descriptors is looked up at call time, so a patch made
-    # before the fork applies in the workers too.
-    all_blocks = parallel.fork_map(
-        lambda i: compute_structure_descriptors(structures[i], sfset).blocks, order, workers)
-    for blocks in all_blocks:
-        for block in blocks.values():
-            block.setflags(write=False)     # unpickled arrays come back writeable
-    return [DescriptorMatrix(structure_id=s.id, tag=s.tag, blocks=blocks, columns=sfset.labels,
-                             layout=sfset.layout)
-            for s, blocks in zip(structures, all_blocks)]
+        per_batch = [_describe(batch, sfset) for batch in batches]
+    else:
+        # Most work first, so that a few big batches do not finish last on
+        # one worker.  _describe is looked up at call time, so a patch made
+        # before the fork applies in the workers too.
+        work = [sum(_work(s, sfset.max_cutoff) for s in batch) for batch in batches]
+        order = sorted(range(len(batches)), key=lambda k: -work[k])
+        per_batch = parallel.fork_map(lambda k: _describe(batches[k], sfset), order, workers)
+        for blocks in per_batch:
+            for by_element in blocks:
+                for block in by_element.values():
+                    block.setflags(write=False)     # unpickled arrays come back writeable
+    all_blocks = [blocks for batch in per_batch for blocks in batch]
+    return [_matrix(s, sfset, blocks) for s, blocks in zip(structures, all_blocks)]

@@ -22,7 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .descriptors import DescriptorMatrix, SymmetryFunctionSet, compute_dataset_descriptors
+from .descriptors import (
+    DescriptorMatrix,
+    SymmetryFunctionSet,
+    compute_dataset_descriptors,
+    compute_structure_descriptors,
+)
 from .errors import FormatError, UserInputError
 from .ioutil import atomic_write_text, is_one_line, read_input_text
 from .structures import Dataset, Structure, check_unique_ids
@@ -237,7 +242,7 @@ def batch_fingerprints(
         (m for m, s in zip(matrices, ds.structures) if s is ref or s.id == ref.id), None
     )
     if ref_matrix is None:
-        ref_matrix = compute_dataset_descriptors([ref], sfset)[0]
+        ref_matrix = compute_structure_descriptors(ref, sfset)
         pool = matrices + [ref_matrix]
     else:
         pool = matrices

@@ -56,9 +56,6 @@ class Structure:
     def n_atoms(self) -> int:
         return len(self.species)
 
-    def element_indices(self, element: str) -> np.ndarray:
-        return np.array([i for i, s in enumerate(self.species) if s == element], dtype=int)
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -59,14 +59,16 @@ iterations = 250
 
 def _count_dataset_ids(monkeypatch, workers):
     """Pretend the process may run on ``workers`` CPUs, pool descriptors at any
-    size, and record, per call of ``compute_dataset_descriptors`` by the CLI,
-    the file name and frame of each structure it is given."""
+    size with every structure a batch of its own, and record, per call of
+    ``compute_dataset_descriptors`` by the CLI, the file name and frame of
+    each structure it is given."""
     import dvlae.cli as cli_mod
     import dvlae.descriptors as desc
     from dvlae import parallel
 
     monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
     monkeypatch.setattr(desc, "_POOL_MIN_ATOMS", 0)
+    monkeypatch.setattr(desc, "_BATCH_ATOMS", 0)
     given = []
     compute = cli_mod.compute_dataset_descriptors
 
@@ -150,6 +152,49 @@ class TestFingerprintCommand:
             assert "data.xyz#0': one atom has 557162271 Fe-Fe neighbor pairs" in err
             assert time.perf_counter() - start < 5.0
         assert (tmp_path / "out" / "fingerprints.txt").exists() == (code == 0)
+
+    @pytest.mark.parametrize("late", ["neighbor search", "internal error"])
+    @pytest.mark.parametrize("batch_atoms", [None, 0])
+    def test_earlier_non_finite_structure_wins_inside_a_batch(
+            self, tmp_path, monkeypatch, capsys, late, batch_atoms):
+        # A zeta of 1e308 is non-finite at any angle but a right one: the
+        # dimers have no angle, the triangle (#3) has, and the 0.05 Å cell
+        # (#4) fails its neighbor search, or an internal error is planted
+        # there.  All in one batch, or each a batch of its own on 2 workers.
+        import dvlae.descriptors as desc
+        from dvlae import parallel
+
+        dimer = Structure(cell=np.zeros((3, 3)), species=("Fe", "H"),
+                          positions=[[0, 0, 0], [1.0, 0, 0]])
+        triangle = Structure(cell=np.zeros((3, 3)), species=("Fe", "H", "H"),
+                             positions=[[0, 0, 0], [1.0, 0, 0], [0.8, 0.6, 0]])
+        tiny = Structure(cell=np.eye(3) * 0.05, species=("Fe",), positions=np.zeros((1, 3)),
+                         periodic=(True,) * 3)
+        structures = [dimer] * 3 + [triangle, tiny] + [dimer] * 3
+        assert sum(s.n_atoms for s in structures) <= desc._BATCH_ATOMS
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        monkeypatch.setattr(desc, "_POOL_MIN_ATOMS", 0)
+        if batch_atoms is not None:
+            monkeypatch.setattr(desc, "_BATCH_ATOMS", batch_atoms)
+        (tmp_path / "data.xyz").write_text(to_extxyz(structures))
+        (tmp_path / "manifest.txt").write_text("data.xyz\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(CONFIG_TEMPLATE.format(out="out", reference="auto")
+                       .replace("zeta = 1", "zeta = 1e308"))
+        if late == "internal error":
+            compute = desc._neighbors
+
+            def planted(s, sfset):
+                if s.id.endswith("data.xyz#4"):
+                    raise RuntimeError("late bug")
+                return compute(s, sfset)
+
+            monkeypatch.setattr(desc, "_neighbors", planted)
+        assert main(["fingerprint", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite descriptor value in structure "), err
+        assert "data.xyz#3', element Fe" in err
+        assert not (tmp_path / "out" / "fingerprints.txt").exists()
 
     def test_overflowing_parameters_print_only_the_error(self, rng, tmp_path):
         # eta and zeta of 1e308 overflow the descriptor terms to inf and nan:
@@ -406,7 +451,7 @@ class TestScreenCommand:
         cfg = make_corpus(rng, tmp_path, n=6)
         training = self._training_set(rng, tmp_path)
         _count_dataset_ids(monkeypatch, workers)
-        compute = desc.compute_structure_descriptors
+        compute = desc._neighbors
 
         def planted(s, sfset):
             if s.id.endswith("data.xyz#4"):     # the candidate fails slowly
@@ -416,7 +461,7 @@ class TestScreenCommand:
                 raise trained
             return compute(s, sfset)
 
-        monkeypatch.setattr(desc, "compute_structure_descriptors", planted)
+        monkeypatch.setattr(desc, "_neighbors", planted)
         assert main(["screen", "--config", str(cfg), "--mode", "novelty",
                      "--training-manifest", str(training)]) == code
         assert capsys.readouterr().err.strip() == message
@@ -609,13 +654,13 @@ class TestEmbedCommand:
         # the wrapper below can count it.
         given = _count_dataset_ids(monkeypatch, workers=1)
         described = []
-        compute = desc.compute_structure_descriptors
+        compute = desc._neighbors
 
         def counting(s, *args, **kwargs):
             described.append(s.id)
             return compute(s, *args, **kwargs)
 
-        monkeypatch.setattr(desc, "compute_structure_descriptors", counting)
+        monkeypatch.setattr(desc, "_neighbors", counting)
         cfg = make_corpus(rng, tmp_path, n=7)
         assert main(["embed", "--config", str(cfg), "--source", source, "--method", "pca",
                      "--compare-baseline"]) == 0
@@ -719,7 +764,7 @@ def _forbid_work(monkeypatch):
 
     def fail(*args, **kwargs):
         raise AssertionError("work started before the settings and outputs were checked")
-    monkeypatch.setattr(desc_mod, "compute_structure_descriptors", fail)
+    monkeypatch.setattr(desc_mod, "_neighbors", fail)
     monkeypatch.setattr(emb_mod, "pairwise_distances", fail)
     monkeypatch.setattr(emb_mod, "tsne_embed", fail)
     monkeypatch.setattr(emb_mod, "pca_project", fail)

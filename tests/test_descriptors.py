@@ -1,11 +1,14 @@
 """Symmetry-function values: hand-computed cases and invariance properties."""
 
+import dataclasses
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -276,7 +279,7 @@ def per_column_reference(s, sf):
     blocks = {}
     for e in sf.elements:
         rows = []
-        for i in s.element_indices(e):
+        for i in [j for j, x in enumerate(s.species) if x == e]:
             row = []
             for dd in sf.descriptors[e]:
                 p, cut = dd.params, dd.cutoff
@@ -467,7 +470,7 @@ def reference_blocks(s, sf):
             p = dd.params
             key = (dd.cutoff, p.neighbor_element if isinstance(p, RadialParams) else p.element_pair)
             groups.setdefault(key, []).append((col, p))
-        centers = s.element_indices(e)
+        centers = [i for i, x in enumerate(s.species) if x == e]
         block = np.empty((len(centers), len(sf.descriptors[e])))
         for row, i in zip(block, centers):
             dist, disp = nl.distances[i], nl.displacements[i]
@@ -576,6 +579,265 @@ class TestKernelMatchesReference:
                 assert m.blocks[e].tobytes() == want[e].tobytes(), (s.id, e)
 
 
+def batch_corpus(rng):
+    """Random periodic cells, wrapped and unwrapped, then in shuffled places:
+    molecules with a center that has no neighbor and with collinear and
+    right angles, a cell lacking H, and supercells, one of them large enough
+    to be a batch of its own."""
+    structures = [random_structure(rng, f"r{k}", n_atoms=int(rng.integers(1, 7)),
+                                   unwrapped=bool(k % 2)) for k in range(60)]
+    structures += [
+        isolated(("Fe", "H", "H", "Fe"), [[0, 0, 0], [0.9, 0, 0], [0, 1.1, 0.3], [0, 0, 9.0]],
+                 "lone"),
+        isolated(("H", "Fe", "H", "Fe", "H"),
+                 [[-1, 0, 0], [0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]], "angles"),
+        random_structure(rng, "fe-only", elements=("Fe",), n_atoms=3),
+        build_supercell(random_structure(rng, "small", n_atoms=2), (2, 1, 2)),
+        build_supercell(random_structure(rng, "big", n_atoms=1), (4, 4, 4)),
+    ]
+    return [structures[i] for i in rng.permutation(len(structures))]
+
+
+class TestBatches:
+    """Blocks described in batches, of any split and on any worker count,
+    against ``reference_blocks`` byte for byte, on the two-cutoff set of
+    ``TestKernelMatchesReference`` (zeta = 0 included)."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        sf = TestKernelMatchesReference().symmetry_functions()
+        structures = batch_corpus(np.random.default_rng(23))
+        assert max(s.n_atoms for s in structures) >= desc._ALONE_ATOMS
+        return sf, structures, [reference_blocks(s, sf) for s in structures]
+
+    @staticmethod
+    def assert_reference(corpus, got):
+        sf, structures, want = corpus
+        assert len(got) == len(structures)
+        for s, blocks, ref in zip(structures, got, want):
+            assert list(blocks) == list(sf.elements)
+            for e in sf.elements:
+                assert blocks[e].shape == ref[e].shape, (s.id, e)
+                assert blocks[e].tobytes() == ref[e].tobytes(), (s.id, e)
+                assert not blocks[e].flags.writeable
+
+    def test_one_structure_per_batch(self, corpus):
+        sf, structures, _ = corpus
+        self.assert_reference(corpus, [desc._describe([s], sf)[0] for s in structures])
+
+    @pytest.mark.parametrize("chunk_terms", [1, None, 1 << 24])
+    def test_all_structures_in_one_batch(self, monkeypatch, corpus, chunk_terms):
+        # Chunks of one center each, of the default size, and whole buckets.
+        if chunk_terms is not None:
+            monkeypatch.setattr(desc, "_CHUNK_TERMS", chunk_terms)
+        sf, structures, _ = corpus
+        self.assert_reference(corpus, desc._describe(structures, sf))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_splits(self, corpus, seed):
+        sf, structures, _ = corpus
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.choice(np.arange(1, len(structures)), int(rng.integers(1, 12)),
+                                  replace=False))
+        parts = np.split(np.arange(len(structures)), cuts)
+        got = [blocks for part in parts
+               for blocks in desc._describe([structures[i] for i in part], sf)]
+        self.assert_reference(corpus, got)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("batch_atoms", [0, 40, None])
+    def test_any_worker_count(self, monkeypatch, corpus, workers, batch_atoms):
+        sf, structures, _ = corpus
+        runs = _pool_runs(monkeypatch, workers)
+        if batch_atoms is not None:
+            monkeypatch.setattr(desc, "_BATCH_ATOMS", batch_atoms)
+        got = compute_dataset_descriptors(structures, sf)
+        assert runs == ([] if workers == 1 else [workers])
+        assert [m.structure_id for m in got] == [s.id for s in structures]
+        self.assert_reference(corpus, [m.blocks for m in got])
+
+    def test_a_center_that_could_pass_the_cap_ends_a_run(self, monkeypatch, corpus):
+        # At a cap equal to the most pairs any group of the corpus has, no
+        # structure fails, but each one with a center whose neighbors could
+        # form more pairs than that ends a run of the batch.
+        sf, structures, _ = corpus
+        most = 0
+        for s in structures:
+            nl = neighbor_list(s, sf.max_cutoff)
+            species = np.array(s.species)
+            for i, e in enumerate(s.species):
+                for g in sf.groups[e]:
+                    if not g.is_radial:
+                        near = species[nl.indices[i][nl.distances[i] < g.cut.outer]]
+                        e1, e2 = g.neighbors
+                        n1, n2 = np.count_nonzero(near == e1), np.count_nonzero(near == e2)
+                        most = max(most, n1 * (n1 - 1) // 2 if e1 == e2 else n1 * n2)
+        monkeypatch.setattr(desc, "_MAX_CENTER_PAIRS", most)
+        runs = []
+        describe_run = desc._describe_run
+
+        def spy(batch, sfset):
+            runs.append(len(batch))
+            return describe_run(batch, sfset)
+
+        monkeypatch.setattr(desc, "_describe_run", spy)
+        self.assert_reference(corpus, desc._describe(structures, sf))
+        assert len(runs) > 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batches_are_runs_under_the_atom_and_work_budgets(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(0, desc._ALONE_ATOMS, 400)
+        sizes[rng.random(400) < 0.02] = desc._ALONE_ATOMS + rng.integers(0, 200)
+        edges = np.where(rng.random(400) < 0.5, 3.0, 8.0)    # dense and sparse cells
+        structures = [types.SimpleNamespace(n_atoms=int(n), periodic=(True,) * 3,
+                                            cell=np.eye(3) * edge)
+                      for n, edge in zip(sizes, edges)]
+        work = np.array([desc._work(s, 5.0) for s in structures])
+        batches = desc._batches(structures, 5.0)
+        assert [i for b in batches for i in b] == list(range(len(sizes)))
+        alone = sizes >= desc._ALONE_ATOMS
+        share = work[~alone].sum() / -(-sizes[~alone].sum() // desc._BATCH_ATOMS)
+        for b, after in zip(batches, batches[1:] + [None]):
+            atoms, done = sizes[b.start:b.stop].sum(), work[b.start:b.stop].sum()
+            if len(b) > 1:
+                assert not alone[b.start:b.stop].any()
+                assert atoms <= desc._BATCH_ATOMS and done <= share
+            # A batch of small structures ends only where the next one is
+            # large or would take it over a budget.
+            if after is not None and not alone[b.start] and not alone[after.start]:
+                nxt = after.start
+                assert (atoms + sizes[nxt] > desc._BATCH_ATOMS
+                        or done + work[nxt] > share), (b, after)
+
+    def test_work_estimate(self):
+        cell = types.SimpleNamespace(n_atoms=2, periodic=(True, True, False), cell=np.eye(3) * 2.0)
+        molecule = types.SimpleNamespace(n_atoms=5, periodic=(False,) * 3, cell=np.zeros((3, 3)))
+        k = 2 / 8.0 * 4.0 / 3.0 * np.pi * 3.0 ** 3
+        assert desc._work(cell, 3.0) == pytest.approx(2 * (1 + k * k))
+        assert desc._work(molecule, 3.0) == 5 * (1 + 4 * 4)
+
+
+ERROR_CUT = CutoffParams(inner=2.0, outer=3.0)
+
+
+def error_set(elements=("Fe", "H")):
+    """Fe centers with an H-H column whose zeta of 1e308 is non-finite at any
+    acute angle (inf times a scale of 0), H centers with an Fe-Fe column."""
+    cols = {
+        "Fe": (DescriptorDef(RadialParams(0.5, 0.0, "H"), ERROR_CUT),
+               DescriptorDef(AngularParams(0.0, 1e308, 1, "G5", ("H", "H")), ERROR_CUT)),
+        "H": (DescriptorDef(RadialParams(0.5, 0.0, "Fe"), ERROR_CUT),
+              DescriptorDef(AngularParams(0.0, 1.0, 1, "G5", ("Fe", "Fe")), ERROR_CUT)),
+    }
+    return SymmetryFunctionSet(elements=elements, descriptors={e: cols[e] for e in elements})
+
+
+def error_structures():
+    """With a pair cap of 2: "fine" is described, "nan" has a non-finite
+    Fe value, "tiny" fails its neighbor search, "capped" has an H center
+    with 6 Fe-Fe pairs, and "both" has both a non-finite Fe value and that
+    H center."""
+    cross = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]
+    return {
+        "fine": isolated(("Fe", "H"), [[0, 0, 0], [1, 0, 0]], "fine"),
+        "nan": isolated(("Fe", "H", "H"), [[0, 0, 0], [1, 0, 0], [0.8, 0.6, 0]], "nan"),
+        "tiny": Structure(cell=np.eye(3) * 0.05, species=("Fe",), positions=np.zeros((1, 3)),
+                          periodic=(True,) * 3, id="tiny"),
+        "capped": isolated(("H",) + ("Fe",) * 4, [[0, 0, 0]] + cross, "capped"),
+        "both": isolated(("Fe", "H", "H", "Fe", "Fe", "Fe"),
+                         [[0, 0, 0], [1, 0, 0], [0.8, 0.6, 0], [2, 0, 0], [1, 1, 0], [1, -1, 0]],
+                         "both"),
+    }
+
+
+NAN = "non-finite descriptor value in structure '{}', element Fe"
+CAPPED = "structure '{}': one atom has 6 Fe-Fe neighbor pairs, more than 2; the cell is too dense"
+TINY = "structure 'tiny': a 3.0 Å cutoff needs 1860867 periodic images of its cell"
+
+
+class TestBatchErrors:
+    """Inside a batch, as across batches, the error is the serial loop's:
+    that of the first failing structure, and within it the first one its
+    evaluation meets (the element check, the neighbor search, then per
+    element in order a center over the pair cap and a non-finite value)."""
+
+    CASES = [
+        (("Fe", "H"), ("nan", "tiny"), NAN.format("nan")),
+        (("Fe", "H"), ("tiny", "nan"), TINY),
+        (("Fe", "H"), ("capped", "nan"), CAPPED.format("capped")),
+        (("Fe", "H"), ("nan", "capped"), NAN.format("nan")),
+        (("Fe", "H"), ("both", "capped"), NAN.format("both")),
+        (("H", "Fe"), ("both", "nan"), CAPPED.format("both")),
+        (("H", "Fe"), ("nan", "both"), NAN.format("nan")),
+    ]
+
+    def cases(self, monkeypatch):
+        monkeypatch.setattr(desc, "_MAX_CENTER_PAIRS", 2)
+        found = error_structures()
+        fine = [dataclasses.replace(found["fine"], id=f"fine{k}") for k in range(6)]
+        for elements, names, message in self.CASES:
+            yield (error_set(elements), fine[:3] + [found[n] for n in names] + fine[3:], message)
+
+    def test_in_one_batch_and_one_per_batch(self, monkeypatch):
+        for sf, structures, message in self.cases(monkeypatch):
+            with pytest.raises(UserInputError, match=re.escape(message)):
+                desc._describe(structures, sf)
+            with pytest.raises(UserInputError, match=re.escape(message)):
+                for s in structures:        # the loop over single structures
+                    compute_structure_descriptors(s, sf)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("batch_atoms", [0, 3, None])
+    def test_any_split_and_worker_count(self, monkeypatch, workers, batch_atoms):
+        _pool_runs(monkeypatch, workers)
+        if batch_atoms is not None:
+            monkeypatch.setattr(desc, "_BATCH_ATOMS", batch_atoms)
+        for sf, structures, message in self.cases(monkeypatch):
+            with pytest.raises(UserInputError, match=re.escape(message)):
+                compute_dataset_descriptors(structures, sf)
+        assert multiprocessing.active_children() == []
+
+    def test_the_first_center_and_group_over_the_cap_is_named(self, monkeypatch):
+        # The first Fe center has 3 Fe and 3 H neighbors, over the cap in
+        # every angular group; the second has 4 Fe neighbors (6 pairs).
+        monkeypatch.setattr(desc, "_MAX_CENTER_PAIRS", 2)
+        sf = build_symmetry_functions(("Fe", "H"), GridConfig(cutoff=2.0))
+        assert [g.neighbors for g in sf.groups["Fe"] if not g.is_radial] == [
+            ("Fe", "Fe"), ("Fe", "H"), ("H", "H")]
+        s = isolated(("H", "Fe", "Fe", "Fe", "Fe", "H", "H", "Fe"),
+                     [[-1, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0],
+                      [0, 0, -1], [2.5, 0, 0]], "dense")
+        fine = error_structures()["fine"]
+        with pytest.raises(UserInputError, match="'dense': one atom has 3 Fe-Fe neighbor pairs"):
+            desc._describe([fine, s, fine], sf)
+
+    def test_no_neighbor_list_after_a_structure_over_the_cap(self, monkeypatch):
+        monkeypatch.setattr(desc, "_MAX_CENTER_PAIRS", 2)
+        found = error_structures()
+        searched = []
+        neighbors = desc._neighbors
+
+        def counting(s, sfset):
+            searched.append(s.id)
+            return neighbors(s, sfset)
+
+        monkeypatch.setattr(desc, "_neighbors", counting)
+        batch = [found["fine"], found["capped"]] + [found["fine"]] * 5
+        with pytest.raises(UserInputError, match=re.escape(CAPPED.format("capped"))):
+            desc._describe(batch, error_set())
+        assert searched == ["fine", "capped"]
+
+    def test_the_pair_cap_is_checked_before_any_pair_of_the_batch(self, monkeypatch):
+        # A center over the cap in the first structure: the batch stops there,
+        # so no pair of any of its structures is built.
+        monkeypatch.setattr(desc, "_MAX_CENTER_PAIRS", 2)
+        found = error_structures()
+        monkeypatch.setattr(desc, "_pair_indices", None)       # never reached
+        with pytest.raises(UserInputError, match=re.escape(CAPPED.format("capped"))):
+            desc._describe([found["capped"], found["nan"], found["both"]], error_set(("H", "Fe")))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.floats(min_value=0.0, max_value=4.0),
@@ -629,8 +891,10 @@ def _pool_runs(monkeypatch, workers, min_atoms=0):
 def _planted(monkeypatch, plan, log=None):
     """Make describing a structure named in ``plan`` (id -> (seconds,
     exception or None)) sleep that long, then raise that exception or go on;
-    with ``log``, append every described id to that file first."""
-    compute = desc.compute_structure_descriptors
+    with ``log``, append every described id to that file first.  Every
+    structure is a batch of its own, so each is one task of the pool."""
+    monkeypatch.setattr(desc, "_BATCH_ATOMS", 0)
+    compute = desc._neighbors
 
     def planted(s, sfset):
         if log is not None:
@@ -642,7 +906,7 @@ def _planted(monkeypatch, plan, log=None):
             raise exc
         return compute(s, sfset)
 
-    monkeypatch.setattr(desc, "compute_structure_descriptors", planted)
+    monkeypatch.setattr(desc, "_neighbors", planted)
 
 
 # Ten structures on two workers: one worker takes a minute over c0 (and
@@ -660,7 +924,8 @@ from conftest import dyadic_structure
 
 parallel.cpu_count = lambda: 2
 desc._POOL_MIN_ATOMS = 0
-compute = desc.compute_structure_descriptors
+desc._BATCH_ATOMS = 0
+compute = desc._neighbors
 
 def slow(s, sfset):
     if s.id == "c0":
@@ -669,7 +934,7 @@ def slow(s, sfset):
         time.sleep(60)
     return compute(s, sfset)
 
-desc.compute_structure_descriptors = slow
+desc._neighbors = slow
 rng = np.random.default_rng(1)
 structures = [dyadic_structure(rng, f"c{k}", n_atoms=5) for k in range(10)]
 desc.compute_dataset_descriptors(structures, build_symmetry_functions(("Fe", "H"), GridConfig(cutoff=4.0)))
@@ -799,14 +1064,15 @@ class TestPool:
 
     def test_a_killed_worker_is_an_error_not_a_hang(self, monkeypatch, corpus):
         sf, structures, _ = corpus
-        compute = desc.compute_structure_descriptors
+        compute = desc._neighbors
 
         def killed(s, sfset):
             if s.id == structures[3].id:     # as the kernel's out-of-memory killer would
                 os.kill(os.getpid(), signal.SIGKILL)
             return compute(s, sfset)
 
-        monkeypatch.setattr(desc, "compute_structure_descriptors", killed)
+        monkeypatch.setattr(desc, "_BATCH_ATOMS", 0)
+        monkeypatch.setattr(desc, "_neighbors", killed)
         _pool_runs(monkeypatch, 2)
         with pytest.raises(RuntimeError, match=f"exited with code {-signal.SIGKILL}"):
             compute_dataset_descriptors(structures[:10], sf)
