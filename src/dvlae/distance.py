@@ -20,8 +20,9 @@ XOR and Euclidean kernels walk (rows of A) x (rows of B) blocks sized so the
 per-block temporary stays within ``_BLOCK_BYTES``; memory is the output plus
 that fixed budget, whatever the input sizes.  The budget is a constant: on a
 2-core x86-64 host, blocks of 4-16 MB were no faster than 1 MB (16 MB was
-slower) and only cost memory.  The product form accumulates in the memory
-of its own int64 output, which holds two float32 n x n matrices.
+slower) and only cost memory.  The product form adds each column block's
+product into a float32 n x n Gram matrix, turns that into the distances in
+place and casts them to int64 once: 12 n^2 bytes at its peak.
 
 For a search of the first row within a Hamming radius, ``block_popcounts``
 gives lower bounds of the distance from popcounts alone, and
@@ -117,33 +118,15 @@ def hamming_pdist(x: np.ndarray) -> np.ndarray:
     n, width = x.shape
     if 8 * width > _PRODUCT_MAX_BITS:
         return hamming_cdist(x, x)
-    out = np.empty((n, n), dtype=np.int64)
-    if not (n and width):
-        out.fill(0)
-        return out
-    # The output's memory is two float32 n x n matrices: the Gram matrix
-    # U U^T and each column block's share of it.
-    gram, part = out.reshape(-1).view(np.float32).reshape(2, n, n)
-    unpacked = np.empty((n, 8 * min(width, _GRAM_BLOCK_BYTES)), dtype=np.float32)
+    gram = np.zeros((n, n), dtype=np.float32)     # U U^T
     for j in range(0, width, _GRAM_BLOCK_BYTES):
-        bits = np.unpackbits(x[:, j : j + _GRAM_BLOCK_BYTES], axis=1)
-        u = unpacked[:, : bits.shape[1]]
-        np.copyto(u, bits)
-        if j == 0:
-            np.matmul(u, u.T, out=gram)
-        else:
-            np.matmul(u, u.T, out=part)
-            gram += part
+        u = np.unpackbits(x[:, j : j + _GRAM_BLOCK_BYTES], axis=1).astype(np.float32)
+        gram += u @ u.T
     s = gram.diagonal().copy()      # each row's popcount
-    # Last rows first: output row r overwrites Gram rows 2r and 2r + 1 (or
-    # ``part``), never a row still to be read, and each block is copied out
-    # of the Gram matrix before its output rows are written.
-    for rows in reversed(list(row_blocks(n, 4 * n))):
-        dist = gram[rows] * np.float32(-2.0)
-        dist += s[rows, None]
-        dist += s
-        out[rows] = dist
-    return out
+    gram *= np.float32(-2.0)
+    gram += s[:, None]
+    gram += s
+    return gram.astype(np.int64)
 
 
 def block_popcounts(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

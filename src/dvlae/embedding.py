@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import parallel
-from .distance import _BLOCK_BYTES, euclidean_cdist, hamming_pdist
+from .distance import _BLOCK_BYTES, euclidean_cdist, hamming_pdist, row_blocks
 from .errors import FormatError, UserInputError
 from .ioutil import atomic_write_text, read_input_text
 
@@ -45,11 +45,10 @@ _TSNE_BYTES_PER_PAIR = 6 * 8
 _PCA_BYTES_PER_ELEMENT = 6 * 8
 # One budget bounds both methods.
 _MEMORY_BUDGET = 4 << 30
-# The t-SNE loop hands its elementwise passes to one thread per CPU, at most
-# _TSNE_MAX_WORKERS (only 2 CPUs were measured), in blocks of this many rows:
-# at n = 1000 on 2 cores, 32-128 rows ran equally fast and 16 slower.
+# The t-SNE loop hands its elementwise passes to ``parallel.max_workers``
+# threads in blocks of this many rows: at n = 1000 on 2 cores, 32-128 rows ran
+# equally fast and 16 slower.
 _TSNE_BLOCK_ROWS = 64
-_TSNE_MAX_WORKERS = 8
 # Perplexity calibration spreads its rows over the forked workers of
 # ``parallel.fork_map`` from this many points on.  Measured in-process,
 # start-up included (2 cores, one BLAS thread, median of 15, two runs, four
@@ -58,8 +57,8 @@ _TSNE_MAX_WORKERS = 8
 # points took 54-81 and 49-57 ms, 300 points 107-134 and 79-89 ms, 1000
 # points 756 and 344 ms.
 _CALIBRATION_POOL_MIN_POINTS = 200
-# ``embed_vectors`` does not use the KL trace, so it has the KL divergence
-# evaluated only on every _KL_EVERY-th iteration and on the last.
+# The t-SNE loop evaluates the KL divergence only on every _KL_EVERY-th
+# iteration and on the last: ``embed_vectors`` keeps none of the trace.
 _KL_EVERY = 50
 # The standard schedule (van der Maaten & Hinton, JMLR 2008): affinities
 # exaggerated and momentum low until the switch iteration.
@@ -258,10 +257,8 @@ def _lead_loadings(x: np.ndarray, packed: bool, vec: np.ndarray) -> np.ndarray:
 def _column_blocks(x: np.ndarray, packed: bool) -> Iterator[np.ndarray]:
     """Mean-centered float column blocks of ``x`` (packed bytes unpacked to
     0/1), each within the distance kernels' block budget."""
-    step = max(1, _BLOCK_BYTES // (8 * len(x) * (8 if packed else 1)))
-    for j in range(0, x.shape[1], step):
-        block = x[:, j : j + step]
-        block = (np.unpackbits(block, axis=1) if packed else block).astype(float)
+    for cols in row_blocks(x.shape[1], 8 * len(x) * (8 if packed else 1)):
+        block = (np.unpackbits(x[:, cols], axis=1) if packed else x[:, cols]).astype(float)
         block -= block.mean(axis=0)
         yield block
 
@@ -269,9 +266,7 @@ def _column_blocks(x: np.ndarray, packed: bool) -> Iterator[np.ndarray]:
 def _row_blocks(x: np.ndarray, packed: bool, mean) -> Iterator[tuple[slice, np.ndarray]]:
     """(rows, those rows as floats minus ``mean``) over row blocks of ``x``
     (packed bytes unpacked to 0/1), each within the block budget."""
-    step = max(1, _BLOCK_BYTES // (8 * x.shape[1] * (8 if packed else 1)))
-    for i in range(0, len(x), step):
-        rows = slice(i, i + step)
+    for rows in row_blocks(len(x), 8 * x.shape[1] * (8 if packed else 1)):
         block = np.unpackbits(x[rows], axis=1) if packed else x[rows]
         yield rows, block - mean
 
@@ -362,24 +357,25 @@ def joint_probabilities(distances: np.ndarray, perplexity: float) -> np.ndarray:
 
 
 def tsne_embed(
-    distances: np.ndarray, cfg: TsneConfig = TsneConfig(), kl_every: int = 1
+    distances: np.ndarray, cfg: TsneConfig = TsneConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact t-SNE on a precomputed distance matrix.
 
     Returns (coordinates (n, 2), KL divergence per iteration).  The KL trace
     is computed against the unexaggerated affinities, so it is comparable
-    across the whole run.  It is evaluated on every ``kl_every``-th iteration
-    (0, kl_every, ...) and on the last, and is NaN on the others; the
-    coordinates do not depend on ``kl_every``.
+    across the whole run.  It is evaluated on every ``_KL_EVERY``-th
+    iteration (0, _KL_EVERY, ...) and on the last, and is NaN on the others;
+    the coordinates do not depend on ``_KL_EVERY``.
     """
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise UserInputError("distance matrix must be square")
     n = len(d)
     cfg.validate_for(n)
-    if kl_every < 1:
-        raise UserInputError(f"kl_every must be >= 1, got {kl_every}")
     p = joint_probabilities(d, cfg.perplexity)
+    # Only P is read from here on.  Dropping these references frees a
+    # temporary distance matrix, as ``embed_vectors`` passes, before the loop.
+    del d, distances
 
     rng = np.random.default_rng(cfg.seed)
     y = rng.normal(0.0, 1e-2, size=(n, 2))
@@ -393,7 +389,7 @@ def tsne_embed(
     # to evaluating it with fresh arrays:
     #   inv = 1 / (1 + |y_i - y_j|^2), zero diagonal
     #   q   = max(inv / sum(inv), floor)               (per row block: scratch)
-    #   KL  = sum(p * log(p / q))  (kl_every-th only)  (scratch: w)
+    #   KL  = sum(p * log(p / q))  (_KL_EVERY-th only) (scratch: w)
     #   w   = (exaggeration * p - q) * inv             (p alone once switched)
     #   grad = 4 * (diag(rowsum(w)) - w) @ y = -4 * (w with diagonal
     #          -(rowsum(w) - w_ii)) @ y                (negating and x4 are exact)
@@ -409,7 +405,7 @@ def tsne_embed(
     inv = np.empty((n, n))
     w = np.empty((n, n))
     blocks = [slice(i, min(i + _TSNE_BLOCK_ROWS, n)) for i in range(0, n, _TSNE_BLOCK_ROWS)]
-    workers = max(1, min(parallel.cpu_count(), _TSNE_MAX_WORKERS, len(blocks)))
+    workers = parallel.max_workers(len(blocks))
     scratch = np.empty((workers, min(_TSNE_BLOCK_ROWS, n), n))
     # A huge learning rate overflows y to inf and nan; the finiteness check
     # reports that, so numpy's warnings would only print ahead of its error.
@@ -431,7 +427,7 @@ def tsne_embed(
         for it in range(cfg.iterations):
             each_block(_inverse_rows, np.ascontiguousarray(y.T), inv)
             total = inv.sum()
-            if it % kl_every == 0 or it == cfg.iterations - 1:
+            if it % _KL_EVERY == 0 or it == cfg.iterations - 1:
                 each_block(_kl_rows, p, inv, w, total)
                 kl_trace[it] = float(w.sum())
                 finite = np.isfinite(kl_trace[it])
@@ -520,7 +516,7 @@ def embed_vectors(
         coords = pca_project(vectors, metric=metric)
     elif method == "tsne":
         cfg.validate_for(len(vectors))
-        coords, _ = tsne_embed(pairwise_distances(vectors, metric=metric), cfg, _KL_EVERY)
+        coords, _ = tsne_embed(pairwise_distances(vectors, metric=metric), cfg)
     else:
         raise UserInputError(f"unknown embedding method {method!r}")
     return Embedding(ids=tuple(ids), tags=tuple(tags), coords=coords)

@@ -1,6 +1,6 @@
-"""How many CPUs this process may use, and the forked process pool that
-descriptors and perplexity calibration share; the t-SNE thread pool sizes
-itself by the same CPU count."""
+"""How many workers this process may use, and the forked process pool that
+descriptors and perplexity calibration share; the t-SNE thread pool takes
+the same worker cap."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import signal
 import threading
 from typing import Callable, Sequence
 
-# At most this many forked workers (only 2 CPUs were measured).
+# At most this many workers, forked or threads (only 2 CPUs were measured).
 _MAX_WORKERS = 8
 
 # The per-index function of the running pool; workers inherit it by the fork,
@@ -27,12 +27,17 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def max_workers(tasks: int) -> int:
+    """Workers for ``tasks`` independent tasks: one per CPU this process may
+    use, at most ``_MAX_WORKERS`` and at most one per task."""
+    return min(cpu_count(), _MAX_WORKERS, tasks)
+
+
 def pool_workers(tasks: int, enough_work: bool) -> int:
-    """Forked workers for ``tasks`` independent tasks: one per CPU this process
-    may use, at most ``_MAX_WORKERS`` and at most one per task; 0 (run
-    serially) with fewer than 2 of those, without ``enough_work`` to pay for
-    starting them, or where ``fork`` is missing."""
-    workers = min(cpu_count(), _MAX_WORKERS, tasks)
+    """Forked workers for ``tasks`` independent tasks, ``max_workers(tasks)``;
+    0 (run serially) with fewer than 2 of those, without ``enough_work`` to
+    pay for starting them, or where ``fork`` is missing."""
+    workers = max_workers(tasks)
     return workers if workers > 1 and enough_work and _can_fork() else 0
 
 

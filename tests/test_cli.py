@@ -728,7 +728,7 @@ class TestEmbedCommand:
         # 4 kB budget: never the whole (n, n_bits) matrix.
         assert 8 * 14 * fpset.spec.n_bits > 4096
         monkeypatch.setattr(dist_mod, "_GRAM_BLOCK_BYTES", 2)
-        monkeypatch.setattr(emb_mod, "_BLOCK_BYTES", 4096)
+        monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", 4096)
         monkeypatch.setattr(np, "unpackbits", recording_unpack)
         assert main(["embed", "--config", str(cfg), "--input", str(fps),
                      "--method", method]) == 0

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -174,10 +175,10 @@ def no_xor(monkeypatch):
     (2, 100, None, None),       # two rows, 13 bytes
     (2, 0, None, None),         # zero-width rows
     (40, 5800, None, None),     # 725-byte rows at the real block sizes: six column blocks
-    # 9-byte rows in 5 column blocks (the last of one byte), one row per output block
+    # 9-byte rows in 5 column blocks (the last of one byte); XOR in 1 x 4 pair blocks
     (25, 70, 2, 64),
-    (33, 1043, 16, 512),        # 131-byte rows: 9 column blocks, 3 rows per output block
-    (17, 8, 1, 68),             # one byte: one column block, one row per output block
+    (33, 1043, 16, 512),        # 131-byte rows: 9 column blocks; XOR in 1 x 3 pair blocks
+    (17, 8, 1, 68),             # one byte: one column block; XOR in 1 x 8 pair blocks
 ])
 def test_one_set_equals_unpacked_oracle(rng, monkeypatch, n_rows, n_bits, gram_bytes, budget):
     if gram_bytes is not None:
@@ -208,6 +209,23 @@ def test_one_set_exact_at_the_fingerprint_bit_cap(monkeypatch):
                                                 [0, 0, n_bits, half],
                                                 [n_bits, n_bits, 0, half],
                                                 [half, half, half, 0]])
+
+
+def test_one_set_holds_no_extra_square_matrix(rng, monkeypatch):
+    # Its peak is the float32 Gram matrix and the int64 result (12 n^2 bytes)
+    # plus one unpacked column block (a byte and a float32 per bit): one more
+    # n x n float32 temporary (1.44 MB) would break the bound.
+    monkeypatch.setattr(dist_mod, "_GRAM_BLOCK_BYTES", 16)
+    n = 600
+    rows = rng.integers(0, 256, (n, 32), dtype=np.uint8)     # two column blocks
+    tracemalloc.start()
+    try:
+        got = hamming_pdist(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * n * n + n * 8 * 16 * (1 + 4)
+    assert np.array_equal(got, hamming_cdist(rows, rows))
 
 
 def test_one_set_checks_its_rows():

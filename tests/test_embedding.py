@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -264,6 +265,12 @@ class TestPerplexityCalibration:
         assert (p >= 0).all()
 
 
+@pytest.fixture
+def every_kl(monkeypatch):
+    """Have tsne_embed evaluate the KL divergence on every iteration."""
+    monkeypatch.setattr(emb_mod, "_KL_EVERY", 1)
+
+
 def three_clusters(rng, per_cluster=20, sep=30.0):
     centers = np.array([[0, 0, 0, 0, 0], [sep, 0, 0, 0, 0], [0, sep, 0, 0, 0]], float)
     points = np.vstack([c + rng.normal(0, 1.0, (per_cluster, 5)) for c in centers])
@@ -272,7 +279,7 @@ def three_clusters(rng, per_cluster=20, sep=30.0):
 
 
 class TestTsne:
-    def test_kl_divergence_decreases(self, rng):
+    def test_kl_divergence_decreases(self, rng, every_kl):
         points, _ = three_clusters(rng)
         d = pairwise_distances(points)
         _, kl = tsne_embed(d, TsneConfig(perplexity=12, iterations=400, seed=1))
@@ -300,7 +307,7 @@ class TestTsne:
             block = y[g * 5 : (g + 1) * 5]
             assert pairwise_distances(block).max() <= 1e-3
 
-    def test_fixed_seed_is_bit_identical(self, rng):
+    def test_fixed_seed_is_bit_identical(self, rng, every_kl):
         points, _ = three_clusters(rng, per_cluster=10)
         d = pairwise_distances(points)
         cfg = TsneConfig(perplexity=5, iterations=300, seed=9)
@@ -325,12 +332,36 @@ class TestTsne:
         with pytest.raises(UserInputError, match="seed must be >= 0, got -1"):
             TsneConfig(seed=-1)
 
-    def test_coordinates_finite(self, rng):
+    def test_coordinates_finite(self, rng, every_kl):
         points, _ = three_clusters(rng, per_cluster=8)
         d = pairwise_distances(points)
         y, kl = tsne_embed(d, TsneConfig(perplexity=4, iterations=500, seed=0))
         assert np.isfinite(y).all()
         assert np.isfinite(kl).all()
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="CPython 3.10 holds a call's arguments until it returns")
+    def test_embed_vectors_frees_the_distance_matrix_before_the_loop(self, rng, monkeypatch):
+        # Only P is read in the loop: the n x n distances are dead by then.
+        made, live_at_loop = [], []
+        distances, inverse_rows = emb_mod.pairwise_distances, emb_mod._inverse_rows
+
+        def made_distances(vectors, metric="euclidean"):
+            out = distances(vectors, metric)
+            made.append(weakref.ref(out))
+            return out
+
+        def first_inverse_rows(*args):
+            if not live_at_loop:
+                live_at_loop.append(made[0]() is not None)
+            inverse_rows(*args)
+
+        monkeypatch.setattr(emb_mod, "pairwise_distances", made_distances)
+        monkeypatch.setattr(emb_mod, "_inverse_rows", first_inverse_rows)
+        points, _ = three_clusters(rng, per_cluster=8)
+        embed_vectors([str(i) for i in range(24)], [None] * 24, points,
+                      cfg=TsneConfig(perplexity=4, iterations=5))
+        assert live_at_loop == [False]
 
 
 def reference_tsne(distances, cfg, switch=250, reached=None):
@@ -377,6 +408,7 @@ def reference_tsne(distances, cfg, switch=250, reached=None):
     return y, kl_trace
 
 
+@pytest.mark.usefixtures("every_kl")
 class TestTsneMatchesReference:
     """``tsne_embed`` is bit-identical to ``reference_tsne``: coordinates and
     the whole KL trace, on either metric, before and after the switch."""
@@ -477,7 +509,7 @@ class TestTsneMatchesReference:
                               TsneConfig(perplexity=5, iterations=60), monkeypatch, 25)
         finally:
             sys.setswitchinterval(interval)
-        assert sizes == [emb_mod._TSNE_MAX_WORKERS]
+        assert sizes == [parallel._MAX_WORKERS]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_worker_thread_outlives_the_call(self, rng, monkeypatch):
@@ -503,18 +535,20 @@ class TestTsneMatchesReference:
 
 
 class TestKlEvery:
-    """``kl_every`` thins the KL trace: coordinates and the evaluated entries
+    """``_KL_EVERY`` thins the KL trace: coordinates and the evaluated entries
     are those of the full trace, and a non-finite state is an error at the
     same iteration."""
 
     @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
     @pytest.mark.parametrize("iterations", [1, 50, 51, 149, 260])
     def test_coordinates_and_evaluated_entries_equal_the_full_run(
-            self, rng, metric, iterations):
+            self, rng, monkeypatch, metric, iterations):
         d = TestTsneMatchesReference._distances(rng, 30, metric)
         cfg = TsneConfig(perplexity=5.0, iterations=iterations, seed=iterations)
+        assert emb_mod._KL_EVERY == 50
+        y, kl = tsne_embed(d, cfg)
+        monkeypatch.setattr(emb_mod, "_KL_EVERY", 1)
         y_full, kl_full = tsne_embed(d, cfg)
-        y, kl = tsne_embed(d, cfg, kl_every=50)
         assert np.array_equal(y, y_full)
         it = np.arange(iterations)
         evaluated = (it % 50 == 0) | (it == iterations - 1)
@@ -523,24 +557,20 @@ class TestKlEvery:
         assert np.isfinite(kl_full).all()
 
     def test_embed_vectors_evaluates_every_fiftieth(self, rng, monkeypatch):
-        kl_every = []
+        traces = []
         tsne = emb_mod.tsne_embed
 
-        def spy(d, cfg, every=1):
-            kl_every.append(every)
-            return tsne(d, cfg, every)
+        def spy(d, cfg):
+            y, kl = tsne(d, cfg)
+            traces.append(kl)
+            return y, kl
 
         monkeypatch.setattr(emb_mod, "tsne_embed", spy)
         points = rng.normal(0, 1, (20, 3))
         cfg = TsneConfig(perplexity=4, iterations=60, seed=5)
         emb = embed_vectors([str(i) for i in range(20)], [None] * 20, points, cfg=cfg)
-        assert kl_every == [50]
+        assert [np.flatnonzero(~np.isnan(kl)).tolist() for kl in traces] == [[0, 50, 59]]
         assert np.array_equal(emb.coords, tsne(pairwise_distances(points), cfg)[0])
-
-    def test_kl_every_below_one_rejected(self, rng):
-        d = pairwise_distances(rng.normal(0, 1, (12, 3)))
-        with pytest.raises(UserInputError, match="kl_every must be >= 1, got 0"):
-            tsne_embed(d, TsneConfig(perplexity=3, iterations=5), kl_every=0)
 
     @staticmethod
     def _iterations_begun(monkeypatch):
@@ -571,21 +601,22 @@ class TestKlEvery:
             except UserInputError:
                 y_ref = None
             for kl_every in (1, 50):
+                monkeypatch.setattr(emb_mod, "_KL_EVERY", kl_every)
                 begun.clear()
                 if y_ref is None:
                     with pytest.raises(UserInputError, match="non-finite"):
-                        tsne_embed(d, cfg, kl_every=kl_every)
+                        tsne_embed(d, cfg)
                     assert len(begun) == len(reached), (lr, kl_every)
                     # every pair overflowed: 1 / (1 + inf) is 0 throughout
                     assert begun[-1].sum() == 0.0
                 else:
-                    assert np.array_equal(tsne_embed(d, cfg, kl_every=kl_every)[0], y_ref)
+                    assert np.array_equal(tsne_embed(d, cfg)[0], y_ref)
             outcomes.append(y_ref is None)
         assert any(outcomes) and not all(outcomes)
 
     def test_non_finite_affinities_fail_at_the_first_iteration(self, rng, monkeypatch):
         # A NaN distance makes its row of P NaN: the KL divergence is NaN at
-        # iteration 0, which every kl_every evaluates.
+        # iteration 0, which every _KL_EVERY evaluates.
         begun = self._iterations_begun(monkeypatch)
         d = pairwise_distances(rng.normal(0, 1, (12, 3)))
         d[3, 5] = np.nan
@@ -595,9 +626,10 @@ class TestKlEvery:
             reference_tsne(d, cfg, reached=reached)
         assert reached == [0]
         for kl_every in (1, 50):
+            monkeypatch.setattr(emb_mod, "_KL_EVERY", kl_every)
             begun.clear()
             with pytest.raises(UserInputError, match="non-finite"):
-                tsne_embed(d, cfg, kl_every=kl_every)
+                tsne_embed(d, cfg)
             assert len(begun) == 1
 
 
