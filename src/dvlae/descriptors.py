@@ -8,7 +8,7 @@ repeated evaluation is bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,9 +40,8 @@ class CutoffParams:
 
     def __post_init__(self):
         if not (0.0 <= self.inner < self.outer < np.inf):
-            raise UserInputError(
-                f"need 0 <= inner < outer < inf, got inner={self.inner}, outer={self.outer}"
-            )
+            raise UserInputError(f"need 0 <= inner < outer < inf, "
+                                 f"got inner={self.inner}, outer={self.outer}")
 
 
 @dataclass(frozen=True)
@@ -111,26 +110,18 @@ class SymmetryFunctionSet:
     max_cutoff: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(
-            self, "descriptors", {e: tuple(self.descriptors[e]) for e in self.elements}
-        )
-        for e in self.elements:
-            if not self.descriptors[e]:
+        elements = tuple(self.elements)
+        defs = {e: tuple(self.descriptors[e]) for e in elements}
+        for e in elements:
+            if not defs[e]:
                 raise UserInputError(f"element {e} has no descriptors")
-        object.__setattr__(
-            self, "groups", {e: _group_columns(self.descriptors[e]) for e in self.elements}
-        )
-        object.__setattr__(
-            self, "labels", {e: tuple(d.label for d in self.descriptors[e]) for e in self.elements}
-        )
-        object.__setattr__(
-            self, "layout", tuple((e, lbl) for e in self.elements for lbl in self.labels[e])
-        )
-        object.__setattr__(
-            self, "max_cutoff",
-            max(d.cutoff.outer for defs in self.descriptors.values() for d in defs),
-        )
+        labels = {e: tuple(d.label for d in defs[e]) for e in elements}
+        for name, value in (
+                ("elements", elements), ("descriptors", defs), ("labels", labels),
+                ("groups", {e: _group_columns(defs[e]) for e in elements}),
+                ("layout", tuple((e, lbl) for e in elements for lbl in labels[e])),
+                ("max_cutoff", max(d.cutoff.outer for e in elements for d in defs[e]))):
+            object.__setattr__(self, name, value)
 
     def column_layout(self) -> tuple[tuple[str, str], ...]:
         """(element, label) per column, in canonical order."""
@@ -177,6 +168,9 @@ class _Group:
         cols, params = zip(*members)
         self.cut, self.neighbors, self.cols = cut, neighbors, np.array(cols)
         self.is_radial = isinstance(params[0], RadialParams)
+        # Every parameter but the neighbor element(s), the last field: groups
+        # of one center element with equal keys are evaluated as one pool.
+        self.key = (cut,) + tuple(astuple(p)[:-1] for p in params)
         if self.is_radial:
             self.eta = np.array([[p.eta] for p in params], dtype=float)
             self.r_s = np.array([[p.r_s] for p in params], dtype=float)
@@ -198,18 +192,32 @@ class _Group:
         self.taper_g4 = np.array([[kind == "G4"] for kind in kinds])
         self.scale = np.array([2.0 ** (1.0 - p.zeta) for p in params])
 
-    def radial(self, d: np.ndarray, fc: np.ndarray) -> np.ndarray:
-        """G2 over neighbor distances ``d`` in canonical order, with their
-        tapers ``fc``.  Each center's terms are one contiguous row, so the sum
-        along the last axis adds them exactly as ``np.sum`` adds that row."""
-        shape = (-1,) + (1,) * d.ndim
-        eta, r_s = self.eta.reshape(shape), self.r_s.reshape(shape)
-        return (np.exp(-eta * (d - r_s) ** 2) * fc).sum(axis=-1)
+    def value(self, *geometry) -> np.ndarray:
+        """The columns' values of one center, or of centers on leading axes."""
+        return self.reduce(self.terms(*geometry))
 
-    def angular(self, r_ij, r_ik, r_jk, cos_theta, fc) -> np.ndarray:
-        """G4 rows with the ``r_jk`` factors, G5 rows without them; ``fc`` is
-        fc(r_ij) * fc(r_ik) per pair."""
-        shape = (-1,) + (1,) * cos_theta.ndim
+    radial = angular = value
+
+    def reduce(self, terms: np.ndarray) -> np.ndarray:
+        """The values from ``terms``, each center's a row on the last axis,
+        which numpy sums as ``np.sum`` sums that row alone."""
+        if self.is_radial:
+            return terms.sum(axis=-1)
+        # Value-sorted summation: the term multiset is identical for physically
+        # equivalent environments (supercell images, permuted atoms), so sorting
+        # makes the sum bit-identical across them.
+        terms.sort(axis=-1)
+        return terms.sum(axis=-1) * self.scale.reshape((-1,) + (1,) * (terms.ndim - 2))
+
+    def terms(self, *geometry) -> np.ndarray:
+        """One row of terms per column: G2 of neighbors' (distances, tapers)
+        in canonical order; G4 (with the ``r_jk`` factors) and G5 of pairs'
+        (r_ij, r_ik, r_jk, cos_theta, fc(r_ij) * fc(r_ik))."""
+        shape = (-1,) + (1,) * geometry[0].ndim
+        if self.is_radial:
+            d, fc = geometry
+            return np.exp(-self.eta.reshape(shape) * (d - self.r_s.reshape(shape)) ** 2) * fc
+        r_ij, r_ik, r_jk, cos_theta, fc = geometry
         base = 1.0 + self.lam.reshape(shape) * cos_theta
         # One scalar exponent per call: numpy evaluates some scalar powers
         # (2, 0.5) as squares and roots, which array exponents do not match.
@@ -219,13 +227,9 @@ class _Group:
         gauss = np.exp(-self.eta.reshape(shape)
                        * np.where(self.gauss_g4.reshape(shape), r2 + r_jk ** 2, r2))
         taper = np.where(self.taper_g4.reshape(shape), fc * cutoff_value(r_jk, self.cut), fc)
-        terms = ang[self.ang_row] * gauss[self.gauss_row]
-        terms *= taper[self.taper_row]
-        # Value-sorted summation: the term multiset is identical for physically
-        # equivalent environments (supercell images, permuted atoms), so sorting
-        # makes the sum bit-identical across them.
-        terms.sort(axis=-1)
-        return terms.sum(axis=-1) * self.scale.reshape(shape[:-1])
+        terms = ang[self.ang_row]
+        terms *= gauss[self.gauss_row]
+        return np.multiply(terms, taper[self.taper_row], out=terms)
 
 
 # Most unordered neighbor pairs one center may form for one angular group,
@@ -236,13 +240,14 @@ class _Group:
 # within about 0.5 GB.
 _MAX_CENTER_PAIRS = 1_000_000
 
-# Most terms (columns x centers x neighbors or pairs) one evaluation of a
-# group holds: a bucket's centers are evaluated in chunks of whole centers
-# under this budget, one center at least.  2^14 terms (128 KB a factor
-# array) is under a quarter of the largest center of the curate benchmark
-# (4,371 Fe-Fe pairs of 16 columns), so chunks of small centers need less
-# than the largest center does alone; 2^16 and 2^18 were no faster there.
-_CHUNK_TERMS = 1 << 14
+# Most terms (columns x neighbors or pairs) one evaluation of a pool holds,
+# one (group, center) row at least.  Benchmark wall_s and peak RSS, medians
+# of 3 runs (2 cores), by budget in pairs of the default 16 columns:
+#                  2,048 (2^15 terms)  4,096 (2^16)  8,192 (2^17)
+#   curate         0.794 s, 42.3 MB    0.810, 42.2   0.804, 42.7
+#   bulk           0.867 s, 42.5 MB    0.841, 42.5   0.818, 43.5
+# 4,096 pairs keeps bulk faster than 2,048 without the memory of 8,192.
+_CHUNK_TERMS = 1 << 16
 
 
 def _pair_geometry(dist, disp, fc, a, b):
@@ -303,9 +308,8 @@ class DescriptorMatrix:
 
     def __post_init__(self):
         if self.layout is None:
-            object.__setattr__(
-                self, "layout", tuple((e, lbl) for e in self.blocks for lbl in self.columns[e])
-            )
+            layout = tuple((e, lbl) for e in self.blocks for lbl in self.columns[e])
+            object.__setattr__(self, "layout", layout)
 
     def column_layout(self) -> tuple[tuple[str, str], ...]:
         return self.layout
@@ -332,24 +336,8 @@ def _neighbors(s: Structure, sfset: SymmetryFunctionSet):
         raise UserInputError(f"element {missing[0]} of structure {s.id!r} not in symmetry-function set")
     nlist = neighbor_list(s, sfset.max_cutoff)
     species = np.array([sfset.elements.index(x) for x in s.species], dtype=np.intp)
-    counts = np.array([len(ix) for ix in nlist.indices], dtype=np.intp)
-    if not s.n_atoms:
-        return species, counts, np.empty(0), np.empty((0, 3)), species
-    return (species, counts, np.concatenate(nlist.distances),
-            np.concatenate(nlist.displacements), species[np.concatenate(nlist.indices)])
-
-
-def _buckets(key: np.ndarray):
-    """The rows of each distinct ``key`` value, ascending within a bucket."""
-    order = np.argsort(key, kind="stable")
-    _, starts = np.unique(key[order], return_index=True)
-    return np.split(order, starts[1:]) if len(order) else []
-
-
-def _chunks(rows: np.ndarray, terms_per_row: int):
-    """``rows`` in runs of at most ``_CHUNK_TERMS`` terms, one row at least."""
-    step = max(1, _CHUNK_TERMS // max(1, terms_per_row))
-    return (rows[k:k + step] for k in range(0, len(rows), step))
+    return (species, np.diff(nlist.offsets), nlist.flat_distances, nlist.flat_displacements,
+            species[nlist.flat_indices])
 
 
 def _gather(batch: Sequence[Structure], sfset: SymmetryFunctionSet):
@@ -396,13 +384,17 @@ class _Run:
         center = np.repeat(np.arange(len(species)), counts)
         self.row, self.center_element = rank[center], species[center]
 
-    def select(self, inside: np.ndarray, k: int, element: int):
-        """The neighbors of ``element`` inside a cutoff around the centers
-        of element ``k``: their ascending indices, and per row of ``k``'s
-        block how many it has and where they start among those indices."""
-        positions = np.flatnonzero(inside & (self.center_element == k) & (self.nb == element))
-        counts = np.bincount(self.row[positions], minlength=self.row_bounds[k][-1])
-        return positions, counts, np.cumsum(counts) - counts
+    def select(self, inside: np.ndarray, k: int, n_elements: int):
+        """The neighbors inside a cutoff around the centers of element
+        ``k``: their indices, by row of ``k``'s block, then element, then
+        index; and per row and element, how many there are and where they
+        start among those indices, as (rows, elements) arrays."""
+        positions = np.flatnonzero(inside & (self.center_element == k))
+        key = self.row[positions] * n_elements + self.nb[positions]
+        counts = np.bincount(key, minlength=self.row_bounds[k][-1] * n_elements)
+        starts = np.cumsum(counts) - counts
+        return (positions[np.argsort(key, kind="stable")], counts.reshape(-1, n_elements),
+                starts.reshape(-1, n_elements))
 
     def structure(self, k: int, row: int) -> int:
         """The index of the structure whose center is ``row`` of ``k``'s block."""
@@ -422,14 +414,9 @@ def _describe_run(batch: Sequence[Structure], sfset: SymmetryFunctionSet) -> lis
     """The blocks of the leading structures of ``batch`` that ``_gather``
     takes, in order.
 
-    The centers of one element across those structures are bucketed per
-    group by their neighbor count (G2) or their counts of the two pair
-    elements (G4, G5), and each group is evaluated once per bucket, in row
-    chunks of at most ``_CHUNK_TERMS`` terms.  Every term comes from the
-    same elementwise operations as when one center is evaluated alone, and
-    each center's terms are one contiguous row that is sorted and summed
-    along the last axis as that center's 1-D row would be, so every block is
-    bit-identical for any split of the structures into batches.
+    The groups of one element are evaluated in pools (``_evaluate``) over
+    the centers of all those structures, each value bit-identical to its
+    center's alone, so to any split of the structures into batches.
 
     An error is the one a serial loop over the structures raises: that of the
     first failing structure, and within it the first its evaluation meets (an
@@ -444,23 +431,24 @@ def _describe_run(batch: Sequence[Structure], sfset: SymmetryFunctionSet) -> lis
     # of the first center over the cap, with its error.
     selected, capped = [], (n, 0, 0, None)
     for k, e in enumerate(sfset.elements):
-        mine = []
+        near = {g.cut: run.select(inside[g.cut], k, len(sfset.elements)) for g in sfset.groups[e]}
+        pools: dict[tuple, list] = {}
         for g in sfset.groups[e]:
+            counts = near[g.cut][1]
             if g.is_radial:
-                mine.append(run.select(inside[g.cut], k, sfset.elements.index(g.neighbors)))
+                j = sfset.elements.index(g.neighbors)
+                pools.setdefault(g.key, []).append((g, (j, None, counts[:, j])))
                 continue
             e1, e2 = (sfset.elements.index(x) for x in g.neighbors)
-            one = run.select(inside[g.cut], k, e1)
-            two = one if e1 == e2 else run.select(inside[g.cut], k, e2)
-            pairs = one[1] * (one[1] - 1) // 2 if e1 == e2 else one[1] * two[1]
-            mine.append((one, two, pairs))
+            pairs = counts[:, e1] * (counts[:, e2] - (e1 == e2)) // (1 + (e1 == e2))  # n(n-1)/2 or n1 n2
+            pools.setdefault(g.key, []).append((g, (e1, e2, pairs)))
             over = np.flatnonzero(pairs > _MAX_CENTER_PAIRS)
             if len(over) and (at := (run.structure(k, over[0]), k, over[0])) < capped[:3]:
                 capped = at + (
                     f"structure {batch[at[0]].id!r}: one atom has {pairs[over[0]]} "
                     f"{'-'.join(g.neighbors)} neighbor pairs, more than {_MAX_CENTER_PAIRS}; "
                     "the cell is too dense for the cutoff",)
-        selected.append(mine)
+        selected.append((near, pools.values()))
     stop, stop_element, _, error = capped
 
     # Then every group over the live rows, and the first failure in
@@ -470,14 +458,14 @@ def _describe_run(batch: Sequence[Structure], sfset: SymmetryFunctionSet) -> lis
     # so numpy's warnings would only print ahead of that error.
     with np.errstate(over="ignore", invalid="ignore"):
         fc = {cut: cutoff_value(run.dist, cut) for cut in cuts}
-        for k, (e, mine) in enumerate(zip(sfset.elements, selected)):
+        for k, (e, (near, pools)) in enumerate(zip(sfset.elements, selected)):
             # The rows of the structures before ``stop``, and of ``stop``
             # itself for the elements its serial evaluation reaches before
             # its cap.
             live = run.row_bounds[k][min(stop + (k < stop_element), n)]
             block = np.empty((run.row_bounds[k][-1], len(sfset.descriptors[e])))
-            for g, sel in zip(sfset.groups[e], mine):
-                (_radial if g.is_radial else _angular)(g, run, fc[g.cut], sel, live, block)
+            for pool in pools:
+                _evaluate(pool, run, fc, near, live, block)
             block.setflags(write=False)
             blocks.append(block)
             bad = np.flatnonzero(~np.isfinite(block[:live]).all(axis=1))
@@ -493,29 +481,56 @@ def _describe_run(batch: Sequence[Structure], sfset: SymmetryFunctionSet) -> lis
             for t in range(n)]
 
 
-def _radial(g: _Group, run: _Run, fc, sel, live: int, block) -> None:
-    """Fill ``g``'s columns of the first ``live`` rows of ``block``."""
-    positions, counts, starts = sel
-    for rows in _buckets(counts[:live]):
-        n = counts[rows[0]]
-        for part in _chunks(rows, len(g.cols) * n):
-            at = positions[starts[part][:, None] + np.arange(n)]
-            block[part[:, None], g.cols] = g.radial(run.dist[at], fc[at]).T
-
-
-def _angular(g: _Group, run: _Run, fc, sel, live: int, block) -> None:
-    """Fill ``g``'s columns of the first ``live`` rows of ``block``."""
-    (pos1, n1, s1), (pos2, n2, s2), pairs = sel
-    same = pos1 is pos2
-    key = n1[:live] if same else n1[:live] * (int(n2[:live].max(initial=0)) + 1) + n2[:live]
-    for rows in _buckets(key):
-        m1, m2 = n1[rows[0]], n2[rows[0]]
-        a, b = _pair_indices(np.arange(m1), np.arange(m2), same)
-        for part in _chunks(rows, len(g.cols) * pairs[rows[0]]):
-            ia = pos1[s1[part][:, None] + np.arange(m1)][:, a]
-            ib = pos2[s2[part][:, None] + np.arange(m2)][:, b]
-            geometry = _pair_geometry(run.dist, run.disp, fc, ia.ravel(), ib.ravel())
-            block[part[:, None], g.cols] = g.angular(*(x.reshape(ia.shape) for x in geometry)).T
+def _evaluate(pool, run: _Run, fc: dict, near: dict, live: int, block) -> None:
+    """Fill the first ``live`` rows of ``block`` in the columns of the
+    groups of ``pool``, which differ in their neighbor elements alone; each
+    comes with (its neighbor element and None, or its pair elements, and
+    each row's neighbor or pair count).  ``fc`` and ``near`` hold the tapers
+    and the ``_Run.select`` of each cutoff.  A (group, row) takes its m1 x
+    m2 grid of neighbors (m2 = 1 for G2) in ``_pair_indices``' order.  The
+    rows are evaluated by ascending count, in chunks of at most
+    ``_CHUNK_TERMS`` terms (one row at least), each chunk's terms at once;
+    the rows of one count are a (columns, rows, count) view of them."""
+    g = pool[0][0]
+    fc, (positions, counts, starts) = fc[g.cut], near[g.cut]
+    fields = []
+    for _, (e1, e2, n) in pool:
+        m1, s1 = counts[:live, e1], starts[:live, e1]
+        m2, s2 = (np.ones_like(m1), s1) if e2 is None else (counts[:live, e2], starts[:live, e2])
+        fields.append((m1, m2, s1, s2, np.full(live, e1 == e2), n[:live]))
+    m1, m2, s1, s2, same, n = (np.concatenate(x) for x in zip(*fields))
+    kind = (m1 * (m2.max(initial=0) + 1) + m2) * 2 + same
+    order = np.argsort(n, kind="stable")
+    n, ends = n[order], np.cumsum(n[order])
+    values = np.empty((len(g.cols), len(order)))
+    start, pattern = 0, (-1, None)
+    while start < len(order):
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - n[start] + _CHUNK_TERMS // len(g.cols), side="right")))
+        rows = order[start:stop]
+        r = rows[0]
+        if (kind[rows] == kind[r]).all():
+            # One (m1, m2, same): one center's pairs, at each row's neighbors.
+            if pattern[0] != kind[r]:
+                pattern = kind[r], _pair_indices(np.arange(m1[r]), np.arange(m2[r]), same[r])
+            a, b = (positions[(s[rows][:, None] + x).ravel()] for s, x in zip((s1, s2), pattern[1]))
+        else:
+            grid = m1[rows] * m2[rows]
+            cells = np.cumsum(grid)
+            i, j = np.divmod(np.arange(cells[-1]) - np.repeat(cells - grid, grid),
+                             np.repeat(m2[rows], grid))
+            keep = ~np.repeat(same[rows], grid) | (i < j)
+            a, b = (positions[(np.repeat(s[rows], grid) + x)[keep]] for s, x in ((s1, i), (s2, j)))
+        chunk = g.terms(*((run.dist[a], fc[a]) if g.is_radial
+                          else _pair_geometry(run.dist, run.disp, fc, a, b)))
+        edges, at = [start, *(start + 1 + np.flatnonzero(np.diff(n[start:stop]))), stop], 0
+        for lo, hi in zip(edges, edges[1:]):
+            size = (hi - lo) * n[lo]
+            values[:, lo:hi] = g.reduce(chunk[:, at:at + size].reshape(len(g.cols), hi - lo, n[lo]))
+            at += size
+        start = stop
+    cols = np.array([member.cols for member, _ in pool])
+    block[(order % max(live, 1))[:, None], cols[order // max(live, 1)]] = values.T
 
 
 # Structures of fewer than _ALONE_ATOMS atoms are described together, in
@@ -523,7 +538,7 @@ def _angular(g: _Group, run: _Run, fc, sel, live: int, block) -> None:
 # share of their estimated work (``_work``), ceil(atoms / _BATCH_ATOMS)
 # shares in all: so a batch of dense cells takes a worker about as long as
 # one of sparse cells, and none holds more atoms than the budget.  A larger
-# structure has centers enough to fill its own buckets, and describing it
+# structure has centers enough to fill its own chunks, and describing it
 # alone keeps the worker load balanced.
 _ALONE_ATOMS = 64
 _BATCH_ATOMS = 256
@@ -560,22 +575,19 @@ def _batches(structures: Sequence[Structure], cutoff: float) -> list[range]:
 
 
 # Batches are described by forked worker processes (``parallel.fork_map``)
-# once the structures hold _POOL_MIN_ATOMS atoms in all.  Below that,
+# once the structures hold _POOL_MIN_ATOMS atoms in all; below that,
 # starting the workers costs more than they save.  Two batches need 65 atoms
-# at least.  Measured in-process, start-up included (2 cores, median of 15,
-# six runs on a shared host): bulk's 2-atom cell with a 64-atom supercell
-# took 103-133 ms serial and 116-158 ms on workers; its 3- and 24-atom
-# cells with the 81-atom one (108 atoms) took 131-191 and 120-150 ms;
-# curate's first 59 structures (260 atoms) took 190-247 and 123-177 ms.
-# The break-even lies between 66 and 108 atoms; 128 leaves a margin for a
-# host where a fork costs more.
+# at least.  Measured in-process, start-up included (2 cores, medians of 15,
+# three rounds): bulk's 2-atom FeH cell with a 64-atom supercell took 67 ms
+# serial and 72 ms on workers; its 3-, 24- and 81-atom Fe2H cells (108
+# atoms) 86 and 72 ms; curate's first 59 structures (270 atoms) 118 and 68
+# ms.  The break-even lies between 66 and 108 atoms; 128 leaves a margin
+# for a host where a fork costs more.
 _POOL_MIN_ATOMS = 128
 
 
-def compute_dataset_descriptors(
-    structures: Sequence[Structure],
-    sfset: SymmetryFunctionSet,
-) -> list[DescriptorMatrix]:
+def compute_dataset_descriptors(structures: Sequence[Structure],
+                                sfset: SymmetryFunctionSet) -> list[DescriptorMatrix]:
     """Descriptor matrices for many structures, in input order.
 
     Each batch (``_batches``) is described whole by one process, and every

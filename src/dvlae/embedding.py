@@ -291,12 +291,13 @@ def perplexity_calibration(distances: np.ndarray, perplexity: float) -> np.ndarr
     # In memory shared with forked workers, which write their rows into it
     # directly, so that no row is pickled; each row has one writer.
     p = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=float).reshape(n, n)
-    d2 = d ** 2
     # All-zero rows first, in this process, so that their warnings keep their
-    # order whether the other rows run here or on workers.
+    # order whether the other rows run here or on workers.  Each row is
+    # squared where it is used, so no n x n array of squares exists; the
+    # check is on the squares, which are 0 for distances below about 1e-154.
     rows = []
     for i in range(n):
-        if np.delete(d2[i], i).max() <= 0.0:
+        if (np.delete(d[i], i) ** 2).max() <= 0.0:
             warnings.warn(f"row {i}: all distances zero; using a uniform row", stacklevel=2)
             p[i] = 1.0 / (n - 1)
             p[i, i] = 0.0
@@ -307,7 +308,7 @@ def perplexity_calibration(distances: np.ndarray, perplexity: float) -> np.ndarr
         i = rows[k]
         # _calibrate_row is looked up at call time, so a patch made before
         # the fork applies in the workers too.
-        p_row = _calibrate_row(np.delete(d2[i], i), perplexity)
+        p_row = _calibrate_row(np.delete(d[i], i) ** 2, perplexity)
         p[i, :i] = p_row[:i]
         p[i, i + 1 :] = p_row[i:]
 
@@ -352,8 +353,9 @@ def _calibrate_row(sq: np.ndarray, target: float) -> np.ndarray:
 def joint_probabilities(distances: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized joint affinities P = (P(j|i) + P(i|j)) / 2n."""
     cond = perplexity_calibration(distances, perplexity)
-    joint = (cond + cond.T) / (2.0 * len(cond))
-    return np.maximum(joint, _PROB_FLOOR)
+    joint = cond + cond.T
+    joint /= 2.0 * len(cond)
+    return np.maximum(joint, _PROB_FLOOR, out=joint)
 
 
 def tsne_embed(

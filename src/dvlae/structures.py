@@ -7,6 +7,7 @@ neighbor search, so datasets round-trip verbatim.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -333,37 +334,42 @@ def build_supercell(s: Structure, reps: tuple[int, int, int]) -> Structure:
     for ia, ib, ic in itertools.product(range(na), range(nb), range(nc)):
         shift = ia * s.cell[0] + ib * s.cell[1] + ic * s.cell[2]
         blocks.append(s.positions + shift)
-    return Structure(
-        cell=new_cell,
-        species=s.species * (na * nb * nc),
-        positions=np.vstack(blocks),
-        periodic=s.periodic,
-        id=f"{s.id}@{na}x{nb}x{nc}",
-        tag=s.tag,
-    )
+    return Structure(cell=new_cell, species=s.species * (na * nb * nc), positions=np.vstack(blocks),
+                     periodic=s.periodic, id=f"{s.id}@{na}x{nb}x{nc}", tag=s.tag)
 
 
 # ---------------------------------------------------------------------------
 # Neighbor lists
 # ---------------------------------------------------------------------------
 
+def _per_center(name: str) -> functools.cached_property:
+    """Per-center views of the flat array ``name``, built on first access."""
+    return functools.cached_property(lambda nl: tuple(
+        getattr(nl, name)[a:b] for a, b in itertools.pairwise(nl.offsets.tolist())))
+
+
 @dataclass(frozen=True)
 class NeighborList:
-    """Per-center periodic neighbors within a cutoff.
+    """Periodic neighbors within a cutoff in read-only flat arrays, center
+    ``i``'s at ``offsets[i]:offsets[i + 1]``, and per-center views of them.
 
-    For center ``i``, ``indices[i]`` / ``shifts[i]`` / ``distances[i]`` /
-    ``displacements[i]`` are parallel arrays; entry ``m`` is a neighbor atom
-    ``j = indices[i][m]`` seen through integer image shift ``shifts[i][m]``
-    (displacement = positions[j] + shift @ cell - positions[i]).  Entries are
+    Entry ``m`` of center ``i`` is neighbor atom ``j = indices[i][m]`` seen
+    through integer image shift ``shifts[i][m]`` (displacement =
+    positions[j] + shift @ cell - positions[i]).  A center's entries are
     sorted by (distance, j, shift), the canonical order used for
-    deterministic descriptor summation.
-    """
+    deterministic descriptor summation."""
 
     cutoff: float
-    indices: tuple[np.ndarray, ...]
-    shifts: tuple[np.ndarray, ...]
-    distances: tuple[np.ndarray, ...]
-    displacements: tuple[np.ndarray, ...]
+    offsets: np.ndarray                 # (n_atoms + 1,)
+    flat_indices: np.ndarray
+    flat_shifts: np.ndarray             # (pairs, 3)
+    flat_distances: np.ndarray
+    flat_displacements: np.ndarray      # (pairs, 3)
+
+    indices = _per_center("flat_indices")
+    shifts = _per_center("flat_shifts")
+    distances = _per_center("flat_distances")
+    displacements = _per_center("flat_displacements")
 
 
 # Margin absorbing float disagreement between the wrapped candidate search and
@@ -390,15 +396,9 @@ def neighbor_list(s: Structure, r_c: float) -> NeighborList:
     """
     if not 0 < r_c < math.inf:
         raise UserInputError(f"cutoff must be positive and finite, got {r_c}")
-    n = s.n_atoms
-    pos = s.positions
-    per = s.periodic
-
+    n, pos, per = s.n_atoms, s.positions, s.periodic
     if not any(per):
-        half = np.zeros(3)
-        frac_wrap = np.zeros((n, 3), dtype=int)
-        wrapped = pos
-        cell = np.eye(3)
+        half, frac_wrap, wrapped, cell = np.zeros(3), np.zeros((n, 3), dtype=int), pos, np.eye(3)
     else:
         cell = s.cell
         inv = np.linalg.inv(cell)
@@ -414,10 +414,9 @@ def neighbor_list(s: Structure, r_c: float) -> NeighborList:
     # Counted in floats, before any integer cast can overflow.
     n_shifts = math.prod(2 * half + 1)
     if n_shifts > _MAX_IMAGE_SHIFTS:
-        raise UserInputError(
-            f"structure {s.id!r}: a {r_c} Å cutoff needs {n_shifts:.0f} periodic images of its "
-            f"cell, more than the limit of {_MAX_IMAGE_SHIFTS}; the cell is too small"
-        )
+        raise UserInputError(f"structure {s.id!r}: a {r_c} Å cutoff needs {n_shifts:.0f} periodic "
+                             f"images of its cell, more than the limit of {_MAX_IMAGE_SHIFTS}; "
+                             "the cell is too small")
     half = half.astype(int)
     shifts = np.indices(2 * half + 1).reshape(3, -1).T - half
 
@@ -440,17 +439,6 @@ def neighbor_list(s: Structure, r_c: float) -> NeighborList:
     keep = (dist > 0.0) & (dist < r_c)
     ii, jj, true_shift, disp, dist = ii[keep], jj[keep], true_shift[keep], disp[keep], dist[keep]
     order = np.lexsort((true_shift[:, 2], true_shift[:, 1], true_shift[:, 0], jj, dist, ii))
-    bounds = np.searchsorted(ii[order], np.arange(1, n))
-
-    def per_center(values: np.ndarray) -> tuple[np.ndarray, ...]:
-        values = values[order]
-        values.setflags(write=False)
-        return tuple(np.split(values, bounds)) if n else ()
-
-    return NeighborList(
-        cutoff=float(r_c),
-        indices=per_center(jj),
-        shifts=per_center(true_shift),
-        distances=per_center(dist),
-        displacements=per_center(disp),
-    )
+    offsets = _frozen_array(np.searchsorted(ii[order], np.arange(n + 1)), np.intp)
+    return NeighborList(float(r_c), offsets, *(_frozen_array(values[order], values.dtype)
+                                               for values in (jj, true_shift, dist, disp)))

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -363,6 +364,7 @@ class TestGroupedKernel:
         compute_structure_descriptors(s, sf)
         monkeypatch.setattr(desc, "_MAX_CENTER_PAIRS", 5)
         monkeypatch.setattr(desc, "_pair_indices", None)       # never reached
+        monkeypatch.setattr(desc, "_pair_geometry", None)      # nor any pair's geometry
         with pytest.raises(UserInputError, match="'mol': one atom has 6 Fe-Fe neighbor pairs"):
             compute_structure_descriptors(s, sf)
 
@@ -625,13 +627,105 @@ class TestBatches:
         sf, structures, _ = corpus
         self.assert_reference(corpus, [desc._describe([s], sf)[0] for s in structures])
 
-    @pytest.mark.parametrize("chunk_terms", [1, None, 1 << 24])
+    @pytest.mark.parametrize("chunk_terms", [1, "one pair", None, 1 << 24])
     def test_all_structures_in_one_batch(self, monkeypatch, corpus, chunk_terms):
-        # Chunks of one center each, of the default size, and whole buckets.
+        # Budgets of one term (every row with a term is a chunk of its own),
+        # of one pair of the widest pool, the default, and whole pools.
+        sf, structures, _ = corpus
+        if chunk_terms == "one pair":
+            chunk_terms = max(len(g.cols) for e in sf.elements for g in sf.groups[e])
         if chunk_terms is not None:
             monkeypatch.setattr(desc, "_CHUNK_TERMS", chunk_terms)
-        sf, structures, _ = corpus
         self.assert_reference(corpus, desc._describe(structures, sf))
+
+    @staticmethod
+    def chunk_log(monkeypatch):
+        """Record each evaluation of a pool's chunk as (the group it is
+        evaluated as, [(rows, count) of each run of equal counts])."""
+        chunks = []
+        terms, reduce = desc._Group.terms, desc._Group.reduce
+
+        def chunk(g, *geometry):
+            chunks.append((g, []))
+            return terms(g, *geometry)
+
+        def run(g, values):
+            chunks[-1][1].append(values.shape[1:])
+            return reduce(g, values)
+
+        monkeypatch.setattr(desc._Group, "terms", chunk)
+        monkeypatch.setattr(desc._Group, "reduce", run)
+        return chunks
+
+    def test_chunks_split_runs_and_take_a_row_over_the_budget_alone(self, monkeypatch, corpus):
+        sf, structures, _ = corpus
+        width = max(len(g.cols) for e in sf.elements for g in sf.groups[e])
+        monkeypatch.setattr(desc, "_CHUNK_TERMS", 12 * width)
+        chunks = self.chunk_log(monkeypatch)
+        self.assert_reference(corpus, desc._describe(structures, sf))
+        split = alone = 0
+        for (g, runs), (h, after) in zip(chunks, chunks[1:] + [(None, [])]):
+            counts = [n for _, n in runs]
+            assert counts == sorted(set(counts))        # one run per count, ascending
+            pairs = sum(rows * n for rows, n in runs)
+            if pairs > desc._CHUNK_TERMS // len(g.cols):
+                assert runs == [(1, pairs)]
+                alone += 1
+            if h is g:                                  # the pool's next chunk
+                assert after[0][1] >= runs[-1][1]
+                split += after[0][1] == runs[-1][1]
+        assert split and alone
+
+    def test_pools_differ_in_neighbor_elements_alone(self, corpus):
+        # Per-triplet overrides keep some angular groups out of their
+        # element's pool; the rest pool, as the radial groups do.
+        sf, _, _ = corpus
+        sizes = {True: [], False: []}
+        for e in sf.elements:
+            pools = {}
+            for g in sf.groups[e]:
+                pools.setdefault(g.key, []).append(g)
+            for pool in pools.values():
+                # Each group's columns with the neighbor element(s) blanked.
+                name, blank = (("neighbor_element", "-") if pool[0].is_radial
+                               else ("element_pair", ("-", "-")))
+                columns = {tuple(dataclasses.replace(sf.descriptors[e][c].params, **{name: blank})
+                                 for c in g.cols) for g in pool}
+                assert len(columns) == 1 and len({g.cut for g in pool}) == 1
+                assert len({g.neighbors for g in pool}) == len(pool)
+                sizes[pool[0].is_radial].append(len(pool))
+        assert max(sizes[True]) > 1 and max(sizes[False]) > 1 and min(sizes[False]) == 1
+
+    def test_memory_of_the_largest_bulk_cell(self):
+        # The benchmark's 250-atom FeH cell at 6 Å, whose centers each form
+        # 1,540 to 3,136 pairs per group.  The bounds are the tracemalloc
+        # peaks of the per-group bucket kernel this one replaced: 7,761,866
+        # bytes for the whole call (the neighbor search sets it) and
+        # 2,483,732 above the neighbor arrays (measured here: 7,643,778 and
+        # 2,450,244, numpy 2.4).
+        rng = np.random.default_rng(0)
+        cell = 2.65 * (np.eye(3) + rng.uniform(-0.002, 0.002, (3, 3)))
+        frac = np.array([[0, 0, 0], [0.5, 0.5, 0.5]]) + rng.uniform(-0.02, 0.02, (2, 3))
+        big = build_supercell(Structure(cell=cell, species=("Fe", "H"), positions=frac @ cell,
+                                        periodic=(True,) * 3, id="FeH"), (5, 5, 5))
+        sf = build_symmetry_functions(("Fe", "H"), GridConfig(cutoff=6.0))
+        want = compute_structure_descriptors(big, sf)
+        run, _ = desc._gather([big], sf)
+        tracemalloc.start()
+        try:
+            compute_structure_descriptors(big, sf)
+            whole = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(desc, "_gather", lambda batch, sfset: (run, None))
+                got = desc._describe_run([big], sf)[0]
+            kernel = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert all(got[e].tobytes() == want.blocks[e].tobytes() for e in sf.elements)
+        assert whole <= 7_761_866
+        assert kernel <= 2_483_732
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_splits(self, corpus, seed):
@@ -834,6 +928,7 @@ class TestBatchErrors:
         monkeypatch.setattr(desc, "_MAX_CENTER_PAIRS", 2)
         found = error_structures()
         monkeypatch.setattr(desc, "_pair_indices", None)       # never reached
+        monkeypatch.setattr(desc, "_pair_geometry", None)      # nor any pair's geometry
         with pytest.raises(UserInputError, match=re.escape(CAPPED.format("capped"))):
             desc._describe([found["capped"], found["nan"], found["both"]], error_set(("H", "Fe")))
 

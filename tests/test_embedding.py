@@ -705,6 +705,19 @@ class TestCalibrationPool:
         assert runs == ([] if cpus == 1 else [cpus])
         assert np.array_equal(got, serial_calibration(d, 5.0))
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
+    def test_joint_probabilities_equal_the_unfused_formula(self, rng, monkeypatch, cpus, metric):
+        d = TestTsneMatchesReference._distances(rng, 61, metric)
+        d[[0, 17, 60]] = 0.0        # all-zero rows
+        runs = self._pool_runs(monkeypatch, cpus)
+        with pytest.warns(UserWarning, match="uniform"):
+            got = joint_probabilities(d, 7.0)
+        cond = serial_calibration(d, 7.0)
+        want = np.maximum((cond + cond.T) / (2.0 * len(cond)), emb_mod._PROB_FLOOR)
+        assert runs == ([] if cpus == 1 else [cpus])
+        assert got.tobytes() == want.tobytes()
+
     def test_a_killed_worker_is_an_error_not_a_hang(self, rng, monkeypatch):
         parent = os.getpid()
         calibrate = emb_mod._calibrate_row

@@ -468,6 +468,26 @@ class TestImageRange:
                         assert d == pytest.approx(expected[key], abs=1e-12)
         assert seen == {"below", "on", "above"}
 
+    def test_per_center_views_are_the_flat_arrays_split_at_the_offsets(self, rng):
+        for s, cutoffs in self.edge_cases(rng, 40):
+            for r_c in cutoffs.values():
+                nl = neighbor_list(s, r_c)
+                offsets = nl.offsets
+                assert offsets.tolist() == sorted(offsets.tolist())
+                assert len(offsets) == s.n_atoms + 1 and offsets[0] == 0
+                for name in ("indices", "shifts", "distances", "displacements"):
+                    flat, views = getattr(nl, "flat_" + name), getattr(nl, name)
+                    assert offsets[-1] == len(flat) and not flat.flags.writeable
+                    assert getattr(nl, name) is views       # built once
+                    want = np.split(flat, offsets[1:-1])
+                    assert len(views) == len(want) == s.n_atoms
+                    for view, part in zip(views, want):
+                        assert view.shape == part.shape and view.dtype == part.dtype
+                        assert view.tobytes() == part.tobytes()
+                        assert not view.flags.writeable
+                # As the benchmark's tracer counts pairs.
+                assert [len(ix) for ix in nl.indices] == np.diff(offsets).tolist()
+
     def test_shift_count_in_cap_message(self, rng, monkeypatch):
         monkeypatch.setattr(structures, "_MAX_IMAGE_SHIFTS", 0)
         for s, cutoffs in self.edge_cases(rng, 150):
