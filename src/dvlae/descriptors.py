@@ -192,12 +192,6 @@ class _Group:
         self.taper_g4 = np.array([[kind == "G4"] for kind in kinds])
         self.scale = np.array([2.0 ** (1.0 - p.zeta) for p in params])
 
-    def value(self, *geometry) -> np.ndarray:
-        """The columns' values of one center, or of centers on leading axes."""
-        return self.reduce(self.terms(*geometry))
-
-    radial = angular = value
-
     def reduce(self, terms: np.ndarray) -> np.ndarray:
         """The values from ``terms``, each center's a row on the last axis,
         which numpy sums as ``np.sum`` sums that row alone."""
@@ -316,13 +310,8 @@ class DescriptorMatrix:
 
 
 def compute_structure_descriptors(s: Structure, sfset: SymmetryFunctionSet) -> DescriptorMatrix:
-    """Evaluate every descriptor for every atom of ``s``: a batch of one."""
-    return _matrix(s, sfset, _describe([s], sfset)[0])
-
-
-def _matrix(s: Structure, sfset: SymmetryFunctionSet, blocks) -> DescriptorMatrix:
-    return DescriptorMatrix(structure_id=s.id, tag=s.tag, blocks=blocks, columns=sfset.labels,
-                            layout=sfset.layout)
+    """Evaluate every descriptor for every atom of ``s``: a dataset of one."""
+    return compute_dataset_descriptors([s], sfset)[0]
 
 
 def _neighbors(s: Structure, sfset: SymmetryFunctionSet):
@@ -431,7 +420,8 @@ def _describe_run(batch: Sequence[Structure], sfset: SymmetryFunctionSet) -> lis
     # of the first center over the cap, with its error.
     selected, capped = [], (n, 0, 0, None)
     for k, e in enumerate(sfset.elements):
-        near = {g.cut: run.select(inside[g.cut], k, len(sfset.elements)) for g in sfset.groups[e]}
+        near = {cut: run.select(inside[cut], k, len(sfset.elements))
+                for cut in dict.fromkeys(g.cut for g in sfset.groups[e])}
         pools: dict[tuple, list] = {}
         for g in sfset.groups[e]:
             counts = near[g.cut][1]
@@ -555,10 +545,10 @@ def _work(s: Structure, cutoff: float) -> float:
     return s.n_atoms * (1.0 + k * k)
 
 
-def _batches(structures: Sequence[Structure], cutoff: float) -> list[range]:
-    """Contiguous index ranges of ``structures``, each one batch."""
+def _batches(structures: Sequence[Structure], work: Sequence[float]) -> list[range]:
+    """Contiguous index ranges of ``structures``, each one batch, given each
+    structure's ``_work``."""
     small = [s.n_atoms < _ALONE_ATOMS for s in structures]
-    work = [_work(s, cutoff) for s in structures]
     total = sum(s.n_atoms for s, x in zip(structures, small) if x)
     share = sum(w for w, x in zip(work, small) if x) / max(1, -(-total // max(1, _BATCH_ATOMS)))
     out, atoms, done = [], 0, 0.0
@@ -594,21 +584,19 @@ def compute_dataset_descriptors(structures: Sequence[Structure],
     block is bit-identical for any batch split, so also for any worker
     count.  An error is the one a serial loop raises: that of the first
     failing structure in input order."""
-    batches = [structures[b.start:b.stop] for b in _batches(structures, sfset.max_cutoff)]
-    workers = parallel.pool_workers(len(batches),
-                                    sum(s.n_atoms for s in structures) >= _POOL_MIN_ATOMS)
-    if not workers:
-        per_batch = [_describe(batch, sfset) for batch in batches]
-    else:
-        # Most work first, so that a few big batches do not finish last on
-        # one worker.  _describe is looked up at call time, so a patch made
-        # before the fork applies in the workers too.
-        work = [sum(_work(s, sfset.max_cutoff) for s in batch) for batch in batches]
-        order = sorted(range(len(batches)), key=lambda k: -work[k])
-        per_batch = parallel.fork_map(lambda k: _describe(batches[k], sfset), order, workers)
-        for blocks in per_batch:
-            for by_element in blocks:
-                for block in by_element.values():
-                    block.setflags(write=False)     # unpickled arrays come back writeable
-    all_blocks = [blocks for batch in per_batch for blocks in batch]
-    return [_matrix(s, sfset, blocks) for s, blocks in zip(structures, all_blocks)]
+    work = [_work(s, sfset.max_cutoff) for s in structures]
+    batches = _batches(structures, work)
+    # Most work first, so that a few big batches do not finish last on one
+    # worker.  _describe is looked up at call time, so a patch made before
+    # the fork applies in the workers too.
+    order = sorted(range(len(batches)), key=lambda k: -sum(work[i] for i in batches[k]))
+    per_batch = parallel.fork_map(
+        lambda k: _describe(structures[batches[k].start:batches[k].stop], sfset), order,
+        sum(s.n_atoms for s in structures) >= _POOL_MIN_ATOMS)
+    matrices = []
+    for s, blocks in zip(structures, (blocks for batch in per_batch for blocks in batch)):
+        for block in blocks.values():
+            block.setflags(write=False)     # unpickled arrays come back writeable
+        matrices.append(DescriptorMatrix(structure_id=s.id, tag=s.tag, blocks=blocks,
+                                         columns=sfset.labels, layout=sfset.layout))
+    return matrices

@@ -29,12 +29,14 @@ EMBEDDING_METHODS = ("tsne", "pca")
 _PERPLEXITY_TOL = 1e-5
 _MAX_BISECTIONS = 100
 _PROB_FLOOR = 1e-12
-# Exact t-SNE keeps about 4 n x n float64 arrays live at once (the distances,
-# P and the loop's two buffers; from n = 500 to 1000 to 1500, peak RSS of
-# `embed` on fingerprints grew by 4.4 x 8 bytes per added n^2 on x86-64 with
-# numpy 2.4, thread pool and BLAS buffers included), plus an 8-byte KL entry
-# per iteration.  With 6 arrays counted, a 4 GiB budget allows about 9,450
-# points at 1000 iterations.
+# Exact t-SNE holds 3 n x n float64 arrays live at its peak: while P is
+# built, the distances, the calibration's shared map and ``cond + cond.T``;
+# in the loop, P and its buffers ``inv`` and ``w`` (the distances are freed
+# before it).  Peak RSS of `embed` on fingerprints at n = 500, 1000 and 1500
+# (x86-64, numpy 2.4, one BLAS thread) has an n^2 term of 3.06 x 8 bytes
+# (3.11 x 8 for a process that stops once P is built); plus an 8-byte KL
+# entry per iteration.  With 6 arrays counted, a 4 GiB budget allows about
+# 9,450 points at 1000 iterations.
 _TSNE_BYTES_PER_PAIR = 6 * 8
 # PCA's peak is its m x m eigenproblem, m = min(n, d): the Gram or covariance
 # matrix, and eigh's copy of it, workspace and eigenvectors.  Peak RSS grew by
@@ -312,12 +314,7 @@ def perplexity_calibration(distances: np.ndarray, perplexity: float) -> np.ndarr
         p[i, :i] = p_row[:i]
         p[i, i + 1 :] = p_row[i:]
 
-    workers = parallel.pool_workers(len(rows), n >= _CALIBRATION_POOL_MIN_POINTS)
-    if workers:
-        parallel.fork_map(calibrate, range(len(rows)), workers)
-    else:
-        for k in range(len(rows)):
-            calibrate(k)
+    parallel.fork_map(calibrate, range(len(rows)), n >= _CALIBRATION_POOL_MIN_POINTS)
     return p
 
 

@@ -1,6 +1,6 @@
-"""How many workers this process may use, and the forked process pool that
-descriptors and perplexity calibration share; the t-SNE thread pool takes
-the same worker cap."""
+"""How many workers this process may use, and the map that descriptors and
+perplexity calibration share, which runs on forked workers or in this
+process; the t-SNE thread pool takes the same worker cap."""
 
 from __future__ import annotations
 
@@ -33,14 +33,6 @@ def max_workers(tasks: int) -> int:
     return min(cpu_count(), _MAX_WORKERS, tasks)
 
 
-def pool_workers(tasks: int, enough_work: bool) -> int:
-    """Forked workers for ``tasks`` independent tasks, ``max_workers(tasks)``;
-    0 (run serially) with fewer than 2 of those, without ``enough_work`` to
-    pay for starting them, or where ``fork`` is missing."""
-    workers = max_workers(tasks)
-    return workers if workers > 1 and enough_work and _can_fork() else 0
-
-
 def _can_fork() -> bool:
     # Imported here and below: multiprocessing and its connection module add
     # about 16 ms to the start-up of every command, and only workers use them.
@@ -49,10 +41,14 @@ def _can_fork() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def fork_map(fn: Callable[[int], object], order: Sequence[int], workers: int) -> list:
-    """``[fn(0), ..., fn(n - 1)]``, computed by ``workers`` forked processes
-    that take the indices in chunks, in ``order`` (a permutation of
-    ``range(n)``); a free worker takes the next chunk.
+def fork_map(fn: Callable[[int], object], order: Sequence[int], enough_work: bool) -> list:
+    """``[fn(0), ..., fn(n - 1)]``, with ``order`` a permutation of
+    ``range(n)``.
+
+    With ``max_workers(n)`` of at least 2, ``enough_work`` to pay for
+    starting them and ``fork`` available, forked processes take the indices
+    in chunks, in ``order``; a free worker takes the next chunk.  Otherwise
+    this process calls ``fn`` in index order.
 
     ``fn`` reaches the workers by the fork, so it may be any callable; each
     result and exception comes back pickled.  A failure is the one a serial
@@ -60,10 +56,13 @@ def fork_map(fn: Callable[[int], object], order: Sequence[int], workers: int) ->
     workers are stopped.  An exception that cannot be pickled is raised by
     calling ``fn`` again here.  A worker that dies (killed, out of memory) is
     a ``RuntimeError``, not a hang."""
+    n = len(order)
+    workers = max_workers(n)
+    if workers < 2 or not enough_work or not _can_fork():
+        return [fn(i) for i in range(n)]
     from multiprocessing.connection import wait
 
     global _job
-    n = len(order)
     size = max(1, n // (8 * workers))
     todo = iter([order[k:k + size] for k in range(0, n, size)])
     results: dict[int, tuple[bool, object]] = {}   # index -> (failed, result or exception)

@@ -383,12 +383,12 @@ class TestGroupedKernel:
             for kind, terms in (("G4", g4), ("G5", g5)):
                 p = AngularParams(eta, zeta, lam, kind, ("Fe", "H"))
                 group = _Group(cut, p.element_pair, [(0, p)])
-                got = group.angular(r_ij, r_ik, r_jk, cos, fc_ij * fc_ik)
+                got = group.reduce(group.terms(r_ij, r_ik, r_jk, cos, fc_ij * fc_ik))
                 assert got[0] == np.sort(terms).sum() * scale
                 for k in range(len(cos)):   # one term at a time: no sum hides a last bit
                     one = slice(k, k + 1)
-                    got = group.angular(r_ij[one], r_ik[one], r_jk[one], cos[one],
-                                        fc_ij[one] * fc_ik[one])
+                    got = group.reduce(group.terms(r_ij[one], r_ik[one], r_jk[one], cos[one],
+                                                   fc_ij[one] * fc_ik[one]))
                     assert got[0] == terms[k] * scale
 
     def test_equals_per_column_reference_functions(self, rng):
@@ -525,7 +525,7 @@ class TestKernelMatchesReference:
             cos = rng.uniform(-1.0, 1.0, n)
             cos[rng.random(n) < 0.2] = rng.choice([-1.0, 0.0, 1.0])   # degenerate angles
             fc = cutoff_value(r_ij, self.CUT) * cutoff_value(r_ik, self.CUT)
-            got = group.angular(r_ij, r_ik, r_jk, cos, fc)
+            got = group.reduce(group.terms(r_ij, r_ik, r_jk, cos, fc))
             assert got.tobytes() == ref.angular(r_ij, r_ik, r_jk, cos).tobytes(), (name, n)
 
     def test_random_radial_distances(self, rng):
@@ -535,7 +535,7 @@ class TestKernelMatchesReference:
         ref = ReferenceGroup(self.CUT, params)
         for n in (0, 1, 5, 8, 17, 200):
             d = np.sort(rng.uniform(0.5, 4.5, n))
-            got = group.radial(d, cutoff_value(d, self.CUT))
+            got = group.reduce(group.terms(d, cutoff_value(d, self.CUT)))
             assert got.tobytes() == ref.radial(d).tobytes()
 
     def test_pair_indices_follow_triu_order(self, rng):
@@ -788,7 +788,7 @@ class TestBatches:
                                             cell=np.eye(3) * edge)
                       for n, edge in zip(sizes, edges)]
         work = np.array([desc._work(s, 5.0) for s in structures])
-        batches = desc._batches(structures, 5.0)
+        batches = desc._batches(structures, list(work))
         assert [i for b in batches for i in b] == list(range(len(sizes)))
         alone = sizes >= desc._ALONE_ATOMS
         share = work[~alone].sum() / -(-sizes[~alone].sum() // desc._BATCH_ATOMS)
@@ -969,17 +969,17 @@ def test_max_cutoff_is_the_largest_outer_radius_set_once():
 
 def _pool_runs(monkeypatch, workers, min_atoms=0):
     """Pretend the process may run on ``workers`` CPUs, pool from
-    ``min_atoms`` atoms on, and record the worker count of every pool."""
+    ``min_atoms`` atoms on, and record the worker count of every forked pool."""
     monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
     monkeypatch.setattr(desc, "_POOL_MIN_ATOMS", min_atoms)
     runs = []
-    fork_map = parallel.fork_map
+    forked_workers = parallel._forked_workers
 
-    def spy(fn, order, n):
+    def spy(n):
         runs.append(n)
-        return fork_map(fn, order, n)
+        return forked_workers(n)
 
-    monkeypatch.setattr(parallel, "fork_map", spy)
+    monkeypatch.setattr(parallel, "_forked_workers", spy)
     return runs
 
 

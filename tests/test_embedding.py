@@ -658,17 +658,18 @@ class TestCalibrationPool:
     @staticmethod
     def _pool_runs(monkeypatch, cpus, min_points=0):
         """Pretend the process may run on ``cpus`` CPUs, pool from
-        ``min_points`` points on, and record the worker count of every pool."""
+        ``min_points`` points on, and record the worker count of every
+        forked pool."""
         monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
         monkeypatch.setattr(emb_mod, "_CALIBRATION_POOL_MIN_POINTS", min_points)
         runs = []
-        fork_map = parallel.fork_map
+        forked_workers = parallel._forked_workers
 
-        def spy(fn, order, n):
+        def spy(n):
             runs.append(n)
-            return fork_map(fn, order, n)
+            return forked_workers(n)
 
-        monkeypatch.setattr(parallel, "fork_map", spy)
+        monkeypatch.setattr(parallel, "_forked_workers", spy)
         return runs
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])

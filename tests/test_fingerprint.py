@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dvlae.descriptors as desc
 import dvlae.fingerprint as fp_mod
 from dvlae import (
     CutoffParams,
@@ -22,12 +23,14 @@ from dvlae import (
     batch_fingerprints,
     build_histograms,
     build_supercell,
+    compute_dataset_descriptors,
     compute_structure_descriptors,
     determine_bin_edges,
     difference_vector,
     hamming_cdist,
     make_dataset,
     mean_descriptor_vectors,
+    parallel,
     read_fingerprints,
     select_reference,
     write_fingerprints,
@@ -365,6 +368,47 @@ class TestBatch:
             f1 = batch_fingerprints(make_dataset([s]), s, sf, k=16)
             f2 = batch_fingerprints(make_dataset([shuffled]), shuffled, sf, k=16)
             assert np.array_equal(f1.fingerprints, f2.fingerprints)
+
+    @pytest.mark.parametrize("xor_mode", fp_mod.XOR_MODES)
+    def test_reference_from_another_file_is_described_once_alone(self, rng, monkeypatch, xor_mode):
+        sf = self._sfset()
+        structures = [both_elements(rng, f"s{i}", n_atoms=int(rng.integers(2, 6))) for i in range(6)]
+        ref = both_elements(rng, "ref", n_atoms=4)      # in no dataset, as a `path:` reference
+        ds = make_dataset(structures)
+        mats = compute_dataset_descriptors(structures, sf)
+        ref_alone = compute_structure_descriptors(ref, sf)
+        spec = determine_bin_edges(mats + [ref_alone], 16)
+        ref_counts = build_histograms(ref_alone, spec)
+        want = [np.packbits(difference_vector(build_histograms(m, spec), ref_counts, xor_mode))
+                for m in mats]
+
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)   # every search in this process
+        calls, searched = [], []
+        dataset, one, neighbors = (fp_mod.compute_dataset_descriptors,
+                                   fp_mod.compute_structure_descriptors, desc._neighbors)
+
+        def spy_dataset(structures, sfset):
+            calls.append([s.id for s in structures])
+            return dataset(structures, sfset)
+
+        def spy_one(s, sfset):
+            calls.append(s.id)
+            return one(s, sfset)
+
+        def counting(s, sfset):
+            searched.append(s.id)
+            return neighbors(s, sfset)
+
+        monkeypatch.setattr(fp_mod, "compute_dataset_descriptors", spy_dataset)
+        monkeypatch.setattr(fp_mod, "compute_structure_descriptors", spy_one)
+        monkeypatch.setattr(desc, "_neighbors", counting)
+        fpset = batch_fingerprints(ds, ref, sf, k=16, xor_mode=xor_mode)
+        assert calls == [[s.id for s in structures], "ref"]
+        assert searched == calls[0] + ["ref"]
+        assert fpset.spec.checksum == spec.checksum
+        assert fpset.spec.edges.tobytes() == spec.edges.tobytes()
+        assert fpset.fingerprints.tobytes() == np.array(want).tobytes()
+        assert fpset.ids == tuple(s.id for s in structures) and fpset.reference_id == "ref"
 
     def test_missing_reference_element_rejected(self, rng):
         full = both_elements(rng, "full")
