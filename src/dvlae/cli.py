@@ -16,15 +16,13 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import embedding as emb_mod
 from . import fingerprint as fp_mod
 from . import screening as scr_mod
 from .config import RunConfig, build_symmetry_functions, load_config
 from .descriptors import compute_dataset_descriptors
 from .embedding import read_embedding, write_embedding
-from .errors import ConfigError, FormatError, UserInputError
+from .errors import ConfigError, UserInputError
 from .ioutil import atomic_write_text, check_output_dir, read_id_list, read_input_text
 from .structures import Dataset, Structure, load_dataset, parse_extxyz, read_manifest
 from .svgplot import PlotSpec, write_scatter_svg
@@ -140,37 +138,13 @@ def cmd_screen(args) -> int:
     return 0
 
 
-def _read_vector_csv(path: str | Path, text: str | None = None):
-    if text is None:
-        text = read_input_text(path, "embedding input")
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or len(rows[0]) < 3 or rows[0][:2] != ["id", "tag"]:
-        raise FormatError(f"{path}: expected header id,tag,v0,...")
-    width = len(rows[0]) - 2
-    ids, tags, vecs = [], [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != width + 2:
-            raise FormatError(f"{path}, line {ln}: expected {width + 2} fields")
-        ids.append(row[0])
-        tags.append(row[1] or None)
-        try:
-            vecs.append([float(v) for v in row[2:]])
-        except ValueError:
-            raise FormatError(f"{path}, line {ln}: unparsable vector entry") from None
-        if not np.all(np.isfinite(vecs[-1])):
-            raise FormatError(f"{path}, line {ln}: non-finite vector entry")
-    return ids, tags, np.array(vecs, dtype=float)
-
-
 def _read_embedding_input(path: str | Path):
     """(ids, tags, vectors, metric) of an ``embed --input`` file, read once.
     A fingerprint file gives its packed rows, which t-SNE and PCA both take
     as they are; a vector CSV gives its rows."""
     text = read_input_text(path, "embedding input")
     if not fp_mod.is_fingerprint_text(text):
-        return (*_read_vector_csv(path, text), "euclidean")
+        return (*emb_mod.read_vectors(path, text, None), "euclidean")
     fpset = fp_mod.read_fingerprints(path, text)
     return fpset.ids, fpset.tags, fpset.fingerprints, "packed-hamming"
 

@@ -329,57 +329,35 @@ def _neighbors(s: Structure, sfset: SymmetryFunctionSet):
             species[nlist.flat_indices])
 
 
-def _gather(batch: Sequence[Structure], sfset: SymmetryFunctionSet):
-    """(the ``_Run`` of the leading structures of ``batch`` whose neighbors
-    were found, and the exception that stopped the search at the next one or
-    None).
-
-    The search stops at the first failure, which is raised at once for the
-    first structure, and after a structure with a center whose neighbors
-    could form more pairs than the cap, so that its pair counts are checked
-    before any further neighbor list is held."""
-    found, failure = [], None
-    for s in batch:
-        try:
-            found.append(_neighbors(s, sfset))
-        except Exception as exc:    # noqa: BLE001 - raised unless an earlier structure fails
-            failure = exc
-            break
-        most = int(found[-1][1].max(initial=0))
-        if most * (most - 1) // 2 > _MAX_CENTER_PAIRS:
-            break
-    if not found:
-        raise failure
-    return _Run(found, len(sfset.elements)), failure
+class _CouldPassTheCap(Exception):
+    """A structure of a batch of several has a center whose neighbors could
+    form more pairs than the cap: the batch is described one structure at a
+    time instead, which checks each element's pairs in the serial order."""
 
 
 class _Run:
     """The neighbors of a run of structures, flat in their order (structure,
-    atom, then distance), each with the element of its center and the row
-    of its center in that element's block (structure order, then atom
-    order)."""
+    atom, then distance); and per atom, its element, its neighbor count and
+    its row in that element's block (structure order, then atom order)."""
 
     def __init__(self, found, n_elements: int):
-        species, counts, self.dist, self.disp, self.nb = (
+        self.species, self.counts, self.dist, self.disp, self.nb = (
             parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*found))
-        self.n = len(found)
         bounds = np.cumsum([0] + [len(f[0]) for f in found])
-        rank = np.empty(len(species), dtype=np.intp)
+        self.rank = np.empty(len(self.species), dtype=np.intp)
         self.row_bounds = []        # element k, structure t: rows row_bounds[k][t:t + 2]
         for k in range(n_elements):
-            mine = species == k
-            rank[mine] = np.arange(np.count_nonzero(mine))
+            mine = self.species == k
+            self.rank[mine] = np.arange(np.count_nonzero(mine))
             self.row_bounds.append(np.concatenate(([0], np.cumsum(mine)))[bounds])
-        center = np.repeat(np.arange(len(species)), counts)
-        self.row, self.center_element = rank[center], species[center]
 
     def select(self, inside: np.ndarray, k: int, n_elements: int):
         """The neighbors inside a cutoff around the centers of element
         ``k``: their indices, by row of ``k``'s block, then element, then
         index; and per row and element, how many there are and where they
         start among those indices, as (rows, elements) arrays."""
-        positions = np.flatnonzero(inside & (self.center_element == k))
-        key = self.row[positions] * n_elements + self.nb[positions]
+        positions = np.flatnonzero(inside & np.repeat(self.species == k, self.counts))
+        key = np.repeat(self.rank, self.counts)[positions] * n_elements + self.nb[positions]
         counts = np.bincount(key, minlength=self.row_bounds[k][-1] * n_elements)
         starts = np.cumsum(counts) - counts
         return (positions[np.argsort(key, kind="stable")], counts.reshape(-1, n_elements),
@@ -391,103 +369,105 @@ class _Run:
 
 
 def _describe(batch: Sequence[Structure], sfset: SymmetryFunctionSet) -> list[dict]:
-    """The blocks of every structure of ``batch``, in order (``_describe_run``
-    over the runs ``_gather`` splits it into)."""
-    blocks: list[dict] = []
-    while len(blocks) < len(batch):
-        blocks += _describe_run(batch[len(blocks):], sfset)
-    return blocks
+    """The blocks of every structure of ``batch``, in order.
+
+    A batch of several structures is described together (``_describe_run``).
+    If that raises, or meets a structure whose centers could pass the pair
+    cap, the batch is described again one structure at a time, in order: so
+    an error is the one a serial loop over the structures raises, that of the
+    first failing structure."""
+    if len(batch) > 1:
+        try:
+            return _describe_run(batch, sfset)
+        except Exception:   # noqa: BLE001 - the loop below raises the serial error
+            pass
+    return [blocks for s in batch for blocks in _describe_run([s], sfset)]
 
 
 def _describe_run(batch: Sequence[Structure], sfset: SymmetryFunctionSet) -> list[dict]:
-    """The blocks of the leading structures of ``batch`` that ``_gather``
-    takes, in order.
+    """The blocks of every structure of ``batch``, in order.
 
     The groups of one element are evaluated in pools (``_evaluate``) over
-    the centers of all those structures, each value bit-identical to its
+    the centers of all the structures, each value bit-identical to its
     center's alone, so to any split of the structures into batches.
 
-    An error is the one a serial loop over the structures raises: that of the
-    first failing structure, and within it the first its evaluation meets (an
-    element the set lacks, the neighbor search, then per element a center
-    over the pair cap and a non-finite value)."""
-    run, failure = _gather(batch, sfset)
-    n = run.n
+    A structure alone meets its errors in the serial order: an element the
+    set lacks, the neighbor search, then per element a center over the pair
+    cap and a non-finite value.  Several structures stop with
+    ``_CouldPassTheCap`` right after the neighbor search of one whose centers
+    could form more pairs than the cap, so that no further neighbor list is
+    held."""
+    found = []
+    for s in batch:
+        found.append(_neighbors(s, sfset))
+        most = int(found[-1][1].max(initial=0))
+        if len(batch) > 1 and most * (most - 1) // 2 > _MAX_CENTER_PAIRS:
+            raise _CouldPassTheCap
+    run = _Run(found, len(sfset.elements))
     cuts = tuple(dict.fromkeys(g.cut for e in sfset.elements for g in sfset.groups[e]))
     inside = {cut: run.dist < cut.outer for cut in cuts}
-
-    # Pair caps first, from the counts alone: the (structure, element, row)
-    # of the first center over the cap, with its error.
-    selected, capped = [], (n, 0, 0, None)
-    for k, e in enumerate(sfset.elements):
-        near = {cut: run.select(inside[cut], k, len(sfset.elements))
-                for cut in dict.fromkeys(g.cut for g in sfset.groups[e])}
-        pools: dict[tuple, list] = {}
-        for g in sfset.groups[e]:
-            counts = near[g.cut][1]
-            if g.is_radial:
-                j = sfset.elements.index(g.neighbors)
-                pools.setdefault(g.key, []).append((g, (j, None, counts[:, j])))
-                continue
-            e1, e2 = (sfset.elements.index(x) for x in g.neighbors)
-            pairs = counts[:, e1] * (counts[:, e2] - (e1 == e2)) // (1 + (e1 == e2))  # n(n-1)/2 or n1 n2
-            pools.setdefault(g.key, []).append((g, (e1, e2, pairs)))
-            over = np.flatnonzero(pairs > _MAX_CENTER_PAIRS)
-            if len(over) and (at := (run.structure(k, over[0]), k, over[0])) < capped[:3]:
-                capped = at + (
-                    f"structure {batch[at[0]].id!r}: one atom has {pairs[over[0]]} "
-                    f"{'-'.join(g.neighbors)} neighbor pairs, more than {_MAX_CENTER_PAIRS}; "
-                    "the cell is too dense for the cutoff",)
-        selected.append((near, pools.values()))
-    stop, stop_element, _, error = capped
-
-    # Then every group over the live rows, and the first failure in
-    # (structure, element) order: a center over the cap or a non-finite value.
-    blocks, first = [], (stop, stop_element)
+    blocks = []
     # Huge parameters overflow to inf or nan; the check below reports them,
     # so numpy's warnings would only print ahead of that error.
     with np.errstate(over="ignore", invalid="ignore"):
         fc = {cut: cutoff_value(run.dist, cut) for cut in cuts}
-        for k, (e, (near, pools)) in enumerate(zip(sfset.elements, selected)):
-            # The rows of the structures before ``stop``, and of ``stop``
-            # itself for the elements its serial evaluation reaches before
-            # its cap.
-            live = run.row_bounds[k][min(stop + (k < stop_element), n)]
+        for k, e in enumerate(sfset.elements):
+            near = {cut: run.select(inside[cut], k, len(sfset.elements))
+                    for cut in dict.fromkeys(g.cut for g in sfset.groups[e])}
+            # The pair caps from the counts alone, before any pair of the
+            # element exists: the first center over the cap, in its first
+            # group over it.
+            pools: dict[tuple, list] = {}
+            over = []
+            for g in sfset.groups[e]:
+                counts = near[g.cut][1]
+                if g.is_radial:
+                    j = sfset.elements.index(g.neighbors)
+                    pools.setdefault(g.key, []).append((g, (j, None, counts[:, j])))
+                    continue
+                e1, e2 = (sfset.elements.index(x) for x in g.neighbors)
+                pairs = counts[:, e1] * (counts[:, e2] - (e1 == e2)) // (1 + (e1 == e2))  # n(n-1)/2 or n1 n2
+                pools.setdefault(g.key, []).append((g, (e1, e2, pairs)))
+                rows = np.flatnonzero(pairs > _MAX_CENTER_PAIRS)
+                if len(rows):
+                    over.append((rows[0], pairs[rows[0]], g.neighbors))
+            if over:
+                row, n, pair = min(over, key=lambda x: x[0])
+                raise UserInputError(
+                    f"structure {batch[run.structure(k, row)].id!r}: one atom has {n} "
+                    f"{'-'.join(pair)} neighbor pairs, more than {_MAX_CENTER_PAIRS}; "
+                    "the cell is too dense for the cutoff")
             block = np.empty((run.row_bounds[k][-1], len(sfset.descriptors[e])))
-            for pool in pools:
-                _evaluate(pool, run, fc, near, live, block)
+            for pool in pools.values():
+                _evaluate(pool, run, fc, near, block)
             block.setflags(write=False)
             blocks.append(block)
-            bad = np.flatnonzero(~np.isfinite(block[:live]).all(axis=1))
-            if len(bad) and (at := (run.structure(k, bad[0]), k)) < first:
-                first = at
-                error = f"non-finite descriptor value in structure {batch[at[0]].id!r}, element {e}"
-    if error is not None:
-        raise UserInputError(error)
-    if failure is not None:
-        raise failure
+            bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+            if len(bad):
+                raise UserInputError(f"non-finite descriptor value in structure "
+                                     f"{batch[run.structure(k, bad[0])].id!r}, element {e}")
     return [{e: block[bounds[t]:bounds[t + 1]]
              for e, bounds, block in zip(sfset.elements, run.row_bounds, blocks)}
-            for t in range(n)]
+            for t in range(len(batch))]
 
 
-def _evaluate(pool, run: _Run, fc: dict, near: dict, live: int, block) -> None:
-    """Fill the first ``live`` rows of ``block`` in the columns of the
-    groups of ``pool``, which differ in their neighbor elements alone; each
-    comes with (its neighbor element and None, or its pair elements, and
-    each row's neighbor or pair count).  ``fc`` and ``near`` hold the tapers
-    and the ``_Run.select`` of each cutoff.  A (group, row) takes its m1 x
-    m2 grid of neighbors (m2 = 1 for G2) in ``_pair_indices``' order.  The
-    rows are evaluated by ascending count, in chunks of at most
-    ``_CHUNK_TERMS`` terms (one row at least), each chunk's terms at once;
-    the rows of one count are a (columns, rows, count) view of them."""
+def _evaluate(pool, run: _Run, fc: dict, near: dict, block) -> None:
+    """Fill ``block`` in the columns of the groups of ``pool``, which differ
+    in their neighbor elements alone; each comes with (its neighbor element
+    and None, or its pair elements, and each row's neighbor or pair count).
+    ``fc`` and ``near`` hold the tapers and the ``_Run.select`` of each
+    cutoff.  A (group, row) takes its m1 x m2 grid of neighbors (m2 = 1 for
+    G2) in ``_pair_indices``' order.  The rows are evaluated by ascending
+    count, in chunks of at most ``_CHUNK_TERMS`` terms (one row at least),
+    each chunk's terms at once; the rows of one count are a (columns, rows,
+    count) view of them."""
     g = pool[0][0]
     fc, (positions, counts, starts) = fc[g.cut], near[g.cut]
     fields = []
     for _, (e1, e2, n) in pool:
-        m1, s1 = counts[:live, e1], starts[:live, e1]
-        m2, s2 = (np.ones_like(m1), s1) if e2 is None else (counts[:live, e2], starts[:live, e2])
-        fields.append((m1, m2, s1, s2, np.full(live, e1 == e2), n[:live]))
+        m1, s1 = counts[:, e1], starts[:, e1]
+        m2, s2 = (np.ones_like(m1), s1) if e2 is None else (counts[:, e2], starts[:, e2])
+        fields.append((m1, m2, s1, s2, np.full(len(m1), e1 == e2), n))
     m1, m2, s1, s2, same, n = (np.concatenate(x) for x in zip(*fields))
     kind = (m1 * (m2.max(initial=0) + 1) + m2) * 2 + same
     order = np.argsort(n, kind="stable")
@@ -519,8 +499,8 @@ def _evaluate(pool, run: _Run, fc: dict, near: dict, live: int, block) -> None:
             values[:, lo:hi] = g.reduce(chunk[:, at:at + size].reshape(len(g.cols), hi - lo, n[lo]))
             at += size
         start = stop
-    cols = np.array([member.cols for member, _ in pool])
-    block[(order % max(live, 1))[:, None], cols[order // max(live, 1)]] = values.T
+    cols, height = np.array([member.cols for member, _ in pool]), max(len(counts), 1)
+    block[(order % height)[:, None], cols[order // height]] = values.T
 
 
 # Structures of fewer than _ALONE_ATOMS atoms are described together, in

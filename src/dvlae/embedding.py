@@ -538,22 +538,33 @@ def write_embedding(emb: Embedding, path: str | Path) -> None:
     atomic_write_text(path, embedding_to_csv(emb))
 
 
-def read_embedding(path: str | Path) -> Embedding:
-    rows = list(csv.reader(io.StringIO(read_input_text(path, "embedding file"))))
-    if not rows or rows[0] != ["id", "tag", "x", "y"]:
-        raise FormatError(f"{path}: expected header id,tag,x,y")
-    ids, tags, coords = [], [], []
+def read_vectors(path: str | Path, text: str, names: Sequence[str] | None):
+    """(ids, tags, an (n, width) float array) of the ``id,tag,...`` CSV
+    ``text`` read from ``path``, whose value columns are ``names``, or any
+    one or more for None (``id,tag,v0,...``).  Every value must be finite."""
+    rows = list(csv.reader(io.StringIO(text)))
+    head = rows[0] if rows else []
+    if head[:2] != ["id", "tag"] or len(head) < 3 or names is not None and head[2:] != list(names):
+        raise FormatError(f"{path}: expected header id,tag,{','.join(names or ('v0', '...'))}")
+    width = len(head) - 2
+    ids, tags, values = [], [], []
     for ln, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != 4:
-            raise FormatError(f"{path}, line {ln}: expected 4 fields")
+        if len(row) != width + 2:
+            raise FormatError(f"{path}, line {ln}: expected {width + 2} fields")
         ids.append(row[0])
         tags.append(row[1] or None)
         try:
-            coords.append((float(row[2]), float(row[3])))
+            values.append([float(v) for v in row[2:]])
         except ValueError:
-            raise FormatError(f"{path}, line {ln}: unparsable coordinate") from None
-    return Embedding(
-        ids=tuple(ids), tags=tuple(tags), coords=np.array(coords, dtype=float).reshape(-1, 2)
-    )
+            raise FormatError(f"{path}, line {ln}: unparsable vector entry") from None
+        if not np.all(np.isfinite(values[-1])):
+            raise FormatError(f"{path}, line {ln}: non-finite vector entry")
+    return ids, tags, np.array(values, dtype=float).reshape(-1, width)
+
+
+def read_embedding(path: str | Path) -> Embedding:
+    """The ``id,tag,x,y`` embedding file at ``path``."""
+    ids, tags, coords = read_vectors(path, read_input_text(path, "embedding file"), ("x", "y"))
+    return Embedding(ids=tuple(ids), tags=tuple(tags), coords=coords)

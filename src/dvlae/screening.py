@@ -201,12 +201,25 @@ def rank_ood(predictions: FingerprintSet, training: FingerprintSet) -> list[OodS
     """Per prediction, the minimum Hamming distance to the training store,
     normalized by the fingerprint bit length; most novel first (ties keep
     input order).  Predictions are scored a slice at a time, so memory does
-    not grow with the product of the two set sizes."""
+    not grow with the product of the two set sizes.
+
+    Both sets must share the histogram spec and the XOR mode.  Fingerprints
+    XOR-ed against different references give distances that compare
+    nothing, but one reference may be named by two paths, so two named
+    references that differ are a warning, not an error."""
     if training.spec.checksum != predictions.spec.checksum:
         raise UserInputError(
             "training and prediction fingerprints use different histogram specs "
             f"({training.spec.checksum} vs {predictions.spec.checksum})"
         )
+    if training.xor_mode != predictions.xor_mode:
+        raise UserInputError("training and prediction fingerprints use different XOR modes "
+                             f"({training.xor_mode} vs {predictions.xor_mode})")
+    named = training.reference_id and predictions.reference_id
+    if named and training.reference_id != predictions.reference_id:
+        warnings.warn("training and prediction fingerprints name different references "
+                      f"({training.reference_id!r} vs {predictions.reference_id!r})",
+                      stacklevel=2)
     if not len(training):
         raise UserInputError("training fingerprint file holds no records")
     # Padded to whole words once, so no slice's kernel call copies the store.

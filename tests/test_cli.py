@@ -894,6 +894,43 @@ class TestOodCommand:
         assert code == 1
         assert "spec" in capsys.readouterr().err
 
+    def _refingerprinted(self, tmp_path, cfg, name, old, new):
+        """Fingerprints of the corpus under the shared spec, with ``old``
+        replaced by ``new`` in the config."""
+        assert old in cfg.read_text()
+        other = tmp_path / f"{name}.ini"
+        other.write_text(cfg.read_text().replace(old, new))
+        assert main(["fingerprint", "--config", str(other), "--out", str(tmp_path / name),
+                     "--spec", str(tmp_path / "out" / "histogram_spec.json")]) == 0
+        return tmp_path / name / "fingerprints.txt"
+
+    def test_xor_mode_mismatch_exits_one(self, rng, tmp_path, capsys):
+        cfg, train, _ = self._two_fingerprint_files(rng, tmp_path)
+        pred = self._refingerprinted(tmp_path, cfg, "counts", "bins = 16\n",
+                                     "bins = 16\nxor_mode = count-equality\n")
+        capsys.readouterr()
+        assert main(["ood", "--config", str(cfg), "--training", str(train),
+                     "--predictions", str(pred)]) == 1
+        assert capsys.readouterr().err == (
+            "error: training and prediction fingerprints use different XOR modes "
+            "(occupancy vs count-equality)\n")
+
+    def test_reference_mismatch_warns_in_one_line(self, rng, tmp_path, capsys):
+        cfg, train, pred = self._two_fingerprint_files(rng, tmp_path)
+        capsys.readouterr()
+        assert main(["ood", "--config", str(cfg), "--training", str(train),
+                     "--predictions", str(pred)]) == 0
+        assert capsys.readouterr().err == ""
+        other = self._refingerprinted(tmp_path, cfg, "by-id", "reference = path:ref.xyz",
+                                      "reference = auto")
+        capsys.readouterr()
+        assert main(["ood", "--config", str(cfg), "--training", str(train),
+                     "--predictions", str(other)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: training and prediction fingerprints name "
+                              "different references (")
+        assert err.count("\n") == 1
+
 
 class TestPlotCommand:
     def _embedding_csv(self, rng, tmp_path, tags=("a", "b", "c"), n=12):
@@ -996,14 +1033,14 @@ class TestMoreCliPaths:
         capsys.readouterr()
 
     def test_vector_csv_roundtrip(self, rng, tmp_path):
-        from dvlae.cli import _read_vector_csv
+        from dvlae.embedding import read_vectors
 
         ids = [f"v{i}" for i in range(5)]
         tags = ["a", None, "b", None, "a"]
         vectors = rng.normal(0, 2, (5, 4))
         path = tmp_path / "vec.csv"
         write_vector_csv(ids, tags, vectors, path)
-        back_ids, back_tags, back_vecs = _read_vector_csv(path)
+        back_ids, back_tags, back_vecs = read_vectors(path, path.read_text(), None)
         assert back_ids == ids
         assert back_tags == tags
         assert np.array_equal(back_vecs, vectors)

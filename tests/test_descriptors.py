@@ -701,8 +701,8 @@ class TestBatches:
         # 1,540 to 3,136 pairs per group.  The bounds are the tracemalloc
         # peaks of the per-group bucket kernel this one replaced: 7,761,866
         # bytes for the whole call (the neighbor search sets it) and
-        # 2,483,732 above the neighbor arrays (measured here: 7,643,778 and
-        # 2,450,244, numpy 2.4).
+        # 2,483,732 above the neighbor arrays (measured here: 7,645,041 and
+        # 2,332,624, numpy 2.4).
         rng = np.random.default_rng(0)
         cell = 2.65 * (np.eye(3) + rng.uniform(-0.002, 0.002, (3, 3)))
         frac = np.array([[0, 0, 0], [0.5, 0.5, 0.5]]) + rng.uniform(-0.02, 0.02, (2, 3))
@@ -710,7 +710,7 @@ class TestBatches:
                                         periodic=(True,) * 3, id="FeH"), (5, 5, 5))
         sf = build_symmetry_functions(("Fe", "H"), GridConfig(cutoff=6.0))
         want = compute_structure_descriptors(big, sf)
-        run, _ = desc._gather([big], sf)
+        found = desc._neighbors(big, sf)
         tracemalloc.start()
         try:
             compute_structure_descriptors(big, sf)
@@ -718,7 +718,7 @@ class TestBatches:
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(desc, "_gather", lambda batch, sfset: (run, None))
+                mp.setattr(desc, "_neighbors", lambda s, sfset: found)
                 got = desc._describe_run([big], sf)[0]
             kernel = tracemalloc.get_traced_memory()[1] - held
         finally:
@@ -750,10 +750,31 @@ class TestBatches:
         assert [m.structure_id for m in got] == [s.id for s in structures]
         self.assert_reference(corpus, [m.blocks for m in got])
 
-    def test_a_center_that_could_pass_the_cap_ends_a_run(self, monkeypatch, corpus):
+    @staticmethod
+    def describe_runs(monkeypatch):
+        """Record the number of structures of each ``_describe_run`` call."""
+        runs = []
+        describe_run = desc._describe_run
+
+        def spy(batch, sfset):
+            runs.append(len(batch))
+            return describe_run(batch, sfset)
+
+        monkeypatch.setattr(desc, "_describe_run", spy)
+        return runs
+
+    def test_a_batch_that_meets_no_error_is_described_once(self, monkeypatch, corpus):
+        sf, structures, _ = corpus
+        runs = self.describe_runs(monkeypatch)
+        self.assert_reference(corpus, desc._describe(structures, sf))
+        assert runs == [len(structures)]
+
+    def test_a_batch_holding_a_center_that_could_pass_the_cap_is_described_one_at_a_time(
+            self, monkeypatch, corpus):
         # At a cap equal to the most pairs any group of the corpus has, no
-        # structure fails, but each one with a center whose neighbors could
-        # form more pairs than that ends a run of the batch.
+        # structure fails, but one with a center whose neighbors could form
+        # more pairs than that stops the batch, which is described again one
+        # structure at a time.
         sf, structures, _ = corpus
         most = 0
         for s in structures:
@@ -767,16 +788,9 @@ class TestBatches:
                         n1, n2 = np.count_nonzero(near == e1), np.count_nonzero(near == e2)
                         most = max(most, n1 * (n1 - 1) // 2 if e1 == e2 else n1 * n2)
         monkeypatch.setattr(desc, "_MAX_CENTER_PAIRS", most)
-        runs = []
-        describe_run = desc._describe_run
-
-        def spy(batch, sfset):
-            runs.append(len(batch))
-            return describe_run(batch, sfset)
-
-        monkeypatch.setattr(desc, "_describe_run", spy)
+        runs = self.describe_runs(monkeypatch)
         self.assert_reference(corpus, desc._describe(structures, sf))
-        assert len(runs) > 1
+        assert runs == [len(structures)] + [1] * len(structures)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_batches_are_runs_under_the_atom_and_work_budgets(self, seed):
@@ -917,10 +931,46 @@ class TestBatchErrors:
             return neighbors(s, sfset)
 
         monkeypatch.setattr(desc, "_neighbors", counting)
-        batch = [found["fine"], found["capped"]] + [found["fine"]] * 5
+        after = [dataclasses.replace(found["fine"], id=f"after{k}") for k in range(5)]
         with pytest.raises(UserInputError, match=re.escape(CAPPED.format("capped"))):
-            desc._describe(batch, error_set())
-        assert searched == ["fine", "capped"]
+            desc._describe([found["fine"], found["capped"]] + after, error_set())
+        # The batch stops after "capped", and is described again one
+        # structure at a time up to it.
+        assert searched == ["fine", "capped"] * 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("names, error, message", [
+        (("boom",), RuntimeError, "boom failed"),
+        (("nan", "boom"), UserInputError, re.escape(NAN.format("nan"))),
+        (("boom", "nan"), RuntimeError, "boom failed"),
+    ])
+    def test_any_exception_of_a_batch_is_the_serial_one(self, monkeypatch, workers, names,
+                                                        error, message):
+        # The batch meets "boom"'s failed neighbor search before any value of
+        # "nan" exists; described again one structure at a time, it raises
+        # the first failing structure's error.  A 64-atom molecule is a
+        # second batch, so that two workers fork.
+        runs = _pool_runs(monkeypatch, workers)
+        found = error_structures()
+        found["boom"] = dataclasses.replace(found["fine"], id="boom")
+        neighbors = desc._neighbors
+
+        def failing(s, sfset):
+            if s.id == "boom":
+                raise RuntimeError("boom failed")
+            return neighbors(s, sfset)
+
+        monkeypatch.setattr(desc, "_neighbors", failing)
+        fine = [dataclasses.replace(found["fine"], id=f"fine{k}") for k in range(4)]
+        far = isolated(("Fe",) * desc._ALONE_ATOMS,
+                       [[10.0 * i, 0, 0] for i in range(desc._ALONE_ATOMS)], "far")
+        structures = fine[:3] + [found[n] for n in names] + fine[3:] + [far]
+        sf = error_set()
+        assert len(desc._batches(structures, [desc._work(s, sf.max_cutoff) for s in structures])) == 2
+        with pytest.raises(error, match=message):
+            compute_dataset_descriptors(structures, sf)
+        assert runs == ([] if workers == 1 else [2])
+        assert multiprocessing.active_children() == []
 
     def test_the_pair_cap_is_checked_before_any_pair_of_the_batch(self, monkeypatch):
         # A center over the cap in the first structure: the batch stops there,

@@ -3,6 +3,7 @@
 import concurrent.futures
 import multiprocessing
 import os
+import re
 import signal
 import sys
 import threading
@@ -14,6 +15,7 @@ import pytest
 
 from dvlae import (
     Embedding,
+    FormatError,
     TsneConfig,
     UserInputError,
     embed_vectors,
@@ -800,6 +802,46 @@ class TestEmbeddingCsv:
     def test_header_present(self, rng):
         text = embedding_to_csv(self._embedding(rng))
         assert text.splitlines()[0] == "id,tag,x,y"
+
+    def test_header_only_reads_as_no_points_of_width_two(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("id,tag,x,y\n")
+        assert read_embedding(path).coords.shape == (0, 2)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected header id,tag,x,y"),
+        ("id,tag,x\na,,1\n", "expected header id,tag,x,y"),
+        ("id,tag,x,z\na,,1,2\n", "expected header id,tag,x,y"),
+        ("id,tag,x,y\na,,1\n", "line 2: expected 4 fields"),
+        ("id,tag,x,y\na,,1,2\nb,,one,2\n", "line 3: unparsable vector entry"),
+        ("id,tag,x,y\na,,1,nan\n", "line 2: non-finite vector entry"),
+    ])
+    def test_malformed_files_exit_one(self, tmp_path, capsys, text, message):
+        from dvlae.cli import main
+
+        path = tmp_path / "emb.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            read_embedding(path)
+        assert main(["plot", "--embedding", str(path), "--out", str(tmp_path / "p.svg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and err.endswith(f"{message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("id,tag\na,\n", "expected header id,tag,v0,..."),
+        ("id,name,v0\na,,1\n", "expected header id,tag,v0,..."),
+        ("id,tag,v0,v1,v2\na,,1,2\n", "line 2: expected 5 fields"),
+        ("id,tag,v0\na,,x\n", "line 2: unparsable vector entry"),
+    ])
+    def test_malformed_vector_files(self, tmp_path, text, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            emb_mod.read_vectors(tmp_path / "v.csv", text, None)
+
+    def test_vectors_of_any_width(self):
+        ids, tags, vectors = emb_mod.read_vectors("v.csv", "id,tag,a,b,c\np,t,1,2,3\nq,,4,5,6\n", None)
+        assert (ids, tags) == (["p", "q"], ["t", None])
+        assert vectors.tolist() == [[1, 2, 3], [4, 5, 6]]
+        assert emb_mod.read_vectors("v.csv", "id,tag,v0,v1,v2\n", None)[2].shape == (0, 3)
 
     def test_embed_vectors_pca_and_tsne(self, rng):
         points, labels = three_clusters(rng, per_cluster=6)

@@ -1,7 +1,9 @@
 """Dedup, novelty screening, and OOD scoring against naive oracles."""
 
+import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +363,32 @@ class TestOod:
         (score,) = rank_ood(probe, store)
         for t in store.fingerprints:
             assert score.normalized <= naive_hamming(probe.fingerprints[0], t) / 32
+
+    def test_xor_modes_must_match(self, rng):
+        bits = random_bits(rng, 4, n_bits=40)
+        store = dataclasses.replace(fingerprint_set(bits), xor_mode="count-equality")
+        with pytest.raises(UserInputError, match="different XOR modes "
+                                                 r"\(count-equality vs occupancy\)"):
+            rank_ood(fingerprint_set(bits), store)
+
+    def test_different_references_warn_once(self, rng):
+        bits = random_bits(rng, 4, n_bits=40)
+        store = dataclasses.replace(fingerprint_set(bits), reference_id="other.xyz#0")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scores = rank_ood(fingerprint_set(bits), store)
+        assert [str(w.message) for w in caught] == [
+            "training and prediction fingerprints name different references "
+            "('other.xyz#0' vs 'ref')"]
+        assert [s.min_hamming for s in scores] == [0] * 4
+
+    @pytest.mark.parametrize("training, predictions", [("ref", "ref"), ("", "ref"), ("ref", "")])
+    def test_equal_or_unnamed_references_do_not_warn(self, rng, training, predictions):
+        bits = random_bits(rng, 4, n_bits=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rank_ood(dataclasses.replace(fingerprint_set(bits), reference_id=predictions),
+                     dataclasses.replace(fingerprint_set(bits), reference_id=training))
 
     def test_empty_store_rejected(self, rng):
         with pytest.raises(UserInputError, match="holds no records"):
