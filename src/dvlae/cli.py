@@ -89,7 +89,7 @@ def _validate_against_config(fpset: fp_mod.FingerprintSet, cfg: RunConfig) -> No
             f"fingerprint file uses {fpset.spec.bins} bins but the config says {cfg.bins}"
         )
     if cfg.elements is not None:
-        layout = build_symmetry_functions(cfg.elements, cfg.grid).column_layout()
+        layout = build_symmetry_functions(cfg.elements, cfg.grid).layout
         if fpset.spec.columns != layout:
             raise ConfigError(
                 "fingerprint file column layout does not match the config's descriptor grid"

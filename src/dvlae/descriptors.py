@@ -101,11 +101,11 @@ class SymmetryFunctionSet:
 
     elements: tuple[str, ...]
     descriptors: Mapping[str, tuple[DescriptorDef, ...]]
-    # Per center element, its columns grouped for the kernel, and its column
-    # labels; (element, label) per column in canonical order; the largest
-    # outer cutoff of any column (all derived).
+    # Per center element, its columns grouped for the kernel; (element,
+    # label) per column in canonical order, the one layout record, which
+    # every descriptor matrix of the set shares; the largest outer cutoff
+    # of any column (all derived).
     groups: Mapping[str, tuple] = field(init=False, repr=False, compare=False)
-    labels: Mapping[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     layout: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
     max_cutoff: float = field(init=False, repr=False, compare=False)
 
@@ -115,17 +115,12 @@ class SymmetryFunctionSet:
         for e in elements:
             if not defs[e]:
                 raise UserInputError(f"element {e} has no descriptors")
-        labels = {e: tuple(d.label for d in defs[e]) for e in elements}
         for name, value in (
-                ("elements", elements), ("descriptors", defs), ("labels", labels),
+                ("elements", elements), ("descriptors", defs),
                 ("groups", {e: _group_columns(defs[e]) for e in elements}),
-                ("layout", tuple((e, lbl) for e in elements for lbl in labels[e])),
+                ("layout", tuple((e, d.label) for e in elements for d in defs[e])),
                 ("max_cutoff", max(d.cutoff.outer for e in elements for d in defs[e]))):
             object.__setattr__(self, name, value)
-
-    def column_layout(self) -> tuple[tuple[str, str], ...]:
-        """(element, label) per column, in canonical order."""
-        return self.layout
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +283,15 @@ class DescriptorMatrix:
     """Per-atom descriptor values for one structure, grouped by center element.
 
     ``blocks[e]`` has one row per element-e atom (structure atom order) and one
-    column per descriptor in the symmetry-function set's order for ``e``.
+    column per descriptor in the symmetry-function set's order for ``e``;
+    ``layout`` is (element, label) per column, in the blocks' order: the
+    pipeline passes its symmetry-function set's, so a run's matrices share one.
     """
 
     structure_id: str
     tag: str | None
     blocks: Mapping[str, np.ndarray]
-    columns: Mapping[str, tuple[str, ...]]
-    # (element, label) per column, built from ``blocks`` and ``columns``
-    # unless given: the pipeline passes its symmetry-function set's, so a
-    # run's matrices share one.
-    layout: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.layout is None:
-            layout = tuple((e, lbl) for e in self.blocks for lbl in self.columns[e])
-            object.__setattr__(self, "layout", layout)
-
-    def column_layout(self) -> tuple[tuple[str, str], ...]:
-        return self.layout
+    layout: tuple[tuple[str, str], ...]
 
 
 def compute_structure_descriptors(s: Structure, sfset: SymmetryFunctionSet) -> DescriptorMatrix:
@@ -578,5 +563,5 @@ def compute_dataset_descriptors(structures: Sequence[Structure],
         for block in blocks.values():
             block.setflags(write=False)     # unpickled arrays come back writeable
         matrices.append(DescriptorMatrix(structure_id=s.id, tag=s.tag, blocks=blocks,
-                                         columns=sfset.labels, layout=sfset.layout))
+                                         layout=sfset.layout))
     return matrices

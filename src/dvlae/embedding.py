@@ -87,6 +87,8 @@ class TsneConfig:
 
     def validate_for(self, n_points: int) -> None:
         """Reject a run on ``n_points`` points before any n x n array exists."""
+        if n_points < 2:
+            raise UserInputError(f"need at least 2 points for a 2-D embedding, got {n_points}")
         limit = (n_points - 1) / 3
         if not self.perplexity < limit:
             raise UserInputError(

@@ -113,9 +113,9 @@ def determine_bin_edges(matrices: Sequence[DescriptorMatrix], k: int) -> Histogr
     matrices = list(matrices)
     if not matrices:
         raise UserInputError("no descriptor matrices given")
-    layout = matrices[0].column_layout()
+    layout = matrices[0].layout
     for m in matrices[1:]:
-        if m.column_layout() != layout:
+        if m.layout != layout:
             raise UserInputError(
                 f"descriptor layout of {m.structure_id!r} differs from {matrices[0].structure_id!r}"
             )
@@ -136,12 +136,12 @@ def determine_bin_edges(matrices: Sequence[DescriptorMatrix], k: int) -> Histogr
 def build_histograms(d: DescriptorMatrix, spec: HistogramSpec) -> np.ndarray:
     """Bin counts of every descriptor column of one structure under
     ``spec``: an (n_columns, bins) int64 array."""
-    if d.column_layout() != spec.columns:
+    if d.layout != spec.columns:
         raise UserInputError(f"descriptor layout of {d.structure_id!r} does not match the histogram spec")
     # Each value's flat (column, bin) index, counted in one pass.
     flat, start = [], 0
-    for element, block in d.blocks.items():
-        cols = np.arange(start, start + len(d.columns[element]))
+    for block in d.blocks.values():
+        cols = np.arange(start, start + block.shape[1])
         flat.append((spec.bin_of(block, cols) + spec.bins * cols).ravel())
         start += len(cols)
     counts = np.bincount(np.concatenate(flat), minlength=spec.n_bits)
@@ -236,7 +236,7 @@ def batch_fingerprints(
     if missing:
         raise UserInputError(f"reference {ref.id!r} lacks element {missing[0]} present in the dataset")
     if spec is None:
-        check_bin_count(k, len(sfset.column_layout()))
+        check_bin_count(k, len(sfset.layout))
     matrices = compute_dataset_descriptors(ds.structures, sfset)
     ref_matrix = next(
         (m for m, s in zip(matrices, ds.structures) if s is ref or s.id == ref.id), None
@@ -248,7 +248,7 @@ def batch_fingerprints(
         pool = matrices
     if spec is None:
         spec = determine_bin_edges(pool, k)
-    elif spec.columns != sfset.column_layout():
+    elif spec.columns != sfset.layout:
         raise UserInputError("supplied histogram spec does not match the symmetry-function set")
     ref_counts = build_histograms(ref_matrix, spec)
     rows = np.empty((len(matrices), (spec.n_bits + 7) // 8), dtype=np.uint8)

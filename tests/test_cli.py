@@ -756,6 +756,18 @@ class TestEmbedCommand:
                          "--method", method]) == 1
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("method, noun", [("tsne", "embedding"), ("pca", "projection")])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points_exits_one(self, rng, tmp_path, capsys, method, noun, n):
+        # the point count is the error, not a perplexity bound (n-1)/3 <= 0
+        cfg = make_corpus(rng, tmp_path, n=4)
+        vec = tmp_path / "vec.csv"
+        vec.write_text("\n".join(["id,tag,v0,v1"] + [f"p{i},,{i},{2 * i}" for i in range(n)]) + "\n")
+        assert main(["embed", "--config", str(cfg), "--input", str(vec),
+                     "--method", method]) == 1
+        assert capsys.readouterr().err == f"error: need at least 2 points for a 2-D {noun}, got {n}\n"
+        assert not (tmp_path / "out" / "embedding.csv").exists()
+
 
 def _forbid_work(monkeypatch):
     """Make every descriptor, distance, t-SNE and PCA computation an error."""

@@ -1143,9 +1143,8 @@ class TestPool:
         assert [m.structure_id for m in got] == [s.id for s in structures]
         for m, want in zip(got, serial):
             assert m.tag == want.tag
-            assert m.columns is sf.labels
             # one layout per set, shared by all of its matrices
-            assert m.column_layout() is want.column_layout() is sf.column_layout()
+            assert m.layout is want.layout is sf.layout
             assert list(m.blocks) == list(want.blocks)
             for e, block in m.blocks.items():
                 assert block.tobytes() == want.blocks[e].tobytes(), (m.structure_id, e)

@@ -7,6 +7,7 @@ import re
 import signal
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 
@@ -707,6 +708,27 @@ class TestCalibrationPool:
             f"row {i}: all distances zero; using a uniform row" for i in zero]
         assert runs == ([] if cpus == 1 else [cpus])
         assert np.array_equal(got, serial_calibration(d, 5.0))
+
+    @pytest.mark.parametrize("n, cpus", [(150, 1), (400, 2)])
+    def test_joint_probabilities_hold_one_square_matrix(self, rng, monkeypatch, n, cpus):
+        # P is the one n x n array tracemalloc sees: the calibration map is
+        # shared memory (mmap), which it does not trace, and P is formed in
+        # place.  The peak read 8n^2 + 67 KB at both sizes, about numpy's
+        # 64 KiB buffer for the transposed operand; the bound allows 88 KiB,
+        # so one more n x n temporary breaks it.  The first call warms up
+        # (it imports multiprocessing for the pool).
+        d = pairwise_distances(rng.normal(0, 1, (n, 5)))
+        runs = self._pool_runs(monkeypatch, cpus)
+        want = joint_probabilities(d, 30.0)
+        tracemalloc.start()
+        try:
+            got = joint_probabilities(d, 30.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert runs == ([] if cpus == 1 else [cpus, cpus])
+        assert peak <= 8 * n * n + 88 * 1024
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])

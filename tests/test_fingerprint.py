@@ -44,9 +44,8 @@ from conftest import dyadic_structure, fingerprint_bits, fingerprint_set, naive_
 def matrix_of(values_by_column, element="X", ident="m", tag=None):
     """DescriptorMatrix with one element block from per-column value lists."""
     block = np.column_stack([np.asarray(v, float) for v in values_by_column])
-    labels = tuple(f"col{i}" for i in range(len(values_by_column)))
-    return DescriptorMatrix(structure_id=ident, tag=tag,
-                            blocks={element: block}, columns={element: labels})
+    layout = tuple((element, f"col{i}") for i in range(len(values_by_column)))
+    return DescriptorMatrix(structure_id=ident, tag=tag, blocks={element: block}, layout=layout)
 
 
 class TestBinEdges:
@@ -83,7 +82,7 @@ class TestBinEdges:
 
     def test_element_with_no_atoms_anywhere_rejected(self):
         m = DescriptorMatrix(structure_id="s", tag=None,
-                             blocks={"X": np.zeros((0, 1))}, columns={"X": ("col0",)})
+                             blocks={"X": np.zeros((0, 1))}, layout=(("X", "col0"),))
         with pytest.raises(UserInputError, match="X"):
             determine_bin_edges([m], k=4)
 
@@ -155,17 +154,17 @@ class TestColumnLayouts:
     def two_element(ident, order=("Fe", "H"), h_labels=("c", "d")):
         labels = {"Fe": ("a", "b"), "H": h_labels}
         blocks = {e: np.arange(6, dtype=float).reshape(3, 2) for e in order}
-        return DescriptorMatrix(ident, None, blocks, {e: labels[e] for e in order})
+        return DescriptorMatrix(ident, None, blocks,
+                                layout=tuple((e, lbl) for e in order for lbl in labels[e]))
 
     def test_layout_is_a_stored_value(self, rng):
         m = self.two_element("m")
         assert vars(m)["layout"] == (("Fe", "a"), ("Fe", "b"), ("H", "c"), ("H", "d"))
-        assert m.column_layout() is vars(m)["layout"]
         sf = build_symmetry_functions(("Fe", "H"), GridConfig(cutoff=4.0))
-        assert sf.column_layout() is vars(sf)["layout"]
-        assert sf.layout == tuple((e, lbl) for e in sf.elements for lbl in sf.labels[e])
+        assert sf.layout is vars(sf)["layout"]
+        assert sf.layout == tuple((e, d.label) for e in sf.elements for d in sf.descriptors[e])
         d = compute_structure_descriptors(dyadic_structure(rng, "s"), sf)
-        assert d.column_layout() is sf.column_layout()
+        assert d.layout is sf.layout
 
     @pytest.mark.parametrize("other", [
         dict(h_labels=("c", "e")),          # one label differs
@@ -187,7 +186,7 @@ def naive_edges(matrices):
     """Per-column (lo, hi) with the padding rule, one column at a time."""
     edges = []
     for e in matrices[0].blocks:
-        for c in range(len(matrices[0].columns[e])):
+        for c in range(sum(el == e for el, _ in matrices[0].layout)):
             values = [float(v) for m in matrices for v in m.blocks[e][:, c]]
             lo, hi = min(values), max(values)
             pad = 1e-6 if hi == lo else max(1e-9, 1e-6 * (hi - lo))
@@ -199,7 +198,7 @@ def naive_counts(m, spec):
     """Per-column bincount of the scalar bin formula, clipped to the range."""
     counts, flat = [], 0
     for e in m.blocks:
-        for c in range(len(m.columns[e])):
+        for c in range(sum(el == e for el, _ in m.layout)):
             lo, hi = (float(x) for x in spec.edges[flat])
             idx = [min(max(int(np.floor(spec.bins * (float(v) - lo) / (hi - lo))), 0), spec.bins - 1)
                    for v in m.blocks[e][:, c]]
@@ -215,7 +214,7 @@ def narrow_spec(matrices, bins):
     width = edges[:, 1] - edges[:, 0]
     edges += np.column_stack([0.3 * width, -0.3 * width])
     edges[width < 1e-5] += 1.0      # a degenerate column: every value below the range
-    return HistogramSpec(bins=bins, columns=matrices[0].column_layout(), edges=edges)
+    return HistogramSpec(bins=bins, columns=matrices[0].layout, edges=edges)
 
 
 class TestBlockPaths:
@@ -223,7 +222,7 @@ class TestBlockPaths:
     ``build_histograms`` against one-column-at-a-time oracles."""
 
     def matrices(self, rng):
-        labels = {"Fe": ("a", "b", "flat"), "H": ("c", "d", "narrow")}
+        layout = (("Fe", "a"), ("Fe", "b"), ("Fe", "flat"), ("H", "c"), ("H", "d"), ("H", "narrow"))
         out = []
         for k in range(7):
             n_fe, n_h = int(rng.integers(1, 5)), (0 if k % 3 == 0 else int(rng.integers(1, 4)))
@@ -231,7 +230,7 @@ class TestBlockPaths:
                                   np.full(n_fe, 0.25)])
             # "narrow" spreads over 2^-45, far below the relative pad's reach.
             h = np.column_stack([rng.normal(3, 1, (n_h, 2)), 1.0 + rng.integers(0, 2, n_h) * 2.0 ** -45])
-            out.append(DescriptorMatrix(f"m{k}", None, {"Fe": fe, "H": h}, labels))
+            out.append(DescriptorMatrix(f"m{k}", None, {"Fe": fe, "H": h}, layout=layout))
         return out
 
     def test_edges_equal_per_column_oracle(self, rng):
