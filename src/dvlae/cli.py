@@ -188,12 +188,14 @@ def cmd_embed(args) -> int:
     write_embedding(embedding, out / "embedding.csv")
     n_out = 1
     if args.compare_baseline:
-        if matrices is None:
-            ds, matrices = _dataset_descriptors(cfg, restrict_ids=ids)
-        order = {s: i for i, s in enumerate(ds.ids())}
-        vectors = fp_mod.baseline_padded_descriptor(matrices)[[order[i] for i in ids]]
-        baseline = emb_mod.embed_vectors(ids, tags, vectors, method=method,
-                                         metric="euclidean", cfg=tsne_cfg)
+        baseline = embedding    # --source baseline: these vectors, in this order
+        if source != "baseline":
+            if matrices is None:
+                ds, matrices = _dataset_descriptors(cfg, restrict_ids=ids)
+            order = {s: i for i, s in enumerate(ds.ids())}
+            vectors = fp_mod.baseline_padded_descriptor(matrices)[[order[i] for i in ids]]
+            baseline = emb_mod.embed_vectors(ids, tags, vectors, method=method,
+                                             metric="euclidean", cfg=tsne_cfg)
         write_embedding(baseline, out / "embedding_baseline.csv")
         n_out = 2
     print(f"embedded {len(embedding.ids)} points ({method}), wrote {n_out} file(s)")

@@ -131,16 +131,16 @@ class RunConfig:
 # A parser takes a key's raw text and the config file's directory, which paths
 # are relative to.  Its ValueError says what is wrong; load_config names the key.
 
-def _number(kind):
+def _number(kind, what: str):
     def parse(raw: str, base: Path):
         try:
             return kind(raw)
         except ValueError:
-            raise ValueError(f"must be a {kind.__name__}, got {raw!r}") from None
+            raise ValueError(f"must be {what}, got {raw!r}") from None
     return parse
 
 
-_int, _float = _number(int), _number(float)
+_int, _float = _number(int, "an int"), _number(float, "a float")
 
 
 def _split(kind, what: str):
@@ -148,7 +148,7 @@ def _split(kind, what: str):
         try:
             return tuple(kind(v) for v in raw.split())
         except ValueError:
-            raise ConfigError(f"expected {what}, got {raw!r}") from None
+            raise ValueError(f"must be {what}, got {raw!r}") from None
     return parse
 
 

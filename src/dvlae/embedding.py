@@ -29,14 +29,14 @@ EMBEDDING_METHODS = ("tsne", "pca")
 _PERPLEXITY_TOL = 1e-5
 _MAX_BISECTIONS = 100
 _PROB_FLOOR = 1e-12
-# Exact t-SNE holds 3 n x n float64 arrays live at its peak: while P is
-# built, the distances, the calibration's shared map and ``cond + cond.T``;
-# in the loop, P and its buffers ``inv`` and ``w`` (the distances are freed
+# Exact t-SNE holds 3 n x n float64 arrays live at its peak, while P is
+# built: the distances, the calibration's shared map and ``cond + cond.T``.
+# The loop holds 2, P and its one buffer ``inv`` (the distances are freed
 # before it).  Peak RSS of `embed` on fingerprints at n = 500, 1000 and 1500
-# (x86-64, numpy 2.4, one BLAS thread) has an n^2 term of 3.06 x 8 bytes
-# (3.11 x 8 for a process that stops once P is built); plus an 8-byte KL
-# entry per iteration.  With 6 arrays counted, a 4 GiB budget allows about
-# 9,450 points at 1000 iterations.
+# (x86-64, numpy 2.4, one BLAS thread, 300 iterations) has an n^2 term of
+# 3.21 x 8 bytes (3.31 x 8 while the loop held a second buffer); plus an
+# 8-byte KL entry per iteration.  With 6 arrays counted, a 4 GiB budget
+# allows about 9,450 points at 1000 iterations.
 _TSNE_BYTES_PER_PAIR = 6 * 8
 # PCA's peak is its m x m eigenproblem, m = min(n, d): the Gram or covariance
 # matrix, and eigh's copy of it, workspace and eigenvectors.  Peak RSS grew by
@@ -294,29 +294,26 @@ def perplexity_calibration(distances: np.ndarray, perplexity: float) -> np.ndarr
         raise UserInputError("need at least 2 points")
     # In memory shared with forked workers, which write their rows into it
     # directly, so that no row is pickled; each row has one writer.
+    # The mapping starts zeroed, so the diagonal is 0 already.
     p = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=float).reshape(n, n)
-    # All-zero rows first, in this process, so that their warnings keep their
-    # order whether the other rows run here or on workers.  Each row is
-    # squared where it is used, so no n x n array of squares exists; the
-    # check is on the squares, which are 0 for distances below about 1e-154.
-    rows = []
-    for i in range(n):
-        if (np.delete(d[i], i) ** 2).max() <= 0.0:
-            warnings.warn(f"row {i}: all distances zero; using a uniform row", stacklevel=2)
-            p[i] = 1.0 / (n - 1)
-            p[i, i] = 0.0
-        else:
-            rows.append(i)
 
-    def calibrate(k):
-        i = rows[k]
+    def calibrate(i):
+        """Fill row i; True if its distances are all zero and it is uniform.
+        The row is squared here, so no n x n array of squares exists; the
+        check is on the squares, which are 0 for distances below about 1e-154."""
+        sq = np.delete(d[i], i) ** 2
+        uniform = bool(sq.max() <= 0.0)
         # _calibrate_row is looked up at call time, so a patch made before
         # the fork applies in the workers too.
-        p_row = _calibrate_row(np.delete(d[i], i) ** 2, perplexity)
+        p_row = np.full(n - 1, 1.0 / (n - 1)) if uniform else _calibrate_row(sq, perplexity)
         p[i, :i] = p_row[:i]
         p[i, i + 1 :] = p_row[i:]
+        return uniform
 
-    parallel.fork_map(calibrate, range(len(rows)), n >= _CALIBRATION_POOL_MIN_POINTS)
+    # The warnings come after the pool, in row order, wherever the rows ran.
+    uniform = parallel.fork_map(calibrate, range(n), n >= _CALIBRATION_POOL_MIN_POINTS)
+    for i in np.flatnonzero(uniform):
+        warnings.warn(f"row {i}: all distances zero; using a uniform row", stacklevel=2)
     return p
 
 
@@ -384,30 +381,30 @@ def tsne_embed(
     gains = np.ones_like(y)     # per-coordinate adaptive rates, reference-style
     kl_trace = np.full(cfg.iterations, np.nan)
 
-    # Two n x n buffers, reused every iteration and filled in place, and a
-    # row block of scratch per worker.  Each step is the textbook formula with
+    # One n x n buffer, reused every iteration and filled in place, and two
+    # row blocks of scratch per worker.  Each step is the textbook formula with
     # the same operations in the same order, so every value is bit-identical
     # to evaluating it with fresh arrays:
     #   inv = 1 / (1 + |y_i - y_j|^2), zero diagonal
     #   q   = max(inv / sum(inv), floor)               (per row block: scratch)
-    #   KL  = sum(p * log(p / q))  (_KL_EVERY-th only) (scratch: w)
-    #   w   = (exaggeration * p - q) * inv             (p alone once switched)
+    #   KL  = sum of the row sums of p * log(p / q)    (_KL_EVERY-th only)
+    #   w   = (exaggeration * p - q) * inv, over inv   (p alone once switched)
     #   grad = 4 * (diag(rowsum(w)) - w) @ y = -4 * (w with diagonal
     #          -(rowsum(w) - w_ii)) @ y                (negating and x4 are exact)
     # The elementwise steps run on row blocks spread over a thread pool (numpy
     # releases the GIL).  Each row is computed and summed whole by one thread,
-    # and the two whole-matrix sums and the product with y run on the full
-    # buffers, so the result does not depend on the worker count.  q is
-    # recomputed in the block that uses it, never stored whole.
+    # and sum(inv), the sum of the KL row sums and the product with y run on
+    # whole arrays, so the result does not depend on the worker count.  q is
+    # computed in the block that uses it, never stored whole.
     # Imported here: concurrent.futures adds about 7 ms and 0.4 MB to the
     # start-up of every command, and only this loop uses it.
     from concurrent.futures import ThreadPoolExecutor
 
     inv = np.empty((n, n))
-    w = np.empty((n, n))
+    row_kl = np.empty(n)
     blocks = [slice(i, min(i + _TSNE_BLOCK_ROWS, n)) for i in range(0, n, _TSNE_BLOCK_ROWS)]
     workers = parallel.max_workers(len(blocks))
-    scratch = np.empty((workers, min(_TSNE_BLOCK_ROWS, n), n))
+    scratch = np.empty((workers, 2, min(_TSNE_BLOCK_ROWS, n), n))
     # A huge learning rate overflows y to inf and nan; the finiteness check
     # reports that, so numpy's warnings would only print ahead of its error.
     # numpy keeps the error state per thread, so each worker sets it too.
@@ -416,33 +413,34 @@ def tsne_embed(
 
         def each_block(step, *args):
             """Run ``step(rows, *args, scratch)`` on every row block, worker k
-            taking blocks k, k + workers, ... with its own scratch rows;
+            taking blocks k, k + workers, ... with its own two scratch blocks;
             returns once all are done."""
             def work(k):
                 with np.errstate(**quiet):
                     for rows in blocks[k::workers]:
-                        step(rows, *args, scratch[k, : rows.stop - rows.start])
+                        step(rows, *args, scratch[k, :, : rows.stop - rows.start])
             for _ in pool.map(work, range(workers)):
                 pass
 
         for it in range(cfg.iterations):
             each_block(_inverse_rows, np.ascontiguousarray(y.T), inv)
             total = inv.sum()
-            if it % _KL_EVERY == 0 or it == cfg.iterations - 1:
-                each_block(_kl_rows, p, inv, w, total)
-                kl_trace[it] = float(w.sum())
+            kl = it % _KL_EVERY == 0 or it == cfg.iterations - 1
+            early = it < _SWITCH_ITERATION
+            each_block(_weight_rows, p, inv, total, _EXAGGERATION if early else 1.0,
+                       row_kl if kl else None)
+            if kl:
+                kl_trace[it] = float(row_kl.sum())
                 finite = np.isfinite(kl_trace[it])
             else:
-                # p is finite, or iteration 0 would have raised.  inv lies in
-                # [0, 1], or is NaN where y is not finite, so the KL divergence
+                # p is finite, or iteration 0 would have raised.  inv lay in
+                # [0, 1], or was NaN where y is not finite, so the KL divergence
                 # is finite exactly when total is finite and > 0 (total == 0
                 # makes every q 0/0).
                 finite = np.isfinite(total) and total > 0.0
             if not finite:
                 raise UserInputError("KL divergence became non-finite during optimization")
-            early = it < _SWITCH_ITERATION
-            each_block(_weight_rows, p, inv, w, total, _EXAGGERATION if early else 1.0)
-            grad = (w @ y) * -4.0
+            grad = (inv @ y) * -4.0
 
             same_sign = (grad > 0) == (velocity > 0)
             gains = np.where(same_sign, gains * 0.8, gains + 0.2)
@@ -457,8 +455,8 @@ def tsne_embed(
 
 def _inverse_rows(rows: slice, cols: np.ndarray, inv: np.ndarray, scratch: np.ndarray) -> None:
     """inv[rows] = 1 / (1 + |y_i - y_j|^2) with a zero diagonal; ``cols`` is y
-    transposed, the row block ``scratch`` is overwritten."""
-    a, b = inv[rows], scratch
+    transposed, the first of the two ``scratch`` row blocks is overwritten."""
+    a, b = inv[rows], scratch[0]
     np.subtract(cols[0, rows, None], cols[0], out=a)
     np.multiply(a, a, out=a)
     np.subtract(cols[1, rows, None], cols[1], out=b)
@@ -469,39 +467,31 @@ def _inverse_rows(rows: slice, cols: np.ndarray, inv: np.ndarray, scratch: np.nd
     np.fill_diagonal(a[:, rows], 0.0)
 
 
-def _q_rows(rows: slice, inv: np.ndarray, total: float, q: np.ndarray) -> None:
-    """The row block q = max(inv[rows] / total, floor)."""
-    np.divide(inv[rows], total, out=q)
-    np.maximum(q, _PROB_FLOOR, out=q)
-
-
-def _kl_rows(
-    rows: slice, p: np.ndarray, inv: np.ndarray, kl: np.ndarray, total: float, q: np.ndarray
-) -> None:
-    """kl[rows] = p * log(p / q), with the row block q = max(inv / total, floor)."""
-    _q_rows(rows, inv, total, q)
-    kb, pb = kl[rows], p[rows]
-    np.divide(pb, q, out=kb)
-    np.log(kb, out=kb)
-    np.multiply(pb, kb, out=kb)
-
-
 def _weight_rows(
-    rows: slice, p: np.ndarray, inv: np.ndarray, w: np.ndarray, total: float,
-    exaggeration: float, q: np.ndarray,
+    rows: slice, p: np.ndarray, inv: np.ndarray, total: float, exaggeration: float,
+    kl: np.ndarray | None, scratch: np.ndarray,
 ) -> None:
-    """w[rows] = (exaggeration * p - q) * inv off the diagonal, and
-    -(rowsum - w_ii) on it, with the row block q = max(inv / total, floor)."""
-    _q_rows(rows, inv, total, q)
-    wb = w[rows]
+    """Overwrite inv[rows] with w = (exaggeration * p - q) * inv off the
+    diagonal and -(rowsum - w_ii) on it, where q = max(inv / total, floor);
+    first, unless ``kl`` is None, set kl[rows] to the row sums of
+    p * log(p / q).  The two ``scratch`` row blocks are overwritten."""
+    q, t = scratch
+    a, pb = inv[rows], p[rows]
+    np.divide(a, total, out=q)
+    np.maximum(q, _PROB_FLOOR, out=q)
+    if kl is not None:
+        np.divide(pb, q, out=t)
+        np.log(t, out=t)
+        np.multiply(pb, t, out=t)
+        kl[rows] = t.sum(axis=1)
     if exaggeration == 1.0:     # p * 1.0 == p: skip the pass
-        np.subtract(p[rows], q, out=wb)
+        np.subtract(pb, q, out=t)
     else:
-        np.multiply(p[rows], exaggeration, out=wb)
-        np.subtract(wb, q, out=wb)
-    np.multiply(wb, inv[rows], out=wb)
-    square = wb[:, rows]
-    np.fill_diagonal(square, -(wb.sum(axis=1) - square.diagonal()))
+        np.multiply(pb, exaggeration, out=t)
+        np.subtract(t, q, out=t)
+    np.multiply(t, a, out=a)
+    square = a[:, rows]
+    np.fill_diagonal(square, -(a.sum(axis=1) - square.diagonal()))
 
 
 def embed_vectors(

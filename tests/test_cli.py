@@ -670,6 +670,35 @@ class TestEmbedCommand:
         if source == "baseline":
             assert baseline == (tmp_path / "out" / "embedding.csv").read_bytes()
 
+    @pytest.mark.parametrize("source, embedded", [("baseline", 1), ("mean", 2)])
+    def test_compare_baseline_embeds_each_vector_set_once(self, rng, tmp_path, monkeypatch,
+                                                          source, embedded):
+        # --source baseline has embedded the baseline vectors already: the
+        # compare step writes that t-SNE again instead of repeating it
+        import dvlae.embedding as emb_mod
+
+        calls = []
+        embed = emb_mod.embed_vectors
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return embed(*args, **kwargs)
+
+        monkeypatch.setattr(emb_mod, "embed_vectors", counting)
+        cfg = make_corpus(rng, tmp_path, n=14)
+        assert main(["embed", "--config", str(cfg), "--source", source,
+                     "--compare-baseline"]) == 0
+        assert calls == ["tsne"] * embedded
+        out = tmp_path / "out"
+        alone = tmp_path / "alone"
+        assert main(["embed", "--config", str(cfg), "--source", "baseline",
+                     "--out", str(alone)]) == 0
+        assert (out / "embedding_baseline.csv").read_bytes() == \
+            (alone / "embedding.csv").read_bytes()
+        if source == "baseline":
+            assert (out / "embedding.csv").read_bytes() == \
+                (out / "embedding_baseline.csv").read_bytes()
+
     @pytest.mark.parametrize("source", ["baseline", "mean"])
     def test_compare_baseline_on_the_pool_describes_each_structure_once(
             self, rng, tmp_path, monkeypatch, source):
@@ -1113,6 +1142,18 @@ class TestConfig:
         assert main(["fingerprint", "--config", str(cfg_path)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("radial_eta = 0.0 1.0", "radial_eta = a b", "radial_eta must be numbers, got 'a b'"),
+        ("lambda = -1 1", "lambda = -1 1\nlambda.Fe-H-H = 1.5",
+         "lambda.Fe-H-H must be integers, got '1.5'"),
+    ])
+    def test_bad_list_value_names_its_key(self, rng, tmp_path, capsys, old, new, message):
+        cfg_path = make_corpus(rng, tmp_path, n=4)
+        cfg_path.write_text(cfg_path.read_text().replace(old, new, 1))
+        assert main(["fingerprint", "--config", str(cfg_path)]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, line, named", [
         ("run", "sed = 3", "sed"),
         ("data", "element = Fe H", "element"),
@@ -1195,12 +1236,12 @@ class TestConfig:
         ("screen", ["--mode", "fuzzy"],
          "screening mode must be exact, hamming, or novelty, got 'fuzzy'"),
         ("screen", ["--aggregate", "max"], "aggregate must be min or mean, got 'max'"),
-        ("screen", ["--radius", "two"], "radius must be a int, got 'two'"),
+        ("screen", ["--radius", "two"], "radius must be an int, got 'two'"),
         ("screen", ["--threshold", "low"], "threshold must be a float, got 'low'"),
         ("embed", ["--method", "umap"], "embedding method must be tsne or pca, got 'umap'"),
         ("embed", ["--perplexity", "high"], "perplexity must be a float, got 'high'"),
         ("fingerprint", ["--bins", "0"], "bins must be >= 1, got 0"),
-        ("fingerprint", ["--seed", "x"], "seed must be a int, got 'x'"),
+        ("fingerprint", ["--seed", "x"], "seed must be an int, got 'x'"),
         ("embed", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_flag_validated_as_its_config_key(self, rng, tmp_path, capsys,

@@ -342,6 +342,31 @@ class TestTsne:
         assert np.isfinite(y).all()
         assert np.isfinite(kl).all()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_loop_holds_p_and_one_square_buffer(self, rng, monkeypatch, cpus):
+        # The distances are the caller's.  Building P holds one traced n x n
+        # array (the calibration map is shared memory, which tracemalloc does
+        # not see); the loop holds P, the one n x n buffer the weights
+        # overwrite, and two row blocks of scratch per thread.  The rest read
+        # 179 KB with one thread and 314 KB with two at n = 400, most of it
+        # numpy's ufunc buffers for the inverse pass's broadcast operands.  A
+        # third n x n array, such as a weight buffer of its own, breaks the
+        # bound.
+        n = 400
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        d = pairwise_distances(rng.normal(0, 1, (n, 5)))
+        cfg = TsneConfig(perplexity=30, iterations=3)
+        want, _ = tsne_embed(d, cfg)        # warms up imports and the pools
+        tracemalloc.start()
+        try:
+            got, _ = tsne_embed(d, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch = cpus * 2 * emb_mod._TSNE_BLOCK_ROWS * n * 8
+        assert peak <= 2 * 8 * n * n + scratch + 64 * 1024 + cpus * 192 * 1024
+        assert np.array_equal(got, want)
+
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="CPython 3.10 holds a call's arguments until it returns")
     def test_embed_vectors_frees_the_distance_matrix_before_the_loop(self, rng, monkeypatch):
@@ -391,7 +416,7 @@ def reference_tsne(distances, cfg, switch=250, reached=None):
         np.fill_diagonal(inv_dist, 0.0)
         q = np.maximum(inv_dist / inv_dist.sum(), emb_mod._PROB_FLOOR)
 
-        kl = float((p * np.log(p / q)).sum())
+        kl = float((p * np.log(p / q)).sum(axis=1).sum())
         kl_trace[it] = kl
         if not np.isfinite(kl):
             raise UserInputError("KL divergence became non-finite during optimization")
@@ -518,13 +543,13 @@ class TestTsneMatchesReference:
     def test_no_worker_thread_outlives_the_call(self, rng, monkeypatch):
         self._pool_sizes(monkeypatch, 3, 4)
         live = []
-        kl_rows = emb_mod._kl_rows
+        weight_rows = emb_mod._weight_rows
 
-        def counting_kl_rows(*args):
+        def counting_weight_rows(*args):
             live.append(threading.active_count())
-            kl_rows(*args)
+            weight_rows(*args)
 
-        monkeypatch.setattr(emb_mod, "_kl_rows", counting_kl_rows)
+        monkeypatch.setattr(emb_mod, "_weight_rows", counting_weight_rows)
         d = self._distances(rng, 30, "euclidean")
         before = threading.active_count()
         tsne_embed(d, TsneConfig(perplexity=3, iterations=20))
@@ -577,16 +602,24 @@ class TestKlEvery:
 
     @staticmethod
     def _iterations_begun(monkeypatch):
-        """Record, per iteration tsne_embed begins, the ``inv`` buffer."""
+        """Record, per iteration tsne_embed begins, the sum of ``inv`` that its
+        weight pass receives (None until that pass runs), taken before the
+        pass writes the weights over ``inv``."""
         begun = []
-        inverse_rows = emb_mod._inverse_rows
+        inverse_rows, weight_rows = emb_mod._inverse_rows, emb_mod._weight_rows
 
-        def spy(rows, cols, inv, scratch):
+        def inverse_spy(rows, *args):
             if rows.start == 0:
-                begun.append(inv)
-            inverse_rows(rows, cols, inv, scratch)
+                begun.append(None)
+            inverse_rows(rows, *args)
 
-        monkeypatch.setattr(emb_mod, "_inverse_rows", spy)
+        def weight_spy(rows, p, inv, total, *args):
+            if rows.start == 0:
+                begun[-1] = total
+            weight_rows(rows, p, inv, total, *args)
+
+        monkeypatch.setattr(emb_mod, "_inverse_rows", inverse_spy)
+        monkeypatch.setattr(emb_mod, "_weight_rows", weight_spy)
         return begun
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -611,7 +644,7 @@ class TestKlEvery:
                         tsne_embed(d, cfg)
                     assert len(begun) == len(reached), (lr, kl_every)
                     # every pair overflowed: 1 / (1 + inf) is 0 throughout
-                    assert begun[-1].sum() == 0.0
+                    assert begun[-1] == 0.0
                 else:
                     assert np.array_equal(tsne_embed(d, cfg)[0], y_ref)
             outcomes.append(y_ref is None)
