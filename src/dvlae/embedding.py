@@ -38,13 +38,30 @@ _PROB_FLOOR = 1e-12
 # 8-byte KL entry per iteration.  With 6 arrays counted, a 4 GiB budget
 # allows about 9,450 points at 1000 iterations.
 _TSNE_BYTES_PER_PAIR = 6 * 8
-# PCA's peak is its m x m eigenproblem, m = min(n, d): the Gram or covariance
-# matrix, and eigh's copy of it, workspace and eigenvectors.  Peak RSS grew by
-# 5.3-5.5 x 8 bytes per added m^2 from m = 500 to 1000 to 1500 for packed
-# rows, and by 5.2-5.9 x 8m^2 at m = 500-3000 for packed and float rows
-# through both branches (x86-64, numpy 2.4); with 6 arrays counted, 4 GiB
-# allows m of about 9,450.
-_PCA_BYTES_PER_ELEMENT = 6 * 8
+# PCA's peak is building its m x m matrix, m = min(n, d): a float Gram or
+# covariance next to one block product, or the Hamming Gram's int64 form next
+# to its float64 result; the eigensolver adds 2 x 64 m floats.  Peak RSS of
+# one PCA process (x86-64, numpy 2.4, one BLAS thread, started from a small
+# launcher) grew by 1.9-2.25 x 8 bytes per added m^2 at m = 500-3000 for
+# float rows through both branches and packed rows through the covariance,
+# and read 2.02-2.03 x 8m^2 at m = 3000-4000 for packed rows through the
+# Gram, up to 2.97 at m = 2500, where glibc keeps freed arrays of at most
+# 32 MB on its heap.  With 3 arrays counted, 4 GiB allows m of about 13,370.
+_PCA_BYTES_PER_ELEMENT = 3 * 8
+# PCA's eigensolver, ``_top_eigenpairs``: block Krylov with blocks of 4
+# vectors, stopped at residuals of 1e-13 lambda_1.  Its basis of at most 64
+# vectors and their products with the matrix hold 2 x 64 m floats, an eighth
+# of one m x m array at m = 1,024.  A full basis restarts from its top 48 Ritz
+# vectors: on structureless random bits (m = 1,000 and 2,000) that took 71 and
+# 87 block products where restarting from 4 took 97 and 135, and it separated
+# a cluster of 40 eigenvalues 1e-10 apart just below lambda_2 in 313, which
+# restarting from 4 had not in 15,000.  Leading eigenvalues too close for such
+# a basis to separate are refused after _KRYLOV_MAX_PRODUCTS products.
+_KRYLOV_BLOCK = 4
+_KRYLOV_MAX_BASIS = 64
+_KRYLOV_RESTART_BASIS = 48
+_KRYLOV_TOL = 1e-13
+_KRYLOV_MAX_PRODUCTS = 1000
 # One budget bounds both methods.
 _MEMORY_BUDGET = 4 << 30
 # The t-SNE loop hands its elementwise passes to ``parallel.max_workers``
@@ -168,7 +185,9 @@ def pca_project(vectors: np.ndarray, metric: str = "euclidean") -> np.ndarray:
     sqrt(lambda) v; for packed rows that matrix is -1/2 J D J over their
     Hamming matrix D, since squared Euclidean distance between 0/1 rows is
     Hamming distance (classical MDS).  For d < n it is the d x d covariance
-    X_c^T X_c, and the coordinates are X_c times its eigenvectors.
+    X_c^T X_c, and the coordinates are X_c times its eigenvectors.  Only the
+    top two eigenpairs are found, by block Krylov iteration
+    (``_top_eigenpairs``).
 
     Axes come in descending-eigenvalue order; each axis's sign makes its
     largest-magnitude loading positive.  An axis whose eigenvalue is at most
@@ -239,12 +258,56 @@ def _hamming_gram(x: np.ndarray) -> np.ndarray:
 
 
 def _top_eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two largest eigenvalues of a symmetric matrix, descending, and
-    their eigenvectors as columns; zero pairs pad a 1 x 1 matrix."""
-    lam, vec = np.linalg.eigh(matrix)
-    lam, vec = lam[::-1][:2], vec[:, ::-1][:, :2]
-    pad = 2 - len(lam)
-    return np.pad(lam, (0, pad)), np.pad(vec, ((0, 0), (0, pad)))
+    """The two largest eigenvalues of a symmetric positive semi-definite
+    matrix, descending, and their eigenvectors as columns; zero pairs pad a
+    1 x 1 matrix.
+
+    Block Krylov iteration (Saad, Numerical Methods for Large Eigenvalue
+    Problems, 2011) from a seeded random block of ``_KRYLOV_BLOCK`` vectors:
+    each step appends the residuals of the top Ritz pairs, orthogonalised
+    twice against the basis, and solves the projected matrix by ``eigh``.  It
+    stops once both top residuals |A x - theta x| are at most ``_KRYLOV_TOL``
+    times the largest Ritz value's magnitude (theta_1 for these matrices), or
+    once the basis spans the whole space, where the Ritz pairs are exact.  A
+    basis that reaches ``_KRYLOV_MAX_BASIS`` vectors restarts from its top
+    ``_KRYLOV_RESTART_BASIS`` Ritz vectors; a solve that has not converged
+    after ``_KRYLOV_MAX_PRODUCTS`` products with the matrix is refused.
+    """
+    m = len(matrix)
+    cap = min(m, _KRYLOV_MAX_BASIS)
+    q, aq = np.empty((m, cap)), np.empty((m, cap))     # the basis and A times it
+    t = np.empty((cap, cap))                          # q^T A q
+    block = np.random.default_rng(0).standard_normal((m, min(_KRYLOV_BLOCK, m)))
+    k = 0
+    for _ in range(_KRYLOV_MAX_PRODUCTS):
+        for _ in range(2):
+            block -= q[:, :k] @ (q[:, :k].T @ block)
+            block = np.linalg.qr(block)[0]
+        width = block.shape[1]
+        q[:, k : k + width] = block
+        aq[:, k : k + width] = matrix @ block
+        t[: k + width, k : k + width] = q[:, : k + width].T @ aq[:, k : k + width]
+        t[k : k + width, :k] = t[:k, k : k + width].T
+        k += width
+        theta, s = np.linalg.eigh(t[:k, :k])
+        theta, s = theta[::-1], s[:, ::-1]
+        top = min(_KRYLOV_BLOCK, k)
+        x, ax = q[:, :k] @ s[:, :top], aq[:, :k] @ s[:, :top]
+        residual = ax - x * theta[:top]
+        tol = _KRYLOV_TOL * np.abs(theta).max()
+        if k == m or np.all(np.linalg.norm(residual[:, :2], axis=0) <= tol):
+            pad = 2 - min(2, k)
+            return np.pad(theta[:2], (0, pad)), np.pad(x[:, :2], ((0, 0), (0, pad)))
+        if k == cap:
+            k = _KRYLOV_RESTART_BASIS
+            q[:, :k], aq[:, :k] = q @ s[:, :k], aq @ s[:, :k]
+            t[:k, :k] = np.diag(theta[:k])
+        block = residual[:, : min(top, cap - k)]
+    raise UserInputError(
+        f"PCA found no top two axes of its {m} x {m} eigenproblem within "
+        f"{_KRYLOV_MAX_PRODUCTS} block products: the leading eigenvalues are too "
+        "close together to separate"
+    )
 
 
 def _lead_loadings(x: np.ndarray, packed: bool, vec: np.ndarray) -> np.ndarray:

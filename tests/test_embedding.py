@@ -156,9 +156,17 @@ class TestPcaMatchesSvd:
 
     def test_memory_guard_allocates_nothing(self):
         # a million points of a million features: a 10^6 x 10^6 eigenproblem
-        with pytest.raises(UserInputError, match=r"needs about 44703\.5 GiB .* over the 4 GiB"):
+        with pytest.raises(UserInputError, match=r"needs about 22351\.7 GiB .* over the 4 GiB"):
             emb_mod.check_pca_memory(10**6, 10**6)
         emb_mod.check_pca_memory(1000, 5800)        # the map workload's size fits
+
+    def test_memory_guard_boundary(self):
+        # 3 * 8 * m^2 bytes plus two 1 MiB blocks against 4 GiB, m = min(n, d)
+        emb_mod.check_pca_memory(13374, 10**6)
+        emb_mod.check_pca_memory(10**6, 13374)
+        for n, d in ((13375, 10**6), (10**6, 13375)):
+            with pytest.raises(UserInputError, match="13375 x 13375 eigenproblem"):
+                emb_mod.check_pca_memory(n, d)
 
     def test_guard_runs_before_any_work(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -228,6 +236,181 @@ class TestPca:
         emb = embed_vectors([str(i) for i in range(30)], [None] * 30, x, method="pca")
         assert np.array_equal(x, before)
         assert np.array_equal(emb.coords, y)
+
+
+def clustered_bits(rng, n, d, clusters=10, max_flips=24):
+    """Packed rows shaped like the map benchmark's input: ``clusters``
+    centres of 7 % density, each row its centre with up to ``max_flips``
+    bits flipped."""
+    centres = rng.random((clusters, d)) < 0.07
+    bits = centres[np.arange(n) % clusters]
+    for row in bits:
+        row[rng.integers(0, d, rng.integers(0, max_flips + 1))] ^= True
+    return np.packbits(bits, axis=1)
+
+
+def structureless_bits(rng, n, d):
+    """Independent bits of 7 % density: lambda_3 / lambda_2 near 1, the
+    solver's slowest case."""
+    return np.packbits(rng.random((n, d)) < 0.07, axis=1)
+
+
+class CountedMatrix(np.ndarray):
+    """A matrix that counts the columns it is multiplied by."""
+
+    columns = 0
+
+    def __matmul__(self, other):
+        CountedMatrix.columns += other.shape[1]
+        return np.asarray(self) @ other
+
+
+class TestTopEigenpairs:
+    """``_top_eigenpairs`` against ``eigh``: each eigenvalue within 1e-13
+    lambda_1 of eigh's (a Ritz value lies within its residual of an
+    eigenvalue), and each residual |A x - theta x| within the solver's
+    1e-13 lambda_1, recomputed here with a 1 % allowance for the roundoff of
+    this product."""
+
+    @staticmethod
+    def check(matrix):
+        lam, vec = emb_mod._top_eigenpairs(matrix)
+        want = np.linalg.eigvalsh(matrix)[::-1][:2]
+        scale = max(want[0], 0.0)
+        assert lam.shape == (2,) and vec.shape == (len(matrix), 2)
+        assert np.abs(lam[: len(want)] - want).max() <= 1e-13 * scale
+        pairs = min(2, len(matrix))
+        assert np.abs(vec.T @ vec - np.eye(2)[:, :pairs] @ np.eye(2)[:pairs]).max() <= 1e-12
+        residual = np.linalg.norm(matrix @ vec - vec * lam, axis=0)
+        assert residual.max() <= 1.01e-13 * scale
+        return lam, vec
+
+    def test_clustered_bits(self, rng):
+        self.check(emb_mod._hamming_gram(clustered_bits(rng, 400, 2000)))
+
+    def test_structureless_bits(self, rng):
+        gram = emb_mod._hamming_gram(structureless_bits(rng, 400, 2000))
+        CountedMatrix.columns = 0
+        self.check(gram.view(CountedMatrix))
+        assert CountedMatrix.columns > emb_mod._KRYLOV_MAX_BASIS      # it restarted
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_rank_deficient_axes_stay_zero(self, rng, rank):
+        # rows of one or two distinct bit patterns, one a subset of the other
+        a = rng.random(800) < 0.1
+        b = a & (rng.random(800) < 0.5) if rank else a
+        bits = np.where((np.arange(200) % 3 == 0)[:, None], a, b)
+        rows = np.packbits(bits, axis=1)
+        lam, _ = self.check(emb_mod._hamming_gram(rows))
+        y = pca_project(rows, metric="packed-hamming")
+        assert not y[:, 1].any()
+        assert np.abs(y[:, 0]).max() > 0 if rank else not y.any()
+        assert np.abs(y - reference_pca(bits)).max() <= 1e-9 * max(np.abs(y).max(), 1.0)
+
+    def test_repeated_second_eigenvalue(self, rng):
+        # lambda_2 = lambda_3 exactly: any unit vector of their plane is an
+        # eigenvector, so only the residuals and the values are checked
+        q, _ = np.linalg.qr(rng.normal(size=(300, 300)))
+        lam = np.concatenate([[10.0, 6.0, 6.0], rng.uniform(0.0, 5.0, 297)])
+        matrix = (q * lam) @ q.T
+        got, _ = self.check((matrix + matrix.T) / 2)
+        assert np.abs(got - [10.0, 6.0]).max() <= 1e-12
+
+    def test_repeated_second_eigenvalue_through_pca(self):
+        # three pairs of opposite points on three axes, spread 2, 1 and 1:
+        # Gram eigenvalues 8, 2, 2 and 0, 0, 0, all exact
+        x = np.zeros((6, 8))
+        x[[0, 1], 0], x[[2, 3], 1], x[[4, 5], 2] = [2, -2], [1, -1], [1, -1]
+        y = pca_project(x)
+        assert np.abs(y[:, 0] - [2, -2, 0, 0, 0, 0]).max() <= 1e-14
+        assert np.abs(y[:2, 1]).max() <= 1e-14 and abs(y[:, 1] @ y[:, 1] - 2.0) <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 64])
+    def test_small_orders_are_exact(self, rng, m):
+        # below, at and above the block of 4 and at the basis cap of 64: a
+        # basis that reaches the order spans the whole space
+        a = rng.normal(size=(m, m + 3))
+        lam, vec = self.check(a @ a.T)
+        if m == 1:
+            assert lam[1] == 0.0 and not vec[:, 1].any()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_and_three_points(self, rng, n):
+        x = rng.normal(0, 1, (n, 6))
+        y = pca_project(x)
+        want = reference_pca(x)
+        assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_covariance_branch(self, rng):
+        # d < n: the d x d covariance, here larger than the basis cap
+        x = rng.normal(0, 1, (500, 100))
+        centered = x - x.mean(axis=0)
+        self.check(centered.T @ centered)
+        y = pca_project(x * np.linspace(0.5, 3.0, 100))
+        want = reference_pca(x * np.linspace(0.5, 3.0, 100))
+        assert np.abs(y - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_restarts_keep_the_contract(self, rng, monkeypatch):
+        monkeypatch.setattr(emb_mod, "_KRYLOV_MAX_BASIS", 12)
+        monkeypatch.setattr(emb_mod, "_KRYLOV_RESTART_BASIS", 8)
+        gram = emb_mod._hamming_gram(structureless_bits(rng, 150, 1000))
+        CountedMatrix.columns = 0
+        lam, vec = self.check(gram.view(CountedMatrix))
+        assert CountedMatrix.columns > 3 * 12
+        again = emb_mod._top_eigenpairs(gram)
+        assert lam.tobytes() == again[0].tobytes() and vec.tobytes() == again[1].tobytes()
+
+    def test_inseparable_eigenvalues_are_refused(self, rng, monkeypatch):
+        monkeypatch.setattr(emb_mod, "_KRYLOV_MAX_PRODUCTS", 5)
+        gram = emb_mod._hamming_gram(structureless_bits(rng, 150, 1000))
+        with pytest.raises(UserInputError, match="no top two axes of its 150 x 150 eigenproblem "
+                                                 "within 5 block products"):
+            emb_mod._top_eigenpairs(gram)
+
+    def test_only_the_projected_matrix_meets_eigh(self, rng, monkeypatch):
+        eigh = np.linalg.eigh
+        orders = []
+
+        def recorded(a):
+            orders.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        pca_project(structureless_bits(rng, 200, 1000), metric="packed-hamming")
+        assert orders and max(orders) <= emb_mod._KRYLOV_MAX_BASIS
+
+    def test_holds_the_gram_and_a_small_basis(self, rng, monkeypatch):
+        # tracemalloc sees numpy's arrays but not LAPACK's workspace, so peak
+        # RSS measured from a small launcher stays the measure behind
+        # _PCA_BYTES_PER_ELEMENT; these bounds catch one more m x m float64
+        # array (8n^2, 2.75 MiB at n = 600).  The whole projection peaked at
+        # 2 x 8n^2 + 1.15 MiB, inside hamming_pdist (its float32 Gram, int64
+        # copy and unpacked column blocks) and the step to float64; the
+        # solver at 755 KiB over its Gram argument: the basis and its
+        # products, 2 x 64 x 8n bytes, plus its small blocks.
+        n = 600
+        rows = clustered_bits(rng, n, 5800)
+        solve = emb_mod._top_eigenpairs
+        solver_peak = []
+
+        def traced(matrix):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = solve(matrix)
+            solver_peak.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        want = pca_project(rows, metric="packed-hamming")
+        monkeypatch.setattr(emb_mod, "_top_eigenpairs", traced)
+        tracemalloc.start()
+        try:
+            got = pca_project(rows, metric="packed-hamming")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak <= 2 * 8 * n * n + 1280 * 1024
+        assert solver_peak[0] <= 2 * emb_mod._KRYLOV_MAX_BASIS * 8 * n + 256 * 1024
 
 
 class TestPerplexityCalibration:
