@@ -24,7 +24,6 @@ from .embedding import (
     Embedding,
     TsneConfig,
     embed_vectors,
-    pairwise_distances,
     pca_project,
     perplexity_calibration,
     read_embedding,

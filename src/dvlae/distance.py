@@ -2,8 +2,9 @@
 
 ``hamming_cdist`` counts differing bits between rows of bit-packed uint8
 fingerprints of two sets: it XORs them and counts bits over 64-bit words.
-``hamming_pdist``, the all-pairs matrix of one set (the t-SNE and PCA
-maps), takes the product form D = s_i + s_j - 2 (U U^T), with s the row
+``hamming_pdist``, the all-pairs matrix of one set (PCA's Gram; t-SNE
+takes ``hamming_cdist`` one row block at a time, so that no n x n matrix
+exists), takes the product form D = s_i + s_j - 2 (U U^T), with s the row
 popcounts and U the bits unpacked to float32, summed over column blocks of
 ``_GRAM_BLOCK_BYTES`` packed bytes; numpy hands ``u @ u.T`` to BLAS syrk.
 The product is exact: every entry and every partial sum is an integer of
@@ -112,7 +113,7 @@ def hamming_cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def hamming_pdist(x: np.ndarray) -> np.ndarray:
     """``hamming_cdist(x, x)``, the square (n, n) int64 matrix of one set, as
     s_i + s_j - 2 (U U^T), exactly; rows wider than ``_PRODUCT_MAX_BITS``
-    take the XOR kernel."""
+    take the XOR kernel.  PCA's Hamming Gram is its one caller."""
     x = np.asarray(x, dtype=np.uint8)
     _check_pair(x, x)
     n, width = x.shape

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import parallel
-from .distance import _BLOCK_BYTES, euclidean_cdist, hamming_pdist, row_blocks
+from .distance import _BLOCK_BYTES, euclidean_cdist, hamming_cdist, hamming_pdist, row_blocks
 from .errors import FormatError, UserInputError
 from .ioutil import atomic_write_text, read_input_text
 
@@ -29,15 +29,15 @@ EMBEDDING_METHODS = ("tsne", "pca")
 _PERPLEXITY_TOL = 1e-5
 _MAX_BISECTIONS = 100
 _PROB_FLOOR = 1e-12
-# Exact t-SNE holds 3 n x n float64 arrays live at its peak, while P is
-# built: the distances, the calibration's shared map and ``cond + cond.T``.
-# The loop holds 2, P and its one buffer ``inv`` (the distances are freed
-# before it).  Peak RSS of `embed` on fingerprints at n = 500, 1000 and 1500
-# (x86-64, numpy 2.4, one BLAS thread, 300 iterations) has an n^2 term of
-# 3.21 x 8 bytes (3.31 x 8 while the loop held a second buffer); plus an
-# 8-byte KL entry per iteration.  With 6 arrays counted, a 4 GiB budget
-# allows about 9,450 points at 1000 iterations.
-_TSNE_BYTES_PER_PAIR = 6 * 8
+# Exact t-SNE holds 2 n x n float64 arrays live at its peak: while P is
+# built, the calibration's shared map and ``cond + cond.T`` (the distances
+# exist one row block per job); in the loop, P and its one buffer ``inv``.
+# Peak RSS of `embed` on fingerprints at n = 500, 1000 and 1500 (x86-64,
+# numpy 2.4, one BLAS thread, 300 iterations, started from a small launcher)
+# has an n^2 term of 2.34 x 8 bytes (2.18 x 8 from 1500 to 2000); plus an
+# 8-byte KL entry per iteration.  With 3 arrays counted, a 4 GiB budget
+# allows about 13,377 points at 1000 iterations.
+_TSNE_BYTES_PER_PAIR = 3 * 8
 # PCA's peak is building its m x m matrix, m = min(n, d): a float Gram or
 # covariance next to one block product, or the Hamming Gram's int64 form next
 # to its float64 result; the eigensolver adds 2 x 64 m floats.  Peak RSS of
@@ -141,25 +141,16 @@ class Embedding:
             raise UserInputError("embedding coordinates must be finite")
 
 
-def pairwise_distances(vectors: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-    """Symmetric zero-diagonal distance matrix.
-
-    ``euclidean`` expects real row vectors; ``packed-hamming`` expects
-    bit-packed 0/1 rows, uint8 with zero padding bits
-    (``FingerprintSet.fingerprints``), and counts the differing bits.
-    """
-    x = _metric_rows(vectors, metric)
-    out = euclidean_cdist(x, x) if metric == "euclidean" else hamming_pdist(x).astype(float)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
 def _metric_rows(vectors: np.ndarray, metric: str) -> np.ndarray:
     """``vectors`` as the rows ``metric`` reads: float for ``euclidean``,
-    packed uint8 for ``packed-hamming``."""
+    packed uint8 for ``packed-hamming`` (bit-packed 0/1 rows with zero
+    padding bits, as ``FingerprintSet.fingerprints``), whose distance is the
+    count of differing bits."""
     x = np.asarray(vectors)
     if x.ndim != 2:
         raise UserInputError("vectors must form a 2-D array (one row per point)")
+    if x.shape[1] == 0:
+        raise UserInputError("vectors have width 0: each point needs at least one feature")
     if metric == "euclidean":
         return x.astype(float, copy=False)
     if metric != "packed-hamming":
@@ -176,7 +167,7 @@ def _metric_rows(vectors: np.ndarray, metric: str) -> np.ndarray:
 def pca_project(vectors: np.ndarray, metric: str = "euclidean") -> np.ndarray:
     """Project mean-centered rows onto their top two principal axes.
 
-    ``metric`` names the rows as ``pairwise_distances`` does: ``euclidean``
+    ``metric`` names the rows as ``_metric_rows`` reads them: ``euclidean``
     takes real vectors, ``packed-hamming`` bit-packed 0/1 rows, which are
     projected as their unpacked bits without ever being unpacked whole.
     With n rows of d features (8 per packed byte; zero padding bits add
@@ -342,40 +333,49 @@ def _row_blocks(x: np.ndarray, packed: bool, mean) -> Iterator[tuple[slice, np.n
 # t-SNE
 # ---------------------------------------------------------------------------
 
-def perplexity_calibration(distances: np.ndarray, perplexity: float) -> np.ndarray:
-    """Conditional probabilities P(j|i) with per-row Gaussian bandwidths tuned
-    so each row's Shannon-entropy perplexity matches the target.
+def perplexity_calibration(vectors: np.ndarray, metric: str, perplexity: float) -> np.ndarray:
+    """Conditional probabilities P(j|i) over the rows ``vectors`` under
+    ``metric`` (as ``pca_project`` takes them), with per-row Gaussian
+    bandwidths tuned so each row's Shannon-entropy perplexity matches the
+    target.
 
     Rows sum to 1 and P(i|i) = 0.  A row whose distances are all zero cannot
-    reach any target and becomes uniform, with a warning.
+    reach any target and becomes uniform, with a warning.  No distance matrix
+    exists: each block of ``_TSNE_BLOCK_ROWS`` rows computes its own
+    distances to every row, with ``euclidean_cdist`` or ``hamming_cdist``,
+    which are exact per pair, so any blocking gives the same bits.
     """
-    d = np.asarray(distances, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise UserInputError("distance matrix must be square")
-    n = len(d)
+    x = _metric_rows(vectors, metric)
+    n = len(x)
     if n < 2:
         raise UserInputError("need at least 2 points")
+    cdist = euclidean_cdist if metric == "euclidean" else hamming_cdist
     # In memory shared with forked workers, which write their rows into it
     # directly, so that no row is pickled; each row has one writer.
     # The mapping starts zeroed, so the diagonal is 0 already.
     p = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=float).reshape(n, n)
 
-    def calibrate(i):
-        """Fill row i; True if its distances are all zero and it is uniform.
-        The row is squared here, so no n x n array of squares exists; the
-        check is on the squares, which are 0 for distances below about 1e-154."""
-        sq = np.delete(d[i], i) ** 2
-        uniform = bool(sq.max() <= 0.0)
-        # _calibrate_row is looked up at call time, so a patch made before
-        # the fork applies in the workers too.
-        p_row = np.full(n - 1, 1.0 / (n - 1)) if uniform else _calibrate_row(sq, perplexity)
-        p[i, :i] = p_row[:i]
-        p[i, i + 1 :] = p_row[i:]
+    def calibrate(k):
+        """Fill the rows of block k; per row, True if its distances are all
+        zero and it is uniform.  Each row is squared here; the check is on
+        the squares, which are 0 for distances below about 1e-154."""
+        start = k * _TSNE_BLOCK_ROWS
+        d = cdist(x[start : start + _TSNE_BLOCK_ROWS], x).astype(float, copy=False)
+        uniform = []
+        for i, row in enumerate(d, start):
+            sq = np.delete(row, i) ** 2
+            uniform.append(bool(sq.max() <= 0.0))
+            # _calibrate_row is looked up at call time, so a patch made before
+            # the fork applies in the workers too.
+            p_row = np.full(n - 1, 1.0 / (n - 1)) if uniform[-1] else _calibrate_row(sq, perplexity)
+            p[i, :i] = p_row[:i]
+            p[i, i + 1 :] = p_row[i:]
         return uniform
 
     # The warnings come after the pool, in row order, wherever the rows ran.
-    uniform = parallel.fork_map(calibrate, range(n), n >= _CALIBRATION_POOL_MIN_POINTS)
-    for i in np.flatnonzero(uniform):
+    jobs = range(-(-n // _TSNE_BLOCK_ROWS))
+    uniform = parallel.fork_map(calibrate, jobs, n >= _CALIBRATION_POOL_MIN_POINTS)
+    for i in np.flatnonzero(np.concatenate(uniform)):
         warnings.warn(f"row {i}: all distances zero; using a uniform row", stacklevel=2)
     return p
 
@@ -409,18 +409,21 @@ def _calibrate_row(sq: np.ndarray, target: float) -> np.ndarray:
     return prob
 
 
-def joint_probabilities(distances: np.ndarray, perplexity: float) -> np.ndarray:
-    """Symmetrized joint affinities P = (P(j|i) + P(i|j)) / 2n."""
-    cond = perplexity_calibration(distances, perplexity)
+def joint_probabilities(vectors: np.ndarray, metric: str, perplexity: float) -> np.ndarray:
+    """Symmetrized joint affinities P = (P(j|i) + P(i|j)) / 2n of the rows
+    ``vectors`` under ``metric``, floored at ``_PROB_FLOOR``."""
+    cond = perplexity_calibration(vectors, metric, perplexity)
     joint = cond + cond.T
     joint /= 2.0 * len(cond)
     return np.maximum(joint, _PROB_FLOOR, out=joint)
 
 
 def tsne_embed(
-    distances: np.ndarray, cfg: TsneConfig = TsneConfig()
+    vectors: np.ndarray, metric: str = "euclidean", cfg: TsneConfig = TsneConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact t-SNE on a precomputed distance matrix.
+    """Exact t-SNE of the rows ``vectors`` under ``metric``, as
+    ``pca_project`` takes them; ``cfg`` is checked before any n x n array
+    exists.
 
     Returns (coordinates (n, 2), KL divergence per iteration).  The KL trace
     is computed against the unexaggerated affinities, so it is comparable
@@ -428,15 +431,10 @@ def tsne_embed(
     iteration (0, _KL_EVERY, ...) and on the last, and is NaN on the others;
     the coordinates do not depend on ``_KL_EVERY``.
     """
-    d = np.asarray(distances, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise UserInputError("distance matrix must be square")
-    n = len(d)
+    x = _metric_rows(vectors, metric)
+    n = len(x)
     cfg.validate_for(n)
-    p = joint_probabilities(d, cfg.perplexity)
-    # Only P is read from here on.  Dropping these references frees a
-    # temporary distance matrix, as ``embed_vectors`` passes, before the loop.
-    del d, distances
+    p = joint_probabilities(x, metric, cfg.perplexity)
 
     rng = np.random.default_rng(cfg.seed)
     y = rng.normal(0.0, 1e-2, size=(n, 2))
@@ -565,12 +563,11 @@ def embed_vectors(
     metric: str = "euclidean",
     cfg: TsneConfig = TsneConfig(),
 ) -> Embedding:
-    """End-to-end: distance matrix (if needed), reduction, Embedding."""
+    """End-to-end: the 2-D map of the rows ``vectors`` under ``metric``."""
     if method == "pca":
         coords = pca_project(vectors, metric=metric)
     elif method == "tsne":
-        cfg.validate_for(len(vectors))
-        coords, _ = tsne_embed(pairwise_distances(vectors, metric=metric), cfg)
+        coords, _ = tsne_embed(vectors, metric, cfg)
     else:
         raise UserInputError(f"unknown embedding method {method!r}")
     return Embedding(ids=tuple(ids), tags=tuple(tags), coords=coords)

@@ -17,10 +17,10 @@ from dvlae import (
     compute_structure_descriptors,
     dedup_exact,
     dedup_hamming,
+    euclidean_cdist,
     make_dataset,
     neighbor_list,
     novelty_screen,
-    pairwise_distances,
     perplexity_calibration,
     read_embedding,
     read_fingerprints,
@@ -237,9 +237,9 @@ def test_criterion_8_tsne_quality_and_determinism(tmp_path):
         for trial in range(50):
             rng = np.random.default_rng(8000 + trial)
             n = int(rng.integers(10, 40))
-            d = pairwise_distances(rng.normal(0, rng.uniform(0.5, 10), (n, 5)))
+            x = rng.normal(0, rng.uniform(0.5, 10), (n, 5))
             target = float(rng.uniform(2.0, (n - 1) / 3))
-            p = perplexity_calibration(d, target)
+            p = perplexity_calibration(x, "euclidean", target)
             for row in p:
                 nz = row[row > 0]
                 worst = max(worst, abs(float(np.exp(-(nz * np.log(nz)).sum())) - target))
@@ -249,10 +249,9 @@ def test_criterion_8_tsne_quality_and_determinism(tmp_path):
         centers = np.array([[0, 0, 0, 0, 0], [40, 0, 0, 0, 0], [0, 40, 0, 0, 0]], float)
         points = np.vstack([c + rng.normal(0, 1, (20, 5)) for c in centers])
         labels = np.repeat(np.arange(3), 20)
-        d = pairwise_distances(points)
-        coords, kl = tsne_embed(d, TsneConfig(perplexity=12, iterations=1000, seed=17))
+        coords, kl = tsne_embed(points, cfg=TsneConfig(perplexity=12, iterations=1000, seed=17))
         assert kl[-1] < kl[0]
-        e = pairwise_distances(coords)
+        e = euclidean_cdist(coords, coords)
         np.fill_diagonal(e, np.inf)
         agreement = float((labels[e.argmin(axis=1)] == labels).mean())
         assert agreement >= 0.95
@@ -261,7 +260,7 @@ def test_criterion_8_tsne_quality_and_determinism(tmp_path):
         emb = Embedding(ids=tuple(f"p{i}" for i in range(60)),
                         tags=tuple(str(l) for l in labels), coords=coords)
         write_embedding(emb, tmp_path / "a.csv")
-        coords2, _ = tsne_embed(d, TsneConfig(perplexity=12, iterations=1000, seed=17))
+        coords2, _ = tsne_embed(points, cfg=TsneConfig(perplexity=12, iterations=1000, seed=17))
         emb2 = Embedding(ids=emb.ids, tags=emb.tags, coords=coords2)
         write_embedding(emb2, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -578,8 +578,8 @@ class TestEmbedCommand:
         import dvlae.embedding as emb_mod
 
         def fail(*args, **kwargs):
-            raise AssertionError("distance matrix built before the t-SNE memory check")
-        monkeypatch.setattr(emb_mod, "pairwise_distances", fail)
+            raise AssertionError("perplexity calibration started before the t-SNE memory check")
+        monkeypatch.setattr(emb_mod, "perplexity_calibration", fail)
         cfg = make_corpus(rng, tmp_path, n=6)
         assert main(["fingerprint", "--config", str(cfg)]) == 0
         cfg.write_text(cfg.read_text().replace("perplexity = 4", "perplexity = 1")
@@ -609,6 +609,7 @@ class TestEmbedCommand:
         monkeypatch.setattr(emb_mod, "_calibrate_row", killed)
         monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
         monkeypatch.setattr(emb_mod, "_CALIBRATION_POOL_MIN_POINTS", 0)
+        monkeypatch.setattr(emb_mod, "_TSNE_BLOCK_ROWS", 8)     # 4 calibration jobs
         cfg = make_corpus(rng, tmp_path, n=2)
         vec = tmp_path / "vec.csv"
         write_vector_csv([f"p{i}" for i in range(30)], [None] * 30, rng.normal(0, 1, (30, 3)),
@@ -732,17 +733,17 @@ class TestEmbedCommand:
         fpset = read_fingerprints(fps)
         bits = fingerprint_bits(fpset)
 
-        reads, distance_inputs, unpacked = [], [], []
-        real_read, real_distances = cli_mod.read_input_text, emb_mod.pairwise_distances
+        reads, tsne_inputs, unpacked = [], [], []
+        real_read, real_tsne = cli_mod.read_input_text, emb_mod.tsne_embed
         real_unpack = np.unpackbits
 
         def counting_read(path, what):
             reads.append(str(path))
             return real_read(path, what)
 
-        def recording_distances(vectors, metric="euclidean"):
-            distance_inputs.append((vectors.dtype, vectors.shape, metric))
-            return real_distances(vectors, metric)
+        def recording_tsne(vectors, metric, cfg):
+            tsne_inputs.append((vectors.dtype, vectors.shape, metric))
+            return real_tsne(vectors, metric, cfg)
 
         def recording_unpack(packed, *args, **kwargs):
             out = real_unpack(packed, *args, **kwargs)
@@ -751,10 +752,11 @@ class TestEmbedCommand:
 
         monkeypatch.setattr(cli_mod, "read_input_text", counting_read)
         monkeypatch.setattr(fp_mod, "read_input_text", counting_read)
-        monkeypatch.setattr(emb_mod, "pairwise_distances", recording_distances)
-        # The all-pairs distances unpack the bits only in column blocks of
-        # 2 packed bytes, and PCA's loadings only in float blocks within a
-        # 4 kB budget: never the whole (n, n_bits) matrix.
+        monkeypatch.setattr(emb_mod, "tsne_embed", recording_tsne)
+        # t-SNE's distance rows XOR the packed bits and never unpack them;
+        # PCA's Gram unpacks them only in column blocks of 2 packed bytes,
+        # and its loadings only in float blocks within a 4 kB budget: never
+        # the whole (n, n_bits) matrix.
         assert 8 * 14 * fpset.spec.n_bits > 4096
         monkeypatch.setattr(dist_mod, "_GRAM_BLOCK_BYTES", 2)
         monkeypatch.setattr(dist_mod, "_BLOCK_BYTES", 4096)
@@ -764,13 +766,13 @@ class TestEmbedCommand:
         assert reads == [str(fps)]
         got = read_embedding(tmp_path / "out" / "embedding.csv").coords
         if method == "tsne":
-            assert distance_inputs == [(np.uint8, (14, (fpset.spec.n_bits + 7) // 8),
-                                        "packed-hamming")]
-            assert unpacked and all(shape[0] == 14 and shape[1] <= 16 for shape in unpacked)
-            naive = (bits[:, None, :] != bits[None, :, :]).sum(axis=2).astype(float)
-            want, _ = emb_mod.tsne_embed(naive, load_config(cfg).tsne)
+            assert tsne_inputs == [(np.uint8, (14, (fpset.spec.n_bits + 7) // 8),
+                                    "packed-hamming")]
+            assert unpacked == []
+            repacked = np.packbits(bits.astype(bool), axis=1)
+            want, _ = real_tsne(repacked, "packed-hamming", load_config(cfg).tsne)
         else:
-            assert distance_inputs == []
+            assert tsne_inputs == []
             assert unpacked and all(8 * rows * cols <= 4096 for rows, cols in unpacked)
             want = emb_mod.pca_project(fpset.fingerprints, metric="packed-hamming")
         assert np.array_equal(got, want)
@@ -806,7 +808,7 @@ def _forbid_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work started before the settings and outputs were checked")
     monkeypatch.setattr(desc_mod, "_neighbors", fail)
-    monkeypatch.setattr(emb_mod, "pairwise_distances", fail)
+    monkeypatch.setattr(emb_mod, "perplexity_calibration", fail)
     monkeypatch.setattr(emb_mod, "tsne_embed", fail)
     monkeypatch.setattr(emb_mod, "pca_project", fail)
 

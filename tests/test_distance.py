@@ -109,7 +109,8 @@ def test_hamming_cdist_zero_width_rows():
 
 @pytest.mark.parametrize("dims", [1, 3, 17, 300, 1100])
 def test_kernels_exactly_symmetric(rng, dims):
-    # pairwise_distances relies on this: it does not symmetrize the matrix
+    # t-SNE computes d(i, j) in row i's block and d(j, i) in row j's: they
+    # are the same bits, as in one all-pairs matrix
     x = rng.normal(0, rng.uniform(0.1, 50), (60, dims))
     d = euclidean_cdist(x, x)
     assert np.array_equal(d, d.T)
@@ -249,9 +250,10 @@ def test_rows_wider_than_the_exact_bound_take_xor(rng, monkeypatch):
 THREADS_SCRIPT = """
 import hashlib
 import numpy as np
-from dvlae.embedding import _hamming_gram, pairwise_distances
+from dvlae.distance import hamming_pdist
+from dvlae.embedding import _hamming_gram
 rows = np.random.default_rng(11).integers(0, 256, (1000, 725), dtype=np.uint8)
-for out in (pairwise_distances(rows, "packed-hamming"), _hamming_gram(rows)):
+for out in (hamming_pdist(rows), _hamming_gram(rows)):
     print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
@@ -269,6 +271,5 @@ def test_one_set_bytes_do_not_depend_on_blas_threads(monkeypatch):
     monkeypatch.setattr(dist_mod, "_PRODUCT_MAX_BITS", -1)
     rows = np.random.default_rng(11).integers(0, 256, (1000, 725), dtype=np.uint8)
     xor = "".join(hashlib.sha256(out.tobytes()).hexdigest() + "\n"
-                  for out in (emb_mod.pairwise_distances(rows, "packed-hamming"),
-                              emb_mod._hamming_gram(rows)))
+                  for out in (hamming_pdist(rows), emb_mod._hamming_gram(rows)))
     assert digests == {xor}

@@ -1,4 +1,4 @@
-"""Distance matrices, PCA, perplexity calibration, and exact t-SNE."""
+"""The metric contract, PCA, perplexity calibration, and exact t-SNE."""
 
 import concurrent.futures
 import multiprocessing
@@ -9,7 +9,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -20,13 +19,14 @@ from dvlae import (
     TsneConfig,
     UserInputError,
     embed_vectors,
-    pairwise_distances,
+    euclidean_cdist,
     pca_project,
     perplexity_calibration,
     read_embedding,
     tsne_embed,
     write_embedding,
 )
+import dvlae.distance as dist_mod
 import dvlae.embedding as emb_mod
 from dvlae import parallel
 from dvlae.embedding import embedding_to_csv, joint_probabilities
@@ -40,55 +40,36 @@ def achieved_perplexities(p):
     return out
 
 
-class TestPairwiseDistances:
-    def test_identical_points_have_zero_distance(self):
-        x = np.array([[1.0, 2.0], [1.0, 2.0]])
-        d = pairwise_distances(x)
-        assert d[0, 1] == 0.0 and d[1, 0] == 0.0
+class TestMetricRows:
+    """t-SNE and PCA read rows by one metric contract."""
 
-    def test_pythagorean_triangle(self):
-        x = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
-        d = pairwise_distances(x)
-        assert sorted([d[0, 1], d[0, 2], d[1, 2]]) == [3.0, 4.0, 5.0]
+    @staticmethod
+    def _methods():
+        return {"tsne": lambda x, metric: tsne_embed(x, metric, TsneConfig(perplexity=0.5)),
+                "pca": lambda x, metric: pca_project(x, metric=metric)}
 
-    def test_against_double_loop_oracle(self, rng):
-        x = rng.normal(0, 1, (100, 7))
-        d = pairwise_distances(x)
-        for _ in range(200):
-            i, j = rng.integers(0, 100, 2)
-            want = float(np.sqrt(((x[i] - x[j]) ** 2).sum()))
-            assert abs(d[i, j] - want) <= 1e-12
-
-    def test_symmetric_zero_diagonal(self, rng):
-        x = rng.normal(0, 1, (30, 4))
-        d = pairwise_distances(x)
-        assert np.array_equal(d, d.T)
-        assert not d.diagonal().any()
-
-    def test_packed_hamming_counts_differing_bits(self, rng):
-        bits = rng.integers(0, 2, (20, 33))
-        d = pairwise_distances(np.packbits(bits.astype(bool), axis=1), metric="packed-hamming")
-        i, j = 3, 11
-        assert d[i, j] == np.count_nonzero(bits[i] != bits[j])
-
-    def test_unpacked_hamming_metric_is_gone(self):
+    @pytest.mark.parametrize("method", ["tsne", "pca"])
+    def test_unpacked_hamming_metric_is_gone(self, method):
         # 0/1 rows are packed first; only packed-hamming counts bits
         with pytest.raises(UserInputError, match="unknown metric 'hamming'"):
-            pairwise_distances(np.array([[0, 1], [1, 1]]), metric="hamming")
+            self._methods()[method](np.array([[0, 1], [1, 1], [0, 0], [1, 0]]), "hamming")
 
-    def test_packed_hamming_equals_bit_counts(self, rng):
-        bits = rng.integers(0, 2, (20, 37))     # 37 bits: three padding bits per row
-        packed = np.packbits(bits.astype(bool), axis=1)
-        naive = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
-        assert np.array_equal(pairwise_distances(packed, metric="packed-hamming"), naive)
-
-    def test_packed_hamming_rejects_unpacked_rows(self):
+    @pytest.mark.parametrize("method", ["tsne", "pca"])
+    def test_packed_hamming_rejects_unpacked_rows(self, method):
         with pytest.raises(UserInputError, match="uint8"):
-            pairwise_distances(np.zeros((2, 8)), metric="packed-hamming")
+            self._methods()[method](np.zeros((4, 8)), "packed-hamming")
 
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(UserInputError):
-            pairwise_distances(np.zeros((2, 2)), metric="cosine")
+    @pytest.mark.parametrize("method", ["tsne", "pca"])
+    def test_unknown_metric_rejected(self, method):
+        with pytest.raises(UserInputError, match="unknown metric 'cosine'"):
+            self._methods()[method](np.zeros((4, 2)), "cosine")
+
+    @pytest.mark.parametrize("method", ["tsne", "pca"])
+    @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
+    def test_zero_width_rows_rejected(self, method, metric):
+        # rows with no feature have no distances and no axes to project on
+        with pytest.raises(UserInputError, match="width 0"):
+            self._methods()[method](np.zeros((4, 0), dtype=np.uint8), metric)
 
 
 def reference_pca(x, dims=2):
@@ -217,8 +198,8 @@ class TestPca:
         coords = rng.normal(0, 2, (20, 2))
         x = coords @ basis.T
         y = pca_project(x)
-        d_in = pairwise_distances(x)
-        d_out = pairwise_distances(y)
+        d_in = euclidean_cdist(x, x)
+        d_out = euclidean_cdist(y, y)
         assert np.abs(d_in - d_out).max() <= 1e-9
 
     def test_too_few_points_rejected(self):
@@ -415,8 +396,7 @@ class TestTopEigenpairs:
 
 class TestPerplexityCalibration:
     def test_rows_sum_to_one(self, rng):
-        d = pairwise_distances(rng.normal(0, 1, (25, 4)))
-        p = perplexity_calibration(d, 7.0)
+        p = perplexity_calibration(rng.normal(0, 1, (25, 4)), "euclidean", 7.0)
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9
         assert not p.diagonal().any()
 
@@ -425,27 +405,25 @@ class TestPerplexityCalibration:
         for t in range(50):
             rng = np.random.default_rng(500 + t)
             n = int(rng.integers(10, 40))
-            d = pairwise_distances(rng.normal(0, rng.uniform(0.5, 20), (n, 5)))
+            x = rng.normal(0, rng.uniform(0.5, 20), (n, 5))
             target = float(rng.uniform(2.0, (n - 1) / 3))
-            p = perplexity_calibration(d, target)
+            p = perplexity_calibration(x, "euclidean", target)
             worst = max(worst, max(abs(v - target) for v in achieved_perplexities(p)))
         assert worst <= 1e-3
 
     def test_three_equidistant_points(self):
-        d = np.ones((3, 3)) - np.eye(3)
-        p = perplexity_calibration(d, 2.0)
+        p = perplexity_calibration(np.eye(3), "euclidean", 2.0)
         off = p[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 0.5, atol=1e-12)
 
     def test_all_zero_row_becomes_uniform_with_warning(self):
-        d = np.zeros((4, 4))
+        # four identical points: every distance is zero
         with pytest.warns(UserWarning, match="uniform"):
-            p = perplexity_calibration(d, 2.0)
+            p = perplexity_calibration(np.zeros((4, 3)), "euclidean", 2.0)
         assert np.allclose(p[0], [0, 1 / 3, 1 / 3, 1 / 3])
 
     def test_joint_probabilities_symmetric_unit_mass(self, rng):
-        d = pairwise_distances(rng.normal(0, 1, (20, 3)))
-        p = joint_probabilities(d, 5.0)
+        p = joint_probabilities(rng.normal(0, 1, (20, 3)), "euclidean", 5.0)
         assert np.allclose(p, p.T)
         assert p.sum() == pytest.approx(1.0, abs=1e-6)
         assert (p >= 0).all()
@@ -467,16 +445,14 @@ def three_clusters(rng, per_cluster=20, sep=30.0):
 class TestTsne:
     def test_kl_divergence_decreases(self, rng, every_kl):
         points, _ = three_clusters(rng)
-        d = pairwise_distances(points)
-        _, kl = tsne_embed(d, TsneConfig(perplexity=12, iterations=400, seed=1))
+        _, kl = tsne_embed(points, cfg=TsneConfig(perplexity=12, iterations=400, seed=1))
         assert np.isfinite(kl).all()
         assert kl[-1] < kl[0]
 
     def test_cluster_structure_preserved(self, rng):
         points, labels = three_clusters(rng)
-        d = pairwise_distances(points)
-        y, _ = tsne_embed(d, TsneConfig(perplexity=12, iterations=600, seed=2))
-        e = pairwise_distances(y)
+        y, _ = tsne_embed(points, cfg=TsneConfig(perplexity=12, iterations=600, seed=2))
+        e = euclidean_cdist(y, y)
         np.fill_diagonal(e, np.inf)
         agreement = (labels[e.argmin(axis=1)] == labels).mean()
         assert agreement >= 0.95
@@ -485,27 +461,24 @@ class TestTsne:
         # groups of exact copies at low perplexity collapse onto each other
         base = rng.normal(0, 30, (20, 6))
         points = np.vstack([np.tile(b, (5, 1)) for b in base])
-        d = pairwise_distances(points)
-        y, kl = tsne_embed(d, TsneConfig(perplexity=2, iterations=1000,
-                                         learning_rate=20, seed=4))
+        y, kl = tsne_embed(points, cfg=TsneConfig(perplexity=2, iterations=1000,
+                                                  learning_rate=20, seed=4))
         assert kl[-1] < kl[0]
         for g in range(20):
             block = y[g * 5 : (g + 1) * 5]
-            assert pairwise_distances(block).max() <= 1e-3
+            assert euclidean_cdist(block, block).max() <= 1e-3
 
     def test_fixed_seed_is_bit_identical(self, rng, every_kl):
         points, _ = three_clusters(rng, per_cluster=10)
-        d = pairwise_distances(points)
         cfg = TsneConfig(perplexity=5, iterations=300, seed=9)
-        y1, kl1 = tsne_embed(d, cfg)
-        y2, kl2 = tsne_embed(d, cfg)
+        y1, kl1 = tsne_embed(points, cfg=cfg)
+        y2, kl2 = tsne_embed(points, cfg=cfg)
         assert np.array_equal(y1, y2)
         assert np.array_equal(kl1, kl2)
 
     def test_perplexity_constraint_enforced(self, rng):
-        d = pairwise_distances(rng.normal(0, 1, (10, 3)))
         with pytest.raises(UserInputError, match="perplexity"):
-            tsne_embed(d, TsneConfig(perplexity=3.0, iterations=10))
+            tsne_embed(rng.normal(0, 1, (10, 3)), cfg=TsneConfig(perplexity=3.0, iterations=10))
 
     @pytest.mark.parametrize("field", ["perplexity", "learning_rate"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -520,16 +493,16 @@ class TestTsne:
 
     def test_coordinates_finite(self, rng, every_kl):
         points, _ = three_clusters(rng, per_cluster=8)
-        d = pairwise_distances(points)
-        y, kl = tsne_embed(d, TsneConfig(perplexity=4, iterations=500, seed=0))
+        y, kl = tsne_embed(points, cfg=TsneConfig(perplexity=4, iterations=500, seed=0))
         assert np.isfinite(y).all()
         assert np.isfinite(kl).all()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_loop_holds_p_and_one_square_buffer(self, rng, monkeypatch, cpus):
-        # The distances are the caller's.  Building P holds one traced n x n
-        # array (the calibration map is shared memory, which tracemalloc does
-        # not see); the loop holds P, the one n x n buffer the weights
+        # Building P holds one traced n x n array (the calibration map is
+        # shared memory, which tracemalloc does not see) and, calibrated in
+        # this process, one row block of distances with its kernel's 1 MiB
+        # temporary; the loop holds P, the one n x n buffer the weights
         # overwrite, and two row blocks of scratch per thread.  The rest read
         # 179 KB with one thread and 314 KB with two at n = 400, most of it
         # numpy's ufunc buffers for the inverse pass's broadcast operands.  A
@@ -537,12 +510,12 @@ class TestTsne:
         # bound.
         n = 400
         monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
-        d = pairwise_distances(rng.normal(0, 1, (n, 5)))
+        x = rng.normal(0, 1, (n, 5))
         cfg = TsneConfig(perplexity=30, iterations=3)
-        want, _ = tsne_embed(d, cfg)        # warms up imports and the pools
+        want, _ = tsne_embed(x, cfg=cfg)        # warms up imports and the pools
         tracemalloc.start()
         try:
-            got, _ = tsne_embed(d, cfg)
+            got, _ = tsne_embed(x, cfg=cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -550,40 +523,34 @@ class TestTsne:
         assert peak <= 2 * 8 * n * n + scratch + 64 * 1024 + cpus * 192 * 1024
         assert np.array_equal(got, want)
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="CPython 3.10 holds a call's arguments until it returns")
-    def test_embed_vectors_frees_the_distance_matrix_before_the_loop(self, rng, monkeypatch):
-        # Only P is read in the loop: the n x n distances are dead by then.
-        made, live_at_loop = [], []
-        distances, inverse_rows = emb_mod.pairwise_distances, emb_mod._inverse_rows
 
-        def made_distances(vectors, metric="euclidean"):
-            out = distances(vectors, metric)
-            made.append(weakref.ref(out))
-            return out
-
-        def first_inverse_rows(*args):
-            if not live_at_loop:
-                live_at_loop.append(made[0]() is not None)
-            inverse_rows(*args)
-
-        monkeypatch.setattr(emb_mod, "pairwise_distances", made_distances)
-        monkeypatch.setattr(emb_mod, "_inverse_rows", first_inverse_rows)
-        points, _ = three_clusters(rng, per_cluster=8)
-        embed_vectors([str(i) for i in range(24)], [None] * 24, points,
-                      cfg=TsneConfig(perplexity=4, iterations=5))
-        assert live_at_loop == [False]
+def naive_distances(rows, metric):
+    """The all-pairs matrix of ``rows`` under ``metric`` by the per-pair
+    formulas: sqrt(sum((a - b) ** 2)) of float rows, or the count of
+    differing bits of packed rows, unpacked."""
+    if metric == "euclidean":
+        x = np.asarray(rows, dtype=float)
+        return np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    bits = np.unpackbits(rows, axis=1)
+    return (bits[:, None, :] != bits[None, :, :]).sum(axis=2).astype(float)
 
 
-def reference_tsne(distances, cfg, switch=250, reached=None):
+def reference_joint(rows, metric, perplexity):
+    """P of ``rows`` by the unfused formula max((cond + cond^T) / 2n, floor)
+    over ``serial_calibration`` of ``naive_distances``."""
+    cond = serial_calibration(naive_distances(rows, metric), perplexity)
+    return np.maximum((cond + cond.T) / (2.0 * len(cond)), emb_mod._PROB_FLOOR)
+
+
+def reference_tsne(rows, metric, cfg, switch=250, reached=None):
     """The exact t-SNE loop as first written, one fresh array per term, with
     the standard schedule (exaggeration 12 and momentum 0.5 until iteration
-    ``switch``, then 0.8); the buffer-reusing ``tsne_embed`` must reproduce
-    it bit for bit.  Each iteration begun is appended to ``reached``."""
-    d = np.asarray(distances, dtype=float)
-    n = len(d)
+    ``switch``, then 0.8), from ``reference_joint``; the buffer-reusing
+    ``tsne_embed`` must reproduce it bit for bit.  Each iteration begun is
+    appended to ``reached``."""
+    n = len(rows)
     cfg.validate_for(n)
-    p = joint_probabilities(d, cfg.perplexity)
+    p = reference_joint(rows, metric, cfg.perplexity)
 
     rng = np.random.default_rng(cfg.seed)
     y = rng.normal(0.0, 1e-2, size=(n, 2))
@@ -625,20 +592,22 @@ class TestTsneMatchesReference:
     the whole KL trace, on either metric, before and after the switch."""
 
     @staticmethod
-    def _distances(rng, n, metric):
+    def _rows(rng, n, metric):
+        """``n`` rows for ``metric``: Gaussian points, or packed bits near
+        four centres."""
         if metric == "euclidean":
-            return pairwise_distances(rng.normal(0, rng.uniform(0.5, 20), (n, 5)))
+            return rng.normal(0, rng.uniform(0.5, 20), (n, 5))
         centres = rng.integers(0, 2, (4, 120))
         bits = centres[rng.integers(0, 4, n)]
         bits[rng.random(bits.shape) < 0.05] ^= 1
-        return pairwise_distances(np.packbits(bits.astype(bool), axis=1), metric="packed-hamming")
+        return np.packbits(bits.astype(bool), axis=1)
 
     @staticmethod
-    def _assert_same(d, cfg, monkeypatch=None, switch=250):
+    def _assert_same(rows, metric, cfg, monkeypatch=None, switch=250):
         if monkeypatch is not None:
             monkeypatch.setattr(emb_mod, "_SWITCH_ITERATION", switch)
-        y, kl = tsne_embed(d, cfg)
-        y_ref, kl_ref = reference_tsne(d, cfg, switch)
+        y, kl = tsne_embed(rows, metric, cfg)
+        y_ref, kl_ref = reference_tsne(rows, metric, cfg, switch)
         assert np.array_equal(y, y_ref)
         assert np.array_equal(kl, kl_ref)
 
@@ -647,27 +616,28 @@ class TestTsneMatchesReference:
     @pytest.mark.parametrize("iterations, switch", [(40, 250), (90, 30)])
     def test_bit_identical(self, rng, monkeypatch, metric, n, perplexity, iterations, switch):
         cfg = TsneConfig(perplexity=perplexity, iterations=iterations, seed=n)
-        self._assert_same(self._distances(rng, n, metric), cfg, monkeypatch, switch)
+        self._assert_same(self._rows(rng, n, metric), metric, cfg, monkeypatch, switch)
 
     def test_standard_schedule_unpatched(self, rng):
         # the module's own switch iteration, crossed
-        self._assert_same(self._distances(rng, 20, "euclidean"),
+        self._assert_same(self._rows(rng, 20, "euclidean"), "euclidean",
                           TsneConfig(perplexity=5.0, iterations=260, seed=3))
 
     def test_duplicate_rows(self, rng, monkeypatch):
         # exact copies: zero off-diagonal distances and coinciding points
         points = np.repeat(rng.normal(0, 3, (8, 4)), 5, axis=0)
-        self._assert_same(pairwise_distances(points),
-                          TsneConfig(perplexity=4, iterations=60), monkeypatch, 20)
+        self._assert_same(points, "euclidean", TsneConfig(perplexity=4, iterations=60),
+                          monkeypatch, 20)
 
     @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
     def test_all_rows_identical(self, monkeypatch, metric):
         # every distance zero: each row takes the uniform calibration branch
         rows = np.ones((12, 9), dtype=np.uint8)
-        d = pairwise_distances(rows if metric == "euclidean" else np.packbits(rows, axis=1),
-                               metric=metric)
+        if metric == "packed-hamming":
+            rows = np.packbits(rows, axis=1)
         with pytest.warns(UserWarning, match="uniform row"):
-            self._assert_same(d, TsneConfig(perplexity=3, iterations=40), monkeypatch, 15)
+            self._assert_same(rows, metric, TsneConfig(perplexity=3, iterations=40),
+                              monkeypatch, 15)
 
     @staticmethod
     def _pool_sizes(monkeypatch, cpus, block):
@@ -697,14 +667,14 @@ class TestTsneMatchesReference:
     def test_any_block_height_and_worker_count(self, rng, monkeypatch, cpus, metric, n, block):
         sizes = self._pool_sizes(monkeypatch, cpus, block)
         cfg = TsneConfig(perplexity=3.0, iterations=50, seed=n + cpus)
-        self._assert_same(self._distances(rng, n, metric), cfg, monkeypatch, 20)
+        self._assert_same(self._rows(rng, n, metric), metric, cfg, monkeypatch, 20)
         assert sizes == [min(cpus, -(-n // block))]
 
     @pytest.mark.parametrize("block, workers", [(1, 6), (4, 2)])
     def test_fewer_blocks_than_cpus(self, rng, monkeypatch, block, workers):
         # 6 rows on 64 CPUs: one worker per block, no idle threads
         sizes = self._pool_sizes(monkeypatch, 64, block)
-        self._assert_same(self._distances(rng, 6, "euclidean"),
+        self._assert_same(self._rows(rng, 6, "euclidean"), "euclidean",
                           TsneConfig(perplexity=1.5, iterations=40), monkeypatch, 15)
         assert sizes == [workers]
 
@@ -716,7 +686,7 @@ class TestTsneMatchesReference:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            self._assert_same(self._distances(rng, 45, "packed-hamming"),
+            self._assert_same(self._rows(rng, 45, "packed-hamming"), "packed-hamming",
                               TsneConfig(perplexity=5, iterations=60), monkeypatch, 25)
         finally:
             sys.setswitchinterval(interval)
@@ -733,14 +703,14 @@ class TestTsneMatchesReference:
             weight_rows(*args)
 
         monkeypatch.setattr(emb_mod, "_weight_rows", counting_weight_rows)
-        d = self._distances(rng, 30, "euclidean")
+        x = self._rows(rng, 30, "euclidean")
         before = threading.active_count()
-        tsne_embed(d, TsneConfig(perplexity=3, iterations=20))
+        tsne_embed(x, cfg=TsneConfig(perplexity=3, iterations=20))
         assert max(live) > before                   # worker threads ran ...
         assert threading.active_count() == before   # ... and are gone on return
         live.clear()
         with pytest.raises(UserInputError, match="non-finite"):
-            tsne_embed(d, TsneConfig(perplexity=3, iterations=20, learning_rate=1e308))
+            tsne_embed(x, cfg=TsneConfig(perplexity=3, iterations=20, learning_rate=1e308))
         assert max(live) > before
         assert threading.active_count() == before
 
@@ -754,12 +724,12 @@ class TestKlEvery:
     @pytest.mark.parametrize("iterations", [1, 50, 51, 149, 260])
     def test_coordinates_and_evaluated_entries_equal_the_full_run(
             self, rng, monkeypatch, metric, iterations):
-        d = TestTsneMatchesReference._distances(rng, 30, metric)
+        rows = TestTsneMatchesReference._rows(rng, 30, metric)
         cfg = TsneConfig(perplexity=5.0, iterations=iterations, seed=iterations)
         assert emb_mod._KL_EVERY == 50
-        y, kl = tsne_embed(d, cfg)
+        y, kl = tsne_embed(rows, metric, cfg)
         monkeypatch.setattr(emb_mod, "_KL_EVERY", 1)
-        y_full, kl_full = tsne_embed(d, cfg)
+        y_full, kl_full = tsne_embed(rows, metric, cfg)
         assert np.array_equal(y, y_full)
         it = np.arange(iterations)
         evaluated = (it % 50 == 0) | (it == iterations - 1)
@@ -771,8 +741,8 @@ class TestKlEvery:
         traces = []
         tsne = emb_mod.tsne_embed
 
-        def spy(d, cfg):
-            y, kl = tsne(d, cfg)
+        def spy(vectors, metric, cfg):
+            y, kl = tsne(vectors, metric, cfg)
             traces.append(kl)
             return y, kl
 
@@ -781,7 +751,7 @@ class TestKlEvery:
         cfg = TsneConfig(perplexity=4, iterations=60, seed=5)
         emb = embed_vectors([str(i) for i in range(20)], [None] * 20, points, cfg=cfg)
         assert [np.flatnonzero(~np.isnan(kl)).tolist() for kl in traces] == [[0, 50, 59]]
-        assert np.array_equal(emb.coords, tsne(pairwise_distances(points), cfg)[0])
+        assert np.array_equal(emb.coords, tsne(points, cfg=cfg)[0])
 
     @staticmethod
     def _iterations_begun(monkeypatch):
@@ -810,13 +780,13 @@ class TestKlEvery:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_non_finite_at_the_reference_iteration(self, monkeypatch, n, seed):
         begun = self._iterations_begun(monkeypatch)
-        d = pairwise_distances(np.random.default_rng(seed).normal(0, 5, (n, 4)))
+        x = np.random.default_rng(seed).normal(0, 5, (n, 4))
         outcomes = []
         for lr in np.logspace(100, 308, 10):
             cfg = TsneConfig(perplexity=3.0, iterations=60, learning_rate=lr, seed=seed)
             reached = []
             try:
-                y_ref, _ = reference_tsne(d, cfg, reached=reached)
+                y_ref, _ = reference_tsne(x, "euclidean", cfg, reached=reached)
             except UserInputError:
                 y_ref = None
             for kl_every in (1, 50):
@@ -824,31 +794,32 @@ class TestKlEvery:
                 begun.clear()
                 if y_ref is None:
                     with pytest.raises(UserInputError, match="non-finite"):
-                        tsne_embed(d, cfg)
+                        tsne_embed(x, cfg=cfg)
                     assert len(begun) == len(reached), (lr, kl_every)
                     # every pair overflowed: 1 / (1 + inf) is 0 throughout
                     assert begun[-1] == 0.0
                 else:
-                    assert np.array_equal(tsne_embed(d, cfg)[0], y_ref)
+                    assert np.array_equal(tsne_embed(x, cfg=cfg)[0], y_ref)
             outcomes.append(y_ref is None)
         assert any(outcomes) and not all(outcomes)
 
     def test_non_finite_affinities_fail_at_the_first_iteration(self, rng, monkeypatch):
-        # A NaN distance makes its row of P NaN: the KL divergence is NaN at
-        # iteration 0, which every _KL_EVERY evaluates.
+        # A NaN coordinate makes its point's distances, and so rows of P,
+        # NaN: the KL divergence is NaN at iteration 0, which every
+        # _KL_EVERY evaluates.
         begun = self._iterations_begun(monkeypatch)
-        d = pairwise_distances(rng.normal(0, 1, (12, 3)))
-        d[3, 5] = np.nan
+        x = rng.normal(0, 1, (12, 3))
+        x[3, 1] = np.nan
         cfg = TsneConfig(perplexity=3.0, iterations=60)
         reached = []
         with pytest.raises(UserInputError, match="non-finite"):
-            reference_tsne(d, cfg, reached=reached)
+            reference_tsne(x, "euclidean", cfg, reached=reached)
         assert reached == [0]
         for kl_every in (1, 50):
             monkeypatch.setattr(emb_mod, "_KL_EVERY", kl_every)
             begun.clear()
             with pytest.raises(UserInputError, match="non-finite"):
-                tsne_embed(d, cfg)
+                tsne_embed(x, cfg=cfg)
             assert len(begun) == 1
 
 
@@ -869,18 +840,31 @@ def serial_calibration(distances, perplexity):
     return p
 
 
+def calibration_rows(rng, kind, n):
+    """(``n`` rows, their metric) of one ``kind``: Gaussian points, packed
+    bits, groups of 5 exact copies, or one packed row repeated, whose
+    distances are all zero."""
+    if kind in ("euclidean", "packed-hamming"):
+        return TestTsneMatchesReference._rows(rng, n, kind), kind
+    if kind == "duplicates":
+        return np.repeat(rng.normal(0, 3, (-(-n // 5), 4)), 5, axis=0)[:n], "euclidean"
+    return np.tile(rng.integers(0, 256, (1, 15), dtype=np.uint8), (n, 1)), "packed-hamming"
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the pool needs the fork start method")
 class TestCalibrationPool:
-    """Calibration rows spread over forked workers give the serial result."""
+    """Calibration row blocks spread over forked workers give the serial
+    result."""
 
     @staticmethod
     def _pool_runs(monkeypatch, cpus, min_points=0):
         """Pretend the process may run on ``cpus`` CPUs, pool from
-        ``min_points`` points on, and record the worker count of every
-        forked pool."""
+        ``min_points`` points on, calibrate in blocks of 8 rows, and record
+        the worker count of every forked pool."""
         monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
         monkeypatch.setattr(emb_mod, "_CALIBRATION_POOL_MIN_POINTS", min_points)
+        monkeypatch.setattr(emb_mod, "_TSNE_BLOCK_ROWS", 8)
         runs = []
         forked_workers = parallel._forked_workers
 
@@ -894,51 +878,53 @@ class TestCalibrationPool:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
     def test_equals_the_serial_loop(self, rng, monkeypatch, cpus, metric):
-        d = TestTsneMatchesReference._distances(rng, 61, metric)
+        rows = TestTsneMatchesReference._rows(rng, 61, metric)
         runs = self._pool_runs(monkeypatch, cpus)
-        got = perplexity_calibration(d, 7.0)
+        got = perplexity_calibration(rows, metric, 7.0)
         assert runs == ([] if cpus == 1 else [cpus])
-        assert np.array_equal(got, serial_calibration(d, 7.0))
-        assert parallel._job is None        # d^2 is not kept alive by the pool
+        assert np.array_equal(got, serial_calibration(naive_distances(rows, metric), 7.0))
+        assert parallel._job is None        # the rows are not kept alive by the pool
         assert multiprocessing.active_children() == []
 
     def test_serial_below_the_point_threshold(self, rng, monkeypatch):
-        d = pairwise_distances(rng.normal(0, 1, (30, 3)))
+        x = rng.normal(0, 1, (30, 3))
+        want = serial_calibration(naive_distances(x, "euclidean"), 5.0)
         runs = self._pool_runs(monkeypatch, 2, min_points=31)
-        assert np.array_equal(perplexity_calibration(d, 5.0), serial_calibration(d, 5.0))
+        assert np.array_equal(perplexity_calibration(x, "euclidean", 5.0), want)
         assert runs == []
         self._pool_runs(monkeypatch, 2, min_points=30)
-        perplexity_calibration(d, 5.0)
+        perplexity_calibration(x, "euclidean", 5.0)
         assert runs == [2]
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_zero_rows_warn_in_row_order(self, rng, monkeypatch, cpus):
-        d = pairwise_distances(rng.normal(0, 3, (30, 4)))
-        zero = [0, 7, 8, 19, 29]
-        d[zero] = 0.0
+    def test_zero_rows_warn_in_row_order(self, monkeypatch, cpus):
+        # 30 identical points: every row's distances are zero, and the
+        # warnings come in row order from every block, wherever it ran
+        x = np.full((30, 4), 2.5)
         runs = self._pool_runs(monkeypatch, cpus)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = perplexity_calibration(d, 5.0)
+            got = perplexity_calibration(x, "euclidean", 5.0)
         assert [str(w.message) for w in caught] == [
-            f"row {i}: all distances zero; using a uniform row" for i in zero]
+            f"row {i}: all distances zero; using a uniform row" for i in range(30)]
         assert runs == ([] if cpus == 1 else [cpus])
-        assert np.array_equal(got, serial_calibration(d, 5.0))
+        assert np.array_equal(got, serial_calibration(naive_distances(x, "euclidean"), 5.0))
 
     @pytest.mark.parametrize("n, cpus", [(150, 1), (400, 2)])
     def test_joint_probabilities_hold_one_square_matrix(self, rng, monkeypatch, n, cpus):
         # P is the one n x n array tracemalloc sees: the calibration map is
-        # shared memory (mmap), which it does not trace, and P is formed in
-        # place.  The peak read 8n^2 + 67 KB at both sizes, about numpy's
-        # 64 KiB buffer for the transposed operand; the bound allows 88 KiB,
-        # so one more n x n temporary breaks it.  The first call warms up
-        # (it imports multiprocessing for the pool).
-        d = pairwise_distances(rng.normal(0, 1, (n, 5)))
+        # shared memory (mmap), which it does not trace, P is formed in
+        # place, and the distances exist one block of 8 rows at a time (in
+        # this process on one CPU).  The peak read 8n^2 + 67 KB at both
+        # sizes, about numpy's 64 KiB buffer for the transposed operand; the
+        # bound allows 88 KiB, so one more n x n temporary breaks it.  The
+        # first call warms up (it imports multiprocessing for the pool).
+        x = rng.normal(0, 1, (n, 5))
         runs = self._pool_runs(monkeypatch, cpus)
-        want = joint_probabilities(d, 30.0)
+        want = joint_probabilities(x, "euclidean", 30.0)
         tracemalloc.start()
         try:
-            got = joint_probabilities(d, 30.0)
+            got = joint_probabilities(x, "euclidean", 30.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -946,18 +932,17 @@ class TestCalibrationPool:
         assert peak <= 8 * n * n + 88 * 1024
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
-    def test_joint_probabilities_equal_the_unfused_formula(self, rng, monkeypatch, cpus, metric):
-        d = TestTsneMatchesReference._distances(rng, 61, metric)
-        d[[0, 17, 60]] = 0.0        # all-zero rows
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["euclidean", "packed-hamming", "duplicates", "identical"])
+    def test_joint_probabilities_equal_the_unfused_formula(self, rng, monkeypatch, cpus, kind):
+        rows, metric = calibration_rows(rng, kind, 61)
         runs = self._pool_runs(monkeypatch, cpus)
-        with pytest.warns(UserWarning, match="uniform"):
-            got = joint_probabilities(d, 7.0)
-        cond = serial_calibration(d, 7.0)
-        want = np.maximum((cond + cond.T) / (2.0 * len(cond)), emb_mod._PROB_FLOOR)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = joint_probabilities(rows, metric, 7.0)
+        assert len(caught) == (61 if kind == "identical" else 0)
         assert runs == ([] if cpus == 1 else [cpus])
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == reference_joint(rows, metric, 7.0).tobytes()
 
     def test_a_killed_worker_is_an_error_not_a_hang(self, rng, monkeypatch):
         parent = os.getpid()
@@ -970,24 +955,48 @@ class TestCalibrationPool:
 
         monkeypatch.setattr(emb_mod, "_calibrate_row", killed)
         self._pool_runs(monkeypatch, 2)
-        d = pairwise_distances(rng.normal(0, 1, (40, 3)))
         with pytest.raises(RuntimeError, match=f"exited with code {-signal.SIGKILL}"):
-            perplexity_calibration(d, 5.0)
+            perplexity_calibration(rng.normal(0, 1, (40, 3)), "euclidean", 5.0)
         assert parallel._job is None
         assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "packed-hamming"])
+def test_distances_come_one_row_block_at_a_time(rng, monkeypatch, metric):
+    # Each calibration job computes its block's distances to every row by
+    # the two-set kernel; the one-set kernel, whose output is n x n, is
+    # PCA's alone.  On one CPU every job runs in this process.
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+    calls = []
+    for name in ("euclidean_cdist", "hamming_cdist"):
+        def spy(a, b, kernel=getattr(dist_mod, name), name=name):
+            calls.append((name, len(a), len(b)))
+            return kernel(a, b)
+        monkeypatch.setattr(emb_mod, name, spy, raising=False)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("t-SNE called the all-pairs kernel hamming_pdist")
+    monkeypatch.setattr(emb_mod, "hamming_pdist", fail)
+    n, block = 150, emb_mod._TSNE_BLOCK_ROWS
+    rows = TestTsneMatchesReference._rows(rng, n, metric)
+    embed_vectors([str(i) for i in range(n)], [None] * n, rows, metric=metric,
+                  cfg=TsneConfig(perplexity=10, iterations=5))
+    kernel = "euclidean_cdist" if metric == "euclidean" else "hamming_cdist"
+    assert calls == [(kernel, min(block, n - i), n) for i in range(0, n, block)]
+    assert all(rows_in_call <= block for _, rows_in_call, _ in calls)
+
+
 class TestTsneGuard:
-    """``embed_vectors`` checks a t-SNE run before any n x n array exists."""
+    """``tsne_embed`` checks a run before any n x n array exists."""
 
     @pytest.fixture(autouse=True)
-    def no_distances(self, monkeypatch):
+    def no_calibration(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("pairwise_distances called before the t-SNE checks")
-        monkeypatch.setattr(emb_mod, "pairwise_distances", fail)
+            raise AssertionError("perplexity calibration started before the t-SNE checks")
+        monkeypatch.setattr(emb_mod, "perplexity_calibration", fail)
 
     @pytest.mark.parametrize("n, cfg", [
-        (20_000, TsneConfig()),                             # ~18 GiB of n x n arrays counted
+        (20_000, TsneConfig()),                             # ~8.9 GiB of n x n arrays counted
         (50, TsneConfig(perplexity=5, iterations=10**12)),  # 8 TB of KL trace
     ])
     def test_over_memory_budget_rejected(self, n, cfg):
@@ -1005,10 +1014,10 @@ class TestTsneGuard:
         TsneConfig(iterations=300).validate_for(1000)
 
     def test_budget_boundary(self):
-        # 6 * 8 * n^2 bytes plus 8 per iteration against 4 GiB
-        TsneConfig().validate_for(9459)
+        # 3 * 8 * n^2 bytes plus 8 per iteration against 4 GiB
+        TsneConfig().validate_for(13377)
         with pytest.raises(UserInputError, match="--method pca"):
-            TsneConfig().validate_for(9460)
+            TsneConfig().validate_for(13378)
 
     def test_pca_needs_no_distances(self, rng):
         emb = embed_vectors(list("abcd"), [None] * 4, rng.normal(0, 1, (4, 3)), method="pca")

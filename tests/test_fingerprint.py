@@ -469,13 +469,13 @@ class TestHamming:
             assert d[0, 1] >= 0
 
     def test_matrix_matches_pairwise(self, rng):
-        from dvlae import pairwise_distances
+        from dvlae import hamming_pdist
 
         fpset = fingerprint_set(rng.integers(0, 2, (15, 37)))
         packed = fpset.fingerprints
         fast = hamming_cdist(packed, packed)
         bits = fingerprint_bits(fpset)
-        assert np.array_equal(fast, pairwise_distances(packed, metric="packed-hamming"))
+        assert np.array_equal(fast, hamming_pdist(packed))
         assert np.array_equal(fast, [[naive_hamming(a, b) for b in packed] for a in packed])
         naive = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
         assert np.array_equal(fast, naive)
